@@ -128,7 +128,7 @@ class Tape:
         return self._push(np.repeat(v, cols, axis=1), "broadcast_col", (a,), cols)
 
     def transpose(self, a: int) -> int:
-        return self._push(self._values[a].T.copy(), "transpose", (a,))
+        return self._push(self._values[a].T, "transpose", (a,))
 
     def square(self, a: int) -> int:
         return self._push(self._values[a] ** 2, "square", (a,))
@@ -164,81 +164,102 @@ class Tape:
         """Adjoints of every node with respect to a scalar loss node.
 
         Returns a list indexed by node id; entries are None for nodes the
-        loss does not depend on.
+        loss does not depend on.  The adjoints may share memory: a node's
+        first gradient contribution is stored as is (``add`` hands its own
+        adjoint to both inputs, ``transpose`` and ``concat_rows`` hand views
+        of it), and later contributions are added out of place.  Treat every
+        returned array as read-only.
         """
         if self._values[loss].shape != (1, 1):
             raise ShapeError(f"loss node must be 1x1, got {self._values[loss].shape}")
-        adj: list[np.ndarray | None] = [None] * len(self._values)
+        values, records = self._values, self._records
+        adj: list[np.ndarray | None] = [None] * len(values)
         adj[loss] = np.ones((1, 1))
         for nid in range(loss, -1, -1):
             g = adj[nid]
             if g is None:
                 continue
-            rec = self._records[nid]
-            self._accumulate(rec, nid, g, adj)
+            rec = records[nid]
+            if rec.op == "leaf":
+                continue
+            for target, grad in _BACKWARD[rec.op](values, rec, nid, g):
+                prev = adj[target]
+                adj[target] = grad if prev is None else prev + grad
         return adj
 
-    def _accumulate(self, rec: _Record, nid: int, g: np.ndarray, adj) -> None:
-        op = rec.op
-        if op == "leaf":
-            return
-        ins = rec.inputs
 
-        def bump(target: int, grad: np.ndarray) -> None:
-            if adj[target] is None:
-                adj[target] = np.zeros_like(self._values[target])
-            adj[target] += grad
+# ---------------------------------------------------------------------------
+# Backward rules: (forward values, record, node id, node adjoint) -> the
+# (input id, gradient contribution) pairs, in input order.
+# ---------------------------------------------------------------------------
 
-        if op == "matmul":
-            a, b = ins
-            bump(a, g @ self._values[b].T)
-            bump(b, self._values[a].T @ g)
-        elif op == "add":
-            bump(ins[0], g)
-            bump(ins[1], g)
-        elif op == "sub":
-            bump(ins[0], g)
-            bump(ins[1], -g)
-        elif op == "hadamard":
-            a, b = ins
-            bump(a, g * self._values[b])
-            bump(b, g * self._values[a])
-        elif op == "smul":
-            bump(ins[0], g * rec.aux)
-        elif op == "exp":
-            bump(ins[0], g * self._values[nid])
-        elif op == "log":
-            bump(ins[0], g / (self._values[ins[0]] + LOG_SHIFT))
-        elif op == "relu":
-            bump(ins[0], g * (self._values[ins[0]] > 0.0))
-        elif op == "sigmoid":
-            s = self._values[nid]
-            bump(ins[0], g * s * (1.0 - s))
-        elif op == "row_sum":
-            bump(ins[0], np.repeat(g, self._values[ins[0]].shape[1], axis=1))
-        elif op == "col_sum":
-            bump(ins[0], np.repeat(g, self._values[ins[0]].shape[0], axis=0))
-        elif op == "broadcast_row":
-            bump(ins[0], g.sum(axis=0, keepdims=True))
-        elif op == "broadcast_col":
-            bump(ins[0], g.sum(axis=1, keepdims=True))
-        elif op == "transpose":
-            bump(ins[0], g.T)
-        elif op == "square":
-            bump(ins[0], 2.0 * g * self._values[ins[0]])
-        elif op == "reduce_mean":
-            v = self._values[ins[0]]
-            bump(ins[0], np.full(v.shape, g[0, 0] / v.size))
-        elif op == "softplus":
-            bump(ins[0], g * stable_sigmoid(self._values[ins[0]]))
-        elif op == "concat_rows":
-            start = 0
-            for target in ins:
-                rows = self._values[target].shape[0]
-                bump(target, g[start : start + rows])
-                start += rows
-        else:  # pragma: no cover - exhaustive dispatch
-            raise ValueError(f"unknown op {op!r}")
+
+def _matmul_bw(vals, rec, nid, g):
+    a, b = rec.inputs
+    return (a, g @ vals[b].T), (b, vals[a].T @ g)
+
+
+def _add_bw(vals, rec, nid, g):
+    a, b = rec.inputs
+    return (a, g), (b, g)
+
+
+def _sub_bw(vals, rec, nid, g):
+    a, b = rec.inputs
+    return (a, g), (b, -g)
+
+
+def _hadamard_bw(vals, rec, nid, g):
+    a, b = rec.inputs
+    return (a, g * vals[b]), (b, g * vals[a])
+
+
+def _concat_rows_bw(vals, rec, nid, g):
+    out = []
+    start = 0
+    for target in rec.inputs:
+        rows = vals[target].shape[0]
+        out.append((target, g[start : start + rows]))
+        start += rows
+    return out
+
+
+def _reduce_mean_bw(vals, rec, nid, g):
+    x = rec.inputs[0]
+    return ((x, np.full(vals[x].shape, g[0, 0] / vals[x].size)),)
+
+
+def _sigmoid_bw(vals, rec, nid, g):
+    s = vals[nid]
+    return ((rec.inputs[0], g * s * (1.0 - s)),)
+
+
+_BACKWARD = {
+    "matmul": _matmul_bw,
+    "add": _add_bw,
+    "sub": _sub_bw,
+    "hadamard": _hadamard_bw,
+    "concat_rows": _concat_rows_bw,
+    "reduce_mean": _reduce_mean_bw,
+    "sigmoid": _sigmoid_bw,
+    "smul": lambda vals, rec, nid, g: ((rec.inputs[0], g * rec.aux),),
+    "exp": lambda vals, rec, nid, g: ((rec.inputs[0], g * vals[nid]),),
+    "log": lambda vals, rec, nid, g: ((rec.inputs[0], g / (vals[rec.inputs[0]] + LOG_SHIFT)),),
+    "relu": lambda vals, rec, nid, g: ((rec.inputs[0], g * (vals[rec.inputs[0]] > 0.0)),),
+    "row_sum": lambda vals, rec, nid, g: (
+        (rec.inputs[0], np.repeat(g, vals[rec.inputs[0]].shape[1], axis=1)),
+    ),
+    "col_sum": lambda vals, rec, nid, g: (
+        (rec.inputs[0], np.repeat(g, vals[rec.inputs[0]].shape[0], axis=0)),
+    ),
+    "broadcast_row": lambda vals, rec, nid, g: ((rec.inputs[0], g.sum(axis=0, keepdims=True)),),
+    "broadcast_col": lambda vals, rec, nid, g: ((rec.inputs[0], g.sum(axis=1, keepdims=True)),),
+    "transpose": lambda vals, rec, nid, g: ((rec.inputs[0], g.T),),
+    "square": lambda vals, rec, nid, g: ((rec.inputs[0], 2.0 * g * vals[rec.inputs[0]]),),
+    "softplus": lambda vals, rec, nid, g: (
+        (rec.inputs[0], g * stable_sigmoid(vals[rec.inputs[0]])),
+    ),
+}
 
 
 @dataclass

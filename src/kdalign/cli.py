@@ -192,6 +192,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _collect_config(args)
+    train_cfg = train_config_from(cfg, cfg["train"]["seed"])
     data = load_csv(args.data)
     knowledge = None
     e_f = know_spec = None
@@ -216,7 +217,7 @@ def cmd_train(args) -> int:
         split,
         enc,
         head,
-        train_config_from(cfg, cfg["train"]["seed"]),
+        train_cfg,
         e_f=e_f,
         know_spec=know_spec,
         know_params=know_params,

@@ -202,6 +202,7 @@ def run_seed(
 
 def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None = None) -> MetricReport:
     """Full protocol over all seeds; optionally persists artifacts."""
+    train_config_from(cfg, cfg["train"]["seed"])  # reject bad [train]/[ot] values up front
     if data is None:
         if not cfg["data"]["path"]:
             raise ConfigError("[data] path is required")
@@ -242,6 +243,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None =
 def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = None) -> MetricReport:
     """Repeat the experiment per noisy-rule ratio (rules re-perturbed, the
     knowledge encoder re-pretrained on the perturbed corpus)."""
+    train_config_from(cfg, cfg["train"]["seed"])  # reject bad [train]/[ot] values up front
     if data is None:
         if not cfg["data"]["path"]:
             raise ConfigError("[data] path is required")

@@ -1,105 +1,54 @@
-"""Hot numeric kernels with numba-JIT and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-Each kernel exists twice: a loop-based ``*_numba`` version compiled with
-``@njit`` and a vectorized ``*_numpy`` fallback.  The public names
-(``sinkhorn_log``, ``pairwise_sq_dists``, ``best_split_scan``) are bound at
-import time: numba when available, numpy when ``KDALIGN_DISABLE_NUMBA=1``.
-``benchmarks/bench_kernels.py`` compares the two paths.
+``sinkhorn_log`` runs the log-domain Sinkhorn iterations behind
+:func:`kdalign.ot.sinkhorn`, ``pairwise_sq_dists`` is the squared Euclidean
+cost, and ``best_split_scan`` is the Gini split search of the acquisition
+trees.  Each computation has this one implementation; ``tests/oracles.py``
+holds the plain-loop references they are tested against.
 """
 
-import math
-
 import numpy as np
-
-from ._numba import NUMBA_ENABLED, njit
-
 
 # ---------------------------------------------------------------------------
 # Log-domain Sinkhorn iterations.
 #
 # Inputs: M = -C/eps (finite), log marginals and marginals (strictly
 # positive).  Scaled potentials u, v start at zero; one iteration is a
-# v-update against log_nu followed by a u-update against log_mu.  The plan is
-# exp(M + u[:, None] + v[None, :]); iteration stops once both marginal
-# residuals (infinity norm) drop to `tol` or `max_iter` is reached.
+# v-update against log_nu followed by a u-update against log_mu, and the
+# plan of iteration k is exp((M + u_k[:, None]) + v_k[None, :]).  After the
+# u-update the row marginal is exact, so only the column residual decides
+# the stop.  It is read off the next v-update: the column sums of plan k are
+# nu * exp(v_k - v_{k+1}).  Iteration stops once that residual (infinity
+# norm) drops to `tol` or `max_iter` is reached; the plan is then built once
+# from the `M + u_k[:, None]` the last v-update used, and its row residual is
+# measured on it.
 # ---------------------------------------------------------------------------
 
 
-def _sinkhorn_log_numpy(M, log_mu, log_nu, mu, nu, max_iter, tol):
-    s, m = M.shape
-    u = np.zeros(s)
-    v = np.zeros(m)
-    plan = np.exp(M)
-    iters = 0
-    res_row = np.inf
-    res_col = np.inf
+def _log_col_update(a, log_nu):
+    cmax = a.max(axis=0)
+    return log_nu - (np.log(np.exp(a - cmax[None, :]).sum(axis=0)) + cmax)
+
+
+def sinkhorn_log(M, log_mu, log_nu, mu, nu, max_iter, tol):
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    u = np.zeros(M.shape[0])
+    a = M + u[:, None]
+    v = _log_col_update(a, log_nu)
     for it in range(1, max_iter + 1):
-        a = M + u[:, None]
-        cmax = a.max(axis=0)
-        v = log_nu - (np.log(np.exp(a - cmax[None, :]).sum(axis=0)) + cmax)
         b = M + v[None, :]
         rmax = b.max(axis=1)
         u = log_mu - (np.log(np.exp(b - rmax[:, None]).sum(axis=1)) + rmax)
-        plan = np.exp(M + u[:, None] + v[None, :])
-        res_row = np.abs(plan.sum(axis=1) - mu).max()
-        res_col = np.abs(plan.sum(axis=0) - nu).max()
-        iters = it
-        if res_row <= tol and res_col <= tol:
+        a = M + u[:, None]
+        v_next = _log_col_update(a, log_nu)
+        res_col = np.abs(nu * np.exp(v - v_next) - nu).max()
+        if res_col <= tol or it == max_iter:
             break
-    return plan, iters, res_row, res_col
-
-
-@njit(cache=True)
-def _sinkhorn_log_numba(M, log_mu, log_nu, mu, nu, max_iter, tol):  # pragma: no cover - jitted
-    s, m = M.shape
-    u = np.zeros(s)
-    v = np.zeros(m)
-    plan = np.zeros((s, m))
-    iters = 0
-    res_row = np.inf
-    res_col = np.inf
-    for it in range(1, max_iter + 1):
-        for j in range(m):
-            cmax = -np.inf
-            for i in range(s):
-                t = M[i, j] + u[i]
-                if t > cmax:
-                    cmax = t
-            acc = 0.0
-            for i in range(s):
-                acc += math.exp(M[i, j] + u[i] - cmax)
-            v[j] = log_nu[j] - (math.log(acc) + cmax)
-        for i in range(s):
-            rmax = -np.inf
-            for j in range(m):
-                t = M[i, j] + v[j]
-                if t > rmax:
-                    rmax = t
-            acc = 0.0
-            for j in range(m):
-                acc += math.exp(M[i, j] + v[j] - rmax)
-            u[i] = log_mu[i] - (math.log(acc) + rmax)
-        res_row = 0.0
-        res_col = 0.0
-        for i in range(s):
-            rs = 0.0
-            for j in range(m):
-                plan[i, j] = math.exp(M[i, j] + u[i] + v[j])
-                rs += plan[i, j]
-            r = abs(rs - mu[i])
-            if r > res_row:
-                res_row = r
-        for j in range(m):
-            cs = 0.0
-            for i in range(s):
-                cs += plan[i, j]
-            c = abs(cs - nu[j])
-            if c > res_col:
-                res_col = c
-        iters = it
-        if res_row <= tol and res_col <= tol:
-            break
-    return plan, iters, res_row, res_col
+        v = v_next
+    plan = np.exp(a + v[None, :])
+    res_row = np.abs(plan.sum(axis=1) - mu).max()
+    return plan, it, res_row, res_col
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +56,9 @@ def _sinkhorn_log_numba(M, log_mu, log_nu, mu, nu, max_iter, tol):  # pragma: no
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_sq_dists_numpy(a, b):
+def pairwise_sq_dists(a, b):
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-@njit(cache=True)
-def _pairwise_sq_dists_numba(a, b):  # pragma: no cover - jitted
-    n, h = a.shape
-    m = b.shape[0]
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for k in range(h):
-                d = a[i, k] - b[j, k]
-                acc += d * d
-            out[i, j] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +73,7 @@ def _pairwise_sq_dists_numba(a, b):  # pragma: no cover - jitted
 # ---------------------------------------------------------------------------
 
 
-def _best_split_scan_numpy(values, labels, min_leaf):
+def best_split_scan(values, labels, min_leaf):
     n = values.shape[0]
     if n < 2 * min_leaf:
         return -1, np.inf
@@ -161,44 +95,3 @@ def _best_split_scan_numpy(values, labels, min_leaf):
     weighted = np.where(valid, weighted, np.inf)
     best = int(np.argmin(weighted))
     return best, float(weighted[best])
-
-
-@njit(cache=True)
-def _best_split_scan_numba(values, labels, min_leaf):  # pragma: no cover - jitted
-    n = values.shape[0]
-    if n < 2 * min_leaf:
-        return -1, np.inf
-    total_pos = 0.0
-    for i in range(n):
-        total_pos += labels[i]
-    best_idx = -1
-    best_impurity = np.inf
-    pl = 0.0
-    for i in range(n - 1):
-        pl += labels[i]
-        n_left = float(i + 1)
-        n_right = float(n - i - 1)
-        if values[i] == values[i + 1]:
-            continue
-        if n_left < min_leaf or n_right < min_leaf:
-            continue
-        pr = total_pos - pl
-        gini_l = 1.0 - (pl / n_left) ** 2 - ((n_left - pl) / n_left) ** 2
-        gini_r = 1.0 - (pr / n_right) ** 2 - ((n_right - pr) / n_right) ** 2
-        weighted = (n_left * gini_l + n_right * gini_r) / n
-        if weighted < best_impurity:
-            best_impurity = weighted
-            best_idx = i
-    return best_idx, best_impurity
-
-
-if NUMBA_ENABLED:
-    sinkhorn_log = _sinkhorn_log_numba
-    pairwise_sq_dists = _pairwise_sq_dists_numba
-    best_split_scan = _best_split_scan_numba
-    BACKEND = "numba"
-else:
-    sinkhorn_log = _sinkhorn_log_numpy
-    pairwise_sq_dists = _pairwise_sq_dists_numpy
-    best_split_scan = _best_split_scan_numpy
-    BACKEND = "numpy"

@@ -1,7 +1,8 @@
 """Entropic optimal transport between knowledge and data embeddings.
 
-``sinkhorn`` runs the log-domain Sinkhorn-Knopp solver (numba or numpy
-kernel), returning the plan with its marginal residuals.  ``sinkhorn_tape``
+``sinkhorn`` runs the log-domain Sinkhorn-Knopp solver
+(:func:`kdalign.kernels.sinkhorn_log`), returning the plan with its marginal
+residuals.  ``sinkhorn_tape``
 unrolls a fixed number of iterations through the autodiff tape for the
 gradient-check suite.  The alignment maps every sample to its argmax rule.
 """
@@ -70,10 +71,13 @@ def sinkhorn(
     """Solve entropy-regularized OT in the log domain.
 
     Alternately matches the plan's column and row marginals to nu and mu via
-    log-sum-exp updates of the scaled potentials, stopping when both marginal
-    residuals reach `tol` (infinity norm) or `max_iter` passes.  Rows or
-    columns with zero marginal mass receive zero plan mass exactly.
-    Non-convergence is reported through ``converged``, not an exception.
+    log-sum-exp updates of the scaled potentials.  Each u-update makes the
+    row marginal exact, so iteration stops when the column residual reaches
+    `tol` (infinity norm) or `max_iter` passes; the row residual is measured
+    once on the returned plan.  ``converged`` requires both residuals to be
+    within `tol`.  Rows or columns with zero marginal mass receive zero plan
+    mass exactly.  Non-convergence is reported through ``converged``, not an
+    exception.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2:

@@ -71,6 +71,14 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.loss not in ("bce", "deviation"):
             raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"[train] batch_size must be >= 1, got {self.batch_size}")
+        if not self.sinkhorn_epsilon_scale > 0:
+            raise ConfigError(f"[ot] epsilon_scale must be > 0, got {self.sinkhorn_epsilon_scale}")
+        if self.sinkhorn_max_iter < 1:
+            raise ConfigError(f"[ot] max_iter must be >= 1, got {self.sinkhorn_max_iter}")
+        if not self.sinkhorn_tol >= 0:
+            raise ConfigError(f"[ot] tol must be >= 0, got {self.sinkhorn_tol}")
 
 
 @dataclass
@@ -288,6 +296,11 @@ def train(
     pool = np.flatnonzero(y_train == 0)
     n_train = X_train.shape[0]
     batch_size = min(config.batch_size, n_train)
+    if anom_pos.size >= batch_size:
+        raise ConfigError(
+            f"k_labeled ({anom_pos.size}) must be below batch_size ({batch_size}): the "
+            "labeled anomalies would fill every batch and leave no unlabeled rows"
+        )
     steps_per_epoch = max(1, math.ceil(n_train / batch_size))
 
     best_val = -np.inf
@@ -301,9 +314,7 @@ def train(
         failures = 0
         for _ in range(steps_per_epoch):
             need = batch_size - anom_pos.size
-            if need <= 0:
-                batch_idx = anom_pos[:batch_size]
-            elif pool.size <= need:
+            if pool.size <= need:
                 batch_idx = np.concatenate([anom_pos, pool])
             else:
                 fill = rng.choice(pool, size=need, replace=False)

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive: recursive tree evaluation, exhaustive
-enumeration, scalar loops.  None of it shares code with the implementations
-under test.
+enumeration, scalar loops, a Sinkhorn loop that re-measures its plan every
+iteration.  None of it shares code with the implementations under test.
 """
 
 import itertools
@@ -127,3 +127,29 @@ def exhaustive_best_split(values, labels, min_leaf=1):
         if imp < best[1]:
             best = ((sv[i] + sv[i + 1]) / 2.0, imp)
     return best
+
+
+def sinkhorn_log_reference(M, log_mu, log_nu, mu, nu, max_iter, tol):
+    """Log-domain Sinkhorn that rebuilds the plan every iteration and stops
+    once both marginal residuals measured on it are within `tol`."""
+    s, m = M.shape
+    u = np.zeros(s)
+    v = np.zeros(m)
+    plan = np.exp(M)
+    iters = 0
+    res_row = np.inf
+    res_col = np.inf
+    for it in range(1, max_iter + 1):
+        a = M + u[:, None]
+        cmax = a.max(axis=0)
+        v = log_nu - (np.log(np.exp(a - cmax[None, :]).sum(axis=0)) + cmax)
+        b = M + v[None, :]
+        rmax = b.max(axis=1)
+        u = log_mu - (np.log(np.exp(b - rmax[:, None]).sum(axis=1)) + rmax)
+        plan = np.exp(M + u[:, None] + v[None, :])
+        res_row = np.abs(plan.sum(axis=1) - mu).max()
+        res_col = np.abs(plan.sum(axis=0) - nu).max()
+        iters = it
+        if res_row <= tol and res_col <= tol:
+            break
+    return plan, iters, res_row, res_col

@@ -220,3 +220,64 @@ class TestGradCheckReport:
         report = grad_check(build, params, tol=1e-4)
         assert report.passed
         assert set(report.max_rel_error) == {"w1", "w2"}
+
+
+class TestAdjointAliasing:
+    """A node's first gradient contribution is stored as is, so ``add``,
+    ``sub``, ``transpose`` and ``concat_rows`` hand their own adjoint (or a
+    view of it) to their inputs.  Accumulating a second contribution must not
+    write through it.
+
+    Each loss is <op(a), W> + <a^T, V>.  The <a^T, V> branch is swept first,
+    so a's first contribution is a view of adjoint V of the ``a^T`` node;
+    op(a) then adds to it, and must leave that adjoint, and W, untouched.
+    """
+
+    CASES = {
+        "add": (lambda t, a: t.add(a, a), (3, 2)),
+        "sub": (lambda t, a: t.sub(a, a), (3, 2)),
+        "hadamard": (lambda t, a: t.hadamard(a, a), (3, 2)),
+        "concat_rows": (lambda t, a: t.concat_rows([a, a]), (6, 2)),
+        "transpose_transpose": (lambda t, a: t.add(t.transpose(t.transpose(a)), a), (3, 2)),
+    }
+
+    def _build(self, name, nodes):
+        op, out_shape = self.CASES[name]
+        rng = np.random.default_rng(len(name))
+        w = rng.normal(size=out_shape)
+        v = rng.normal(size=(2, 3))
+
+        def build(t, ids):
+            a = ids["a"]
+            nodes["out"] = op(t, a)
+            first = t.full_sum(t.hadamard(nodes["out"], t.leaf(w)))
+            nodes["a_t"] = t.transpose(a)
+            second = t.full_sum(t.hadamard(nodes["a_t"], t.leaf(v)))
+            return t.add(first, second)
+
+        return build, w, v
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_gradient_matches_finite_differences(self, name):
+        build, _, _ = self._build(name, {})
+        params = ParamSet({"a": np.random.default_rng(3).normal(size=(3, 2))})
+        report = grad_check(build, params, tol=1e-6)
+        assert report.passed, report.max_rel_error
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_intermediate_adjoints_not_overwritten(self, name):
+        nodes = {}
+        build, w, v = self._build(name, nodes)
+        t = Tape()
+        ids = bind_params(t, ParamSet({"a": np.random.default_rng(3).normal(size=(3, 2))}))
+        loss = build(t, ids)
+        first = t.backward(loss)
+        snapshot = [None if g is None else g.copy() for g in first]
+        second = t.backward(loss)
+        for g1, g2 in zip(snapshot, second):
+            assert (g1 is None) == (g2 is None)
+            if g1 is not None:
+                np.testing.assert_array_equal(g1, g2)
+        np.testing.assert_array_equal(first[nodes["out"]], w)
+        np.testing.assert_array_equal(first[nodes["a_t"]], v)
+        assert first[loss][0, 0] == 1.0

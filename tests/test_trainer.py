@@ -320,3 +320,15 @@ class TestComposedGradient:
 
         report = grad_check(build, params, h=1e-6, tol=1e-3)
         assert report.passed, report.max_rel_error
+
+
+class TestBatchComposition:
+    def test_labeled_anomalies_filling_the_batch_rejected(self):
+        enc, head = small_specs()
+        with pytest.raises(ConfigError, match=r"k_labeled \(10\) must be below batch_size \(10\)"):
+            train(toy_split(), enc, head, fast_config(batch_size=10))
+
+    def test_one_unlabeled_row_per_batch_trains(self):
+        enc, head = small_specs()
+        _, log = train(toy_split(), enc, head, fast_config(batch_size=11, epochs=1))
+        assert len(log) == 1
