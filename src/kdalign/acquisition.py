@@ -11,23 +11,15 @@ studies.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels
+from .config import RulesConfig
 from .errors import DataError
 from .rules import Condition, Rule, rule_match_mask
-
-
-@dataclass
-class TreeConfig:
-    max_depth: int = 4
-    min_leaf: int = 1
-    feature_subsample: int = 0  # 0 = all features; else random subset per tree
-    feature_indices: tuple[int, ...] = ()  # explicit allowlist, overrides subsample
-    seed: int = 0
 
 
 @dataclass
@@ -46,16 +38,8 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     root: TreeNode
-    config: TreeConfig
+    config: RulesConfig
     features_used: tuple[int, ...]
-
-    def depth(self) -> int:
-        def rec(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(rec(node.left), rec(node.right))
-
-        return rec(self.root)
 
 
 def gini(y: np.ndarray) -> float:
@@ -65,8 +49,8 @@ def gini(y: np.ndarray) -> float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, config: TreeConfig) -> DecisionTree:
-    """Greedy CART on binary labels.
+def fit_tree(X: np.ndarray, y: np.ndarray, config: RulesConfig) -> DecisionTree:
+    """Greedy CART on binary labels, seeded by ``config.seed``.
 
     Splits minimize weighted Gini impurity over midpoints of consecutive
     distinct sorted values; ties break to the lowest feature index, then the
@@ -213,28 +197,18 @@ def extract_anomaly_paths(
     return rules, provenance
 
 
-@dataclass
-class AcquisitionConfig:
-    n_trees: int = 5
-    max_depth: int = 4
-    min_leaf: int = 1
-    feature_subsample: int = 0
-    feature_indices: tuple[int, ...] = ()
-    seed: int = 0
-
-
 def acquire_rules(
     X: np.ndarray,
     y: np.ndarray,
     feature_names: Sequence[str],
-    config: AcquisitionConfig,
+    config: RulesConfig,
 ) -> tuple[list[Rule], list[PathProvenance]]:
     """Fit bootstrap trees and extract their all-right anomaly paths."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     trees = []
-    for t in range(config.n_trees):
+    for t in range(config.trees):
         tree_seed = int(rng.integers(0, 2**31 - 1))
         if t == 0:
             sample = np.arange(X.shape[0])  # first tree sees the full data
@@ -242,14 +216,7 @@ def acquire_rules(
             sample = np.random.default_rng(tree_seed).integers(
                 0, X.shape[0], size=X.shape[0]
             )
-        tree_cfg = TreeConfig(
-            max_depth=config.max_depth,
-            min_leaf=config.min_leaf,
-            feature_subsample=config.feature_subsample,
-            feature_indices=config.feature_indices,
-            seed=tree_seed,
-        )
-        trees.append(fit_tree(X[sample], y[sample], tree_cfg))
+        trees.append(fit_tree(X[sample], y[sample], replace(config, seed=tree_seed)))
     return extract_anomaly_paths(trees, X, y, feature_names)
 
 

@@ -8,14 +8,23 @@ config key is overridable with --section.key=value flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .acquisition import AcquisitionConfig, acquire_rules
-from .config import SCHEMA, load_config, write_effective_config
+from .acquisition import acquire_rules
+from .config import (
+    SCHEMA,
+    OtConfig,
+    RulesConfig,
+    TrainConfig,
+    load_config,
+    render_value,
+    write_effective_config,
+)
 from .ddnnf import model_count
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import auprc, load_csv, rec_at_k_detail, save_csv, split_dataset
@@ -24,11 +33,9 @@ from .experiment import (
     compile_rules,
     encoder_specs_from,
     noise_study,
-    pretrain_config_from,
+    pretrain_knowledge,
     run_experiment,
-    train_config_from,
 )
-from .gcn import embed_knowledge_set, pretrain_encoder
 from .rules import load_rules, render_rule, save_rules
 from .synthetic import make_synthetic
 from .train import (
@@ -50,17 +57,17 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, metavar="INI", help="config file (INI sections)")
     group = parser.add_argument_group("config overrides")
-    for section, keys in SCHEMA.items():
-        for key, spec in keys.items():
-            default = spec.default
-            if isinstance(default, tuple):
-                default = ",".join(str(v) for v in default)
+    for section, cls in SCHEMA.items():
+        for f in dataclasses.fields(cls):
+            text = f.metadata["help"]
+            if f.metadata["choices"]:
+                text += ": " + " | ".join(f.metadata["choices"])
             group.add_argument(
-                f"--{section}.{key}",
-                dest=f"cfg::{section}.{key}",
+                f"--{section}.{f.name}",
+                dest=f"cfg::{section}.{f.name}",
                 metavar="V",
                 default=None,
-                help=f"{spec.help} (default: {default})",
+                help=f"{text} (default: {render_value(f.default)})",
             )
 
 
@@ -117,18 +124,11 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_acquire_rules(args) -> int:
+    cfg = _collect_config(args)
     data = load_csv(args.data)
-    config = AcquisitionConfig(
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        min_leaf=args.min_leaf,
-        feature_subsample=args.feature_subsample,
-        feature_indices=tuple(int(i) for i in args.features.split(",") if i.strip())
-        if args.features
-        else (),
-        seed=args.seed,
+    rules, provenance = acquire_rules(
+        data.X, data.y, data.feature_names, RulesConfig(**cfg["rules"])
     )
-    rules, provenance = acquire_rules(data.X, data.y, data.feature_names, config)
     save_rules(rules, args.out)
     sidecar = str(args.out) + ".provenance.json"
     _write_text_atomic(
@@ -171,14 +171,10 @@ def cmd_pretrain(args) -> int:
     if not rules:
         raise DataError(f"{args.rules}: no rules to pretrain on")
     table, graphs = compile_rules(rules)
-    pre_cfg = pretrain_config_from(cfg, len(table))
-    if args.seed is not None:
-        pre_cfg.seed = args.seed
-    result = pretrain_encoder(graphs, pre_cfg)
-    e_f = embed_knowledge_set(graphs, result.spec, result.params)
+    result, e_f = pretrain_knowledge(graphs, len(table), cfg)
     ck = ModelCheckpoint(
         params=dict(result.params.values),
-        seed=pre_cfg.seed,
+        seed=cfg["know_encoder"]["seed"],
         know_spec=result.spec,
         e_f=e_f,
     )
@@ -192,7 +188,6 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _collect_config(args)
-    train_cfg = train_config_from(cfg, cfg["train"]["seed"])
     data = load_csv(args.data)
     knowledge = None
     e_f = know_spec = None
@@ -217,7 +212,8 @@ def cmd_train(args) -> int:
         split,
         enc,
         head,
-        train_cfg,
+        TrainConfig(**cfg["train"]),
+        OtConfig(**cfg["ot"]),
         e_f=e_f,
         know_spec=know_spec,
         know_params=know_params,
@@ -286,12 +282,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("acquire-rules", help="extract all-right anomaly paths from decision trees")
     p.add_argument("--data", required=True, help="labeled dataset CSV")
     p.add_argument("--out", required=True, help="output rule file (.rules or .json)")
-    p.add_argument("--trees", type=int, default=5, help="bootstrap tree count (default: 5)")
-    p.add_argument("--max-depth", type=int, default=4, help="maximum tree depth (default: 4)")
-    p.add_argument("--min-leaf", type=int, default=1, help="minimum samples per leaf (default: 1)")
-    p.add_argument("--feature-subsample", type=int, default=0, help="random feature subset per tree, 0 = all (default: 0)")
-    p.add_argument("--features", default="", help="comma-separated feature index allowlist")
-    p.add_argument("--seed", type=int, default=0, help="acquisition seed (default: 0)")
+    _add_config_flags(p)
     p.set_defaults(func=cmd_acquire_rules)
 
     p = sub.add_parser("compile-rules", help="compile rules to d-DNNF and report structure")
@@ -302,7 +293,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="pretrain the knowledge encoder on a rule file")
     p.add_argument("--rules", required=True, help="rule file")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--seed", type=int, default=None, help="override [know_encoder] seed")
     _add_config_flags(p)
     p.set_defaults(func=cmd_pretrain)
 

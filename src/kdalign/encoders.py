@@ -18,11 +18,14 @@ from .errors import NumericError, ShapeError
 
 DEVIATION_MARGIN = 5.0
 DEVIATION_PRIOR_SIZE = 5000
+ENCODER_KINDS = ("mlp", "resnet")
+HEAD_TRANSFORMS = ("sigmoid", "raw")  # probabilities | raw scores
+LOSSES = ("bce", "deviation")  # bce needs the sigmoid head, deviation the raw one
 
 
 @dataclass
 class EncoderSpec:
-    kind: str  # "mlp" | "resnet"
+    kind: str  # one of ENCODER_KINDS
     input_dim: int
     hidden: tuple[int, ...] = (32, 16)
     blocks: int = 2
@@ -31,7 +34,7 @@ class EncoderSpec:
     dropout_second: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("mlp", "resnet"):
+        if self.kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.input_dim <= 0 or any(w <= 0 for w in self.hidden):
             raise ValueError("widths must be positive")
@@ -50,10 +53,10 @@ class EncoderSpec:
 class HeadSpec:
     embed_dim: int
     hidden: tuple[int, ...] = ()
-    transform: str = "sigmoid"  # "sigmoid" -> probabilities, "raw" -> scores
+    transform: str = "sigmoid"  # one of HEAD_TRANSFORMS
 
     def __post_init__(self):
-        if self.transform not in ("sigmoid", "raw"):
+        if self.transform not in HEAD_TRANSFORMS:
             raise ValueError(f"unknown head transform {self.transform!r}")
 
     def widths(self) -> list[int]:

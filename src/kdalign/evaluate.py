@@ -97,8 +97,15 @@ def load_csv(path) -> Dataset:
                 splits.append(tag)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    X = np.array(rows)
+    finite = np.isfinite(X)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: row {r + 2}, column {names[c]!r}: non-finite value {float(X[r, c])}"
+        )
     split = np.array(splits) if split_col is not None else None
-    return Dataset(np.array(rows), np.array(labels), names, split)
+    return Dataset(X, np.array(labels), names, split)
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -10,21 +10,21 @@ study repeats the whole pipeline per noisy-rule ratio.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .acquisition import AcquisitionConfig, acquire_rules, inject_noise
-from .config import write_effective_config
+from .acquisition import acquire_rules, inject_noise
+from .config import KnowEncoderConfig, OtConfig, RulesConfig, TrainConfig, write_effective_config
 from .ddnnf import DdnnfGraph, compile_ddnnf
 from .encoders import EncoderSpec, HeadSpec
 from .errors import ConfigError, DataError
 from .evaluate import Dataset, MetricReport, auprc, load_csv, rec_at_k_detail, split_dataset
-from .gcn import PretrainConfig, embed_knowledge_set, pretrain_encoder
+from .gcn import PretrainResult, embed_knowledge_set, pretrain_encoder
 from .logic import PropositionTable, formula_to_cnf, rule_to_formula
 from .rules import Rule, load_rules
-from .train import EpochRecord, ModelCheckpoint, TrainConfig, infer, train, write_training_log
+from .train import EpochRecord, ModelCheckpoint, infer, train, write_training_log
 
 
 @dataclass
@@ -47,50 +47,29 @@ def compile_rules(rules: list[Rule]) -> tuple[PropositionTable, list[DdnnfGraph]
     return table, graphs
 
 
-def pretrain_config_from(cfg: dict, n_propositions: int) -> PretrainConfig:
-    ke = cfg["know_encoder"]
-    return PretrainConfig(
-        n_layers=ke["layers"],
-        hidden_width=ke["hidden"],
-        embed_width=ke["embed"],
-        var_capacity=max(ke["var_capacity"], n_propositions),
-        margin=ke["margin"],
-        learning_rate=ke["learning_rate"],
-        steps=ke["steps"],
-        and_reg=ke["and_reg"],
-        or_reg=ke["or_reg"],
-        val_pairs=ke["val_pairs"],
-        eval_every=ke["eval_every"],
-        seed=ke["seed"],
-    )
+def pretrain_knowledge(
+    graphs: list[DdnnfGraph], n_propositions: int, cfg: dict
+) -> tuple[PretrainResult, np.ndarray]:
+    """Pretrain the knowledge encoder per [know_encoder], its var_capacity
+    grown to fit the propositions, and embed the frozen E_F."""
+    ke = KnowEncoderConfig(**cfg["know_encoder"])
+    ke = replace(ke, var_capacity=max(ke.var_capacity, n_propositions))
+    result = pretrain_encoder(graphs, ke)
+    return result, embed_knowledge_set(graphs, result.spec, result.params)
 
 
 def build_knowledge(data: Dataset, cfg: dict, rules: list[Rule] | None = None) -> KnowledgeArtifacts:
     """Acquire/load rules and produce the frozen knowledge embedding set."""
-    rc = cfg["rules"]
+    rc = RulesConfig(**cfg["rules"])
     if rules is None:
-        if rc["path"]:
-            rules = load_rules(rc["path"])
+        if rc.path:
+            rules = load_rules(rc.path)
         else:
-            rules, _ = acquire_rules(
-                data.X,
-                data.y,
-                data.feature_names,
-                AcquisitionConfig(
-                    n_trees=rc["trees"],
-                    max_depth=rc["max_depth"],
-                    min_leaf=rc["min_leaf"],
-                    feature_subsample=rc["feature_subsample"],
-                    feature_indices=tuple(rc["feature_indices"]),
-                    seed=rc["seed"],
-                ),
-            )
+            rules, _ = acquire_rules(data.X, data.y, data.feature_names, rc)
     if not rules:
         raise DataError("no rules available: acquisition produced an empty set")
     table, graphs = compile_rules(rules)
-    pre_cfg = pretrain_config_from(cfg, len(table))
-    result = pretrain_encoder(graphs, pre_cfg)
-    e_f = embed_knowledge_set(graphs, result.spec, result.params)
+    result, e_f = pretrain_knowledge(graphs, len(table), cfg)
     return KnowledgeArtifacts(
         rules=rules,
         table=table,
@@ -117,28 +96,6 @@ def encoder_specs_from(cfg: dict, input_dim: int) -> tuple[EncoderSpec, HeadSpec
     return enc, head
 
 
-def train_config_from(cfg: dict, seed: int, rule_weight: float | None = None) -> TrainConfig:
-    tc, oc = cfg["train"], cfg["ot"]
-    return TrainConfig(
-        rule_weight=tc["rule_weight"] if rule_weight is None else rule_weight,
-        epochs=tc["epochs"],
-        batch_size=tc["batch_size"],
-        learning_rate=tc["learning_rate"],
-        seed=seed,
-        loss=tc["loss"],
-        patience=tc["patience"],
-        ot_enabled=tc["ot_enabled"],
-        ot_metric=oc["metric"],
-        sinkhorn_epsilon_scale=oc["epsilon_scale"],
-        sinkhorn_max_iter=oc["max_iter"],
-        sinkhorn_tol=oc["tol"],
-        anomaly_mass_boost=oc["anomaly_mass_boost"],
-        unrolled_ot=oc["unrolled"],
-        unrolled_iters=oc["unrolled_iters"],
-        standardize=tc["standardize"],
-    )
-
-
 @dataclass
 class SeedOutcome:
     seed: int
@@ -163,18 +120,17 @@ def run_seed(
     rules = knowledge.rules if knowledge is not None else []
     split = split_dataset(data, rules, cfg["eval"]["k_labeled"], seed)
     enc, head = encoder_specs_from(cfg, data.X.shape[1])
-    grid = list(cfg["train"]["lambda_grid"])
-    if rule_weight is not None:
-        grid = [rule_weight]
-    elif not grid:
-        grid = [cfg["train"]["rule_weight"]]
+    tc = TrainConfig(**cfg["train"])
+    ot = OtConfig(**cfg["ot"])
+    grid = [rule_weight] if rule_weight is not None else list(tc.lambda_grid) or [tc.rule_weight]
     best: tuple[float, ModelCheckpoint, list[EpochRecord], float] | None = None
     for lam in grid:
         ck, log = train(
             split,
             enc,
             head,
-            train_config_from(cfg, seed, rule_weight=lam),
+            replace(tc, seed=seed, rule_weight=lam),
+            ot,
             e_f=None if knowledge is None else knowledge.e_f,
             know_spec=None if knowledge is None else knowledge.know_spec,
             know_params=None if knowledge is None else knowledge.know_params,
@@ -202,7 +158,6 @@ def run_seed(
 
 def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None = None) -> MetricReport:
     """Full protocol over all seeds; optionally persists artifacts."""
-    train_config_from(cfg, cfg["train"]["seed"])  # reject bad [train]/[ot] values up front
     if data is None:
         if not cfg["data"]["path"]:
             raise ConfigError("[data] path is required")
@@ -243,7 +198,6 @@ def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None =
 def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = None) -> MetricReport:
     """Repeat the experiment per noisy-rule ratio (rules re-perturbed, the
     knowledge encoder re-pretrained on the perturbed corpus)."""
-    train_config_from(cfg, cfg["train"]["seed"])  # reject bad [train]/[ot] values up front
     if data is None:
         if not cfg["data"]["path"]:
             raise ConfigError("[data] path is required")

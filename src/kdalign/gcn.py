@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ParamSet, Tape, accumulate_grads, bind_params
+from .config import KnowEncoderConfig
 from .ddnnf import DdnnfGraph, K_AND, K_FALSE, K_LEAF, K_OR, K_TRUE, eval_ddnnf
 from .errors import DataError, ShapeError
 from .logic import assignments
@@ -222,27 +223,6 @@ def assignment_graph(assignment: dict[int, bool]) -> DdnnfGraph:
 
 
 @dataclass
-class PretrainConfig:
-    n_layers: int = 2
-    hidden_width: int = 16
-    embed_width: int = 16
-    var_capacity: int = 24
-    margin: float = 1.0
-    learning_rate: float = 0.05
-    steps: int = 300
-    and_reg: float = 0.1
-    or_reg: float = 0.1
-    val_pairs: int = 4
-    eval_every: int = 20
-    seed: int = 0
-
-    def spec(self) -> KnowEncoderSpec:
-        return KnowEncoderSpec(
-            self.n_layers, self.hidden_width, self.embed_width, self.var_capacity
-        )
-
-
-@dataclass
 class PretrainResult:
     spec: KnowEncoderSpec
     params: ParamSet
@@ -262,7 +242,7 @@ def _sat_unsat_assignments(graph: DdnnfGraph):
     return sat, unsat
 
 
-def pretrain_encoder(graphs: list[DdnnfGraph], config: PretrainConfig) -> PretrainResult:
+def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> PretrainResult:
     """Train the knowledge encoder on (formula, sat, unsat) triplets.
 
     The triplet loss max(0, d(e_f, e_sat) - d(e_f, e_unsat) + margin) is
@@ -273,7 +253,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: PretrainConfig) -> Pretra
     accuracy.  Formulae with no satisfying or no falsifying assignment are
     skipped with a warning.
     """
-    spec = config.spec()
+    spec = KnowEncoderSpec(config.layers, config.hidden, config.embed, config.var_capacity)
     rng = np.random.default_rng(config.seed)
     params = init_know_encoder(spec, rng)
 

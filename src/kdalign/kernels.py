@@ -1,9 +1,8 @@
 """Hot numeric kernels, vectorized with numpy.
 
 ``sinkhorn_log`` runs the log-domain Sinkhorn iterations behind
-:func:`kdalign.ot.sinkhorn`, ``pairwise_sq_dists`` is the squared Euclidean
-cost, and ``best_split_scan`` is the Gini split search of the acquisition
-trees.  Each computation has this one implementation; ``tests/oracles.py``
+:func:`kdalign.ot.sinkhorn`, and ``best_split_scan`` is the Gini split search
+of the acquisition trees.  Each computation has this one implementation; ``tests/oracles.py``
 holds the plain-loop references they are tested against.
 """
 
@@ -49,16 +48,6 @@ def sinkhorn_log(M, log_mu, log_nu, mu, nu, max_iter, tol):
     plan = np.exp(a + v[None, :])
     res_row = np.abs(plan.sum(axis=1) - mu).max()
     return plan, it, res_row, res_col
-
-
-# ---------------------------------------------------------------------------
-# Pairwise squared Euclidean distances between row sets.
-# ---------------------------------------------------------------------------
-
-
-def pairwise_sq_dists(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 # ---------------------------------------------------------------------------

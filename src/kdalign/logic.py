@@ -227,13 +227,6 @@ def eval_formula(node: FNode, assignment: Mapping[int, bool]) -> bool:
     return (not eval_formula(a, assignment)) or eval_formula(b, assignment)
 
 
-def eval_cnf(clauses: Iterable[tuple[int, ...]], assignment: Mapping[int, bool]) -> bool:
-    for clause in clauses:
-        if not any(assignment[abs(lit)] == (lit > 0) for lit in clause):
-            return False
-    return True
-
-
 def assignments(variables: Iterable[int]) -> Iterator[dict[int, bool]]:
     """All 2^n assignments over the given variables, in a fixed order."""
     ordered = sorted(set(variables))

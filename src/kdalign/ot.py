@@ -2,9 +2,9 @@
 
 ``sinkhorn`` runs the log-domain Sinkhorn-Knopp solver
 (:func:`kdalign.kernels.sinkhorn_log`), returning the plan with its marginal
-residuals.  ``sinkhorn_tape``
-unrolls a fixed number of iterations through the autodiff tape for the
-gradient-check suite.  The alignment maps every sample to its argmax rule.
+residuals.  ``cost_matrix_tape`` builds the cost between E_F and a batch's
+embeddings on the tape; the loss holds the plan constant.  The alignment
+maps every sample to its argmax rule.
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ from .autodiff import Tape
 from .errors import NumericError, ShapeError
 
 METRICS = ("sqeuclidean", "cosine")
-
-
-def cost_matrix(e_f: np.ndarray, e_x: np.ndarray, metric: str = "sqeuclidean") -> np.ndarray:
-    e_f = np.asarray(e_f, dtype=np.float64)
-    e_x = np.asarray(e_x, dtype=np.float64)
-    if e_f.ndim != 2 or e_x.ndim != 2 or e_f.shape[1] != e_x.shape[1]:
-        raise ShapeError(f"embedding widths differ: {e_f.shape} vs {e_x.shape}")
-    if metric == "sqeuclidean":
-        return kernels.pairwise_sq_dists(e_f, e_x)
-    if metric == "cosine":
-        na = np.linalg.norm(e_f, axis=1, keepdims=True)
-        nb = np.linalg.norm(e_x, axis=1, keepdims=True)
-        sim = (e_f @ e_x.T) / np.maximum(na * nb.T, 1e-30)
-        return np.maximum(1.0 - sim, 0.0)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
 def uniform_marginals(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +112,7 @@ def extract_alignment(S: np.ndarray) -> Alignment:
 
 
 # ---------------------------------------------------------------------------
-# Tape-side OT: differentiable cost matrix and unrolled Sinkhorn.
+# Tape-side OT: differentiable cost matrix and the detached-plan loss.
 # ---------------------------------------------------------------------------
 
 
@@ -155,54 +140,6 @@ def cost_matrix_tape(tape: Tape, e_f: np.ndarray, e_x_id: int, metric: str = "sq
         ones = tape.leaf(np.ones((s, m)))
         return tape.relu(tape.sub(ones, sim))
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-
-
-def _lse_rows(tape: Tape, a_id: int) -> int:
-    """Row-wise log-sum-exp (n x m -> n x 1) with a detached max shift."""
-    shift = tape.value(a_id).max(axis=1, keepdims=True)
-    m = tape.value(a_id).shape[1]
-    centered = tape.sub(a_id, tape.broadcast_col(tape.leaf(shift), m))
-    return tape.add(tape.log(tape.row_sum(tape.exp(centered))), tape.leaf(shift))
-
-
-def _lse_cols(tape: Tape, a_id: int) -> int:
-    shift = tape.value(a_id).max(axis=0, keepdims=True)
-    n = tape.value(a_id).shape[0]
-    centered = tape.sub(a_id, tape.broadcast_row(tape.leaf(shift), n))
-    return tape.add(tape.log(tape.col_sum(tape.exp(centered))), tape.leaf(shift))
-
-
-def sinkhorn_tape(
-    tape: Tape,
-    c_id: int,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    epsilon: float,
-    n_iter: int,
-) -> int:
-    """Unrolled Sinkhorn returning the plan as a differentiable tape node.
-
-    Runs exactly `n_iter` iterations (no convergence branching) so the
-    gradient path is a fixed computation graph; intended for grad checks and
-    the config-gated unrolled training mode, not the fast solver path.
-    """
-    s, m = tape.value(c_id).shape
-    mu = _validate_marginal(mu, s, "mu")
-    nu = _validate_marginal(nu, m, "nu")
-    if (mu == 0).any() or (nu == 0).any():
-        raise ValueError("unrolled Sinkhorn requires strictly positive marginals")
-    M = tape.smul(c_id, -1.0 / epsilon)
-    log_mu = tape.leaf(np.log(mu).reshape(-1, 1))  # s x 1
-    log_nu = tape.leaf(np.log(nu).reshape(1, -1))  # 1 x m
-    u = tape.leaf(np.zeros((s, 1)))
-    v = tape.leaf(np.zeros((1, m)))
-    for _ in range(n_iter):
-        a = tape.add(M, tape.broadcast_col(u, m))
-        v = tape.sub(log_nu, _lse_cols(tape, a))
-        b = tape.add(M, tape.broadcast_row(v, s))
-        u = tape.sub(log_mu, _lse_rows(tape, b))
-    logits = tape.add(tape.add(M, tape.broadcast_col(u, m)), tape.broadcast_row(v, s))
-    return tape.exp(logits)
 
 
 def ot_loss_tape(tape: Tape, c_id: int, plan: np.ndarray) -> int:

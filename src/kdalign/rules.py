@@ -38,21 +38,6 @@ class Condition:
         if not math.isfinite(self.threshold):
             raise ValueError("condition threshold must be finite")
 
-    def holds(self, value: float) -> bool:
-        p = self.predicate
-        t = self.threshold
-        if p == ">":
-            return value > t
-        if p == ">=":
-            return value >= t
-        if p == "<":
-            return value < t
-        if p == "<=":
-            return value <= t
-        if p == "=":
-            return value == t
-        return value != t
-
 
 @dataclass
 class Rule:
@@ -287,13 +272,20 @@ def rules_from_json(text: str) -> list[Rule]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid rule JSON: {exc}") from exc
+    if not isinstance(payload, list):
+        raise DataError(f"rule JSON must be a list of rules, got {type(payload).__name__}")
     rules = []
-    for obj in payload:
-        conds = [
-            Condition(c["attr"], c["op"], float(c["threshold"]))
-            for c in obj["conditions"]
-        ]
-        rules.append(Rule(str(obj["id"]), conds, bool(obj["consequent"])))
+    for index, obj in enumerate(payload):
+        try:
+            conds = [
+                Condition(c["attr"], c["op"], float(c["threshold"]))
+                for c in obj["conditions"]
+            ]
+            rules.append(Rule(str(obj["id"]), conds, bool(obj["consequent"])))
+        except KeyError as exc:
+            raise DataError(f"rule entry {index}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"rule entry {index}: {exc}") from None
     return rules
 
 
@@ -314,17 +306,6 @@ def save_rules(rules: Sequence[Rule], path) -> None:
 # ---------------------------------------------------------------------------
 # Matching
 # ---------------------------------------------------------------------------
-
-
-def match_rule(rule: Rule, values: Sequence[float], name_to_index: Mapping[str, int]) -> bool:
-    """True iff every antecedent condition holds for the sample (strict IEEE
-    comparisons, exact equality)."""
-    for cond in rule.conditions:
-        if cond.attribute not in name_to_index:
-            raise DataError(f"rule {rule.rule_id!r}: unknown attribute {cond.attribute!r}")
-        if not cond.holds(float(values[name_to_index[cond.attribute]])):
-            return False
-    return True
 
 
 def rule_match_mask(rule: Rule, X: np.ndarray, name_to_index: Mapping[str, int]) -> np.ndarray:

@@ -3,10 +3,9 @@
 Every batch contains all labeled anomalies with unlabeled rows filled in by
 the seeded sampler.  The OT term aligns the batch's embeddings against the
 frozen knowledge embeddings E_F; its gradient reaches the encoder through
-the cost matrix while the plan stays detached (an unrolled differentiable
-mode exists for gradient checking).  With rule weight 0 (or OT disabled) the
-step reduces bit-exactly to the prediction loss.  The best-validation-AUPRC
-checkpoint is returned.
+the cost matrix while the plan stays detached.  With rule weight 0 (or no
+E_F) the step reduces bit-exactly to the prediction loss.  The
+best-validation-AUPRC checkpoint is returned.
 
 Checkpoint container layout (little-endian): magic "KDAL", version u32,
 metadata length u64 + JSON metadata, then one entry per tensor:
@@ -19,11 +18,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ParamSet, Tape, accumulate_grads, bind_params
+from .config import OtConfig, TrainConfig
 from .encoders import (
     EncoderSpec,
     HeadSpec,
@@ -39,46 +39,10 @@ from .encoders import (
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import SplitDataset, auprc
 from .gcn import KnowEncoderSpec
-from .ot import cost_matrix_tape, ot_loss_tape, sinkhorn, sinkhorn_tape
+from .ot import cost_matrix_tape, ot_loss_tape, sinkhorn
 
 MAGIC = b"KDAL"
 VERSION = 1
-
-
-@dataclass
-class TrainConfig:
-    rule_weight: float = 1.0
-    epochs: int = 30
-    batch_size: int = 128
-    learning_rate: float = 0.01
-    seed: int = 0
-    loss: str = "bce"  # "bce" | "deviation"
-    patience: int = 10
-    ot_enabled: bool = True
-    ot_metric: str = "sqeuclidean"
-    sinkhorn_epsilon_scale: float = 0.1
-    sinkhorn_max_iter: int = 500
-    sinkhorn_tol: float = 1e-6
-    anomaly_mass_boost: float = 1.0
-    unrolled_ot: bool = False
-    unrolled_iters: int = 50
-    standardize: bool = True
-
-    def __post_init__(self):
-        if self.rule_weight < 0:
-            raise ConfigError("rule_weight must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.loss not in ("bce", "deviation"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"[train] batch_size must be >= 1, got {self.batch_size}")
-        if not self.sinkhorn_epsilon_scale > 0:
-            raise ConfigError(f"[ot] epsilon_scale must be > 0, got {self.sinkhorn_epsilon_scale}")
-        if self.sinkhorn_max_iter < 1:
-            raise ConfigError(f"[ot] max_iter must be >= 1, got {self.sinkhorn_max_iter}")
-        if not self.sinkhorn_tol >= 0:
-            raise ConfigError(f"[ot] tol must be >= 0, got {self.sinkhorn_tol}")
 
 
 @dataclass
@@ -132,24 +96,6 @@ class ModelCheckpoint:
     head_spec: HeadSpec | None = None
     know_spec: KnowEncoderSpec | None = None
     e_f: np.ndarray | None = None
-
-    def equal(self, other: "ModelCheckpoint") -> bool:
-        if set(self.params) != set(other.params):
-            return False
-        for name, arr in self.params.items():
-            o = other.params[name]
-            if arr.shape != o.shape or not (arr == o).all():
-                return False
-        if (self.e_f is None) != (other.e_f is None):
-            return False
-        if self.e_f is not None and not (self.e_f == other.e_f).all():
-            return False
-        return (
-            self.seed == other.seed
-            and self.encoder_spec == other.encoder_spec
-            and self.head_spec == other.head_spec
-            and self.know_spec == other.know_spec
-        )
 
 
 def _spec_to_dict(spec) -> dict | None:
@@ -209,13 +155,15 @@ def load_checkpoint(path) -> ModelCheckpoint:
         if version != VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
-        meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+        meta = _metadata(_read_exact(fh, meta_len, "metadata"))
         tensors: dict[str, np.ndarray] = {}
         for entry in meta["tensors"]:
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            name = _read_exact(fh, name_len, "tensor name").decode("utf-8", "replace")
             rows, cols = struct.unpack("<QQ", _read_exact(fh, 16, "tensor shape"))
-            if name != entry["name"] or rows != entry["rows"] or cols != entry["cols"]:
+            if not isinstance(entry, dict) or (name, rows, cols) != (
+                entry.get("name"), entry.get("rows"), entry.get("cols")
+            ):
                 raise DataError(
                     f"tensor {name!r} ({rows}x{cols}) does not match metadata entry {entry}"
                 )
@@ -224,24 +172,39 @@ def load_checkpoint(path) -> ModelCheckpoint:
         if fh.read(1):
             raise DataError("trailing bytes after tensor table")
 
-    def spec_from(key, cls, tuple_fields=()):
+    def spec_from(key, cls):
         obj = meta.get(key)
         if obj is None:
             return None
-        for f_name in tuple_fields:
-            if f_name in obj and isinstance(obj[f_name], list):
-                obj[f_name] = tuple(obj[f_name])
-        return cls(**obj)
+        try:
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint {key!r} spec does not fit {cls.__name__}: {exc}") from None
 
     e_f = tensors.pop("E_F", None)
     return ModelCheckpoint(
         params=tensors,
-        seed=int(meta["seed"]),
-        encoder_spec=spec_from("encoder", EncoderSpec, ("hidden",)),
-        head_spec=spec_from("head", HeadSpec, ("hidden",)),
+        seed=meta["seed"],
+        encoder_spec=spec_from("encoder", EncoderSpec),
+        head_spec=spec_from("head", HeadSpec),
         know_spec=spec_from("know_encoder", KnowEncoderSpec),
         e_f=e_f,
     )
+
+
+def _metadata(raw: bytes) -> dict:
+    """The checkpoint's JSON metadata, checked for the keys the reader needs."""
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise DataError(f"checkpoint metadata is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError("checkpoint metadata is not a JSON object")
+    if not isinstance(meta.get("tensors"), list):
+        raise DataError("checkpoint metadata lacks a 'tensors' list")
+    if type(meta.get("seed")) is not int:
+        raise DataError("checkpoint metadata lacks an integer 'seed'")
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +226,7 @@ def train(
     enc_spec: EncoderSpec,
     head_spec: HeadSpec,
     config: TrainConfig,
+    ot: OtConfig = OtConfig(),
     e_f: np.ndarray | None = None,
     know_spec: KnowEncoderSpec | None = None,
     know_params: dict[str, np.ndarray] | None = None,
@@ -273,7 +237,7 @@ def train(
         raise ConfigError("bce loss needs the sigmoid head transform")
     if config.loss == "deviation" and head_spec.transform != "raw":
         raise ConfigError("deviation loss needs the raw head transform")
-    use_ot = config.ot_enabled and config.rule_weight > 0.0 and e_f is not None
+    use_ot = config.rule_weight > 0.0 and e_f is not None
     if use_ot and e_f.shape[1] != enc_spec.embed_dim:
         raise ConfigError(
             f"knowledge embedding width {e_f.shape[1]} != encoder width {enc_spec.embed_dim}"
@@ -337,31 +301,20 @@ def train(
 
             l_ot_value = 0.0
             if use_ot:
-                c_id = cost_matrix_tape(tape, e_f, e_id, metric=config.ot_metric)
+                c_id = cost_matrix_tape(tape, e_f, e_id, metric=ot.metric)
                 c_value = tape.value(c_id)
-                epsilon = config.sinkhorn_epsilon_scale * float(c_value.mean())
+                epsilon = ot.epsilon_scale * float(c_value.mean())
                 if epsilon <= 0.0:
-                    epsilon = config.sinkhorn_epsilon_scale
+                    epsilon = ot.epsilon_scale
                 mu = np.full(e_f.shape[0], 1.0 / e_f.shape[0])
-                nu = np.where(yb == 1, config.anomaly_mass_boost, 1.0).astype(np.float64)
+                nu = np.where(yb == 1, ot.anomaly_mass_boost, 1.0).astype(np.float64)
                 nu /= nu.sum()
-                if config.unrolled_ot:
-                    s_plan = sinkhorn_tape(tape, c_id, mu, nu, epsilon, config.unrolled_iters)
-                    l_ot = tape.full_sum(tape.hadamard(c_id, s_plan))
-                else:
-                    plan = sinkhorn(
-                        c_value,
-                        mu,
-                        nu,
-                        epsilon,
-                        max_iter=config.sinkhorn_max_iter,
-                        tol=config.sinkhorn_tol,
-                    )
-                    if not plan.converged:
-                        failures += 1
-                    if dump_dir is not None:
-                        _dump_plan(dump_dir, epoch, global_step, plan)
-                    l_ot = ot_loss_tape(tape, c_id, plan.plan)
+                plan = sinkhorn(c_value, mu, nu, epsilon, max_iter=ot.max_iter, tol=ot.tol)
+                if not plan.converged:
+                    failures += 1
+                if dump_dir is not None:
+                    _dump_plan(dump_dir, epoch, global_step, plan)
+                l_ot = ot_loss_tape(tape, c_id, plan.plan)
                 l_ot_value = float(tape.value(l_ot)[0, 0])
                 total = tape.add(l_p, tape.smul(l_ot, config.rule_weight))
             else:
@@ -378,7 +331,7 @@ def train(
             opt.step(params)
             global_step += 1
 
-        if use_ot and not config.unrolled_ot and failures * 2 > steps_per_epoch:
+        if use_ot and failures * 2 > steps_per_epoch:
             raise NumericError(
                 f"Sinkhorn failed to converge in {failures}/{steps_per_epoch} batches"
             )

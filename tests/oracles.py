@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: recursive tree evaluation, exhaustive
 enumeration, scalar loops, a Sinkhorn loop that re-measures its plan every
-iteration.  None of it shares code with the implementations under test.
+iteration.  None of it shares code with the implementations under test,
+except that the unrolled Sinkhorn is built from the tape's primitives so
+that gradient checks can differentiate through it.
 """
 
 import itertools
 
 import numpy as np
+
+from kdalign.errors import DataError, ShapeError
 
 
 def eval_tree(node, assignment):
@@ -153,3 +157,114 @@ def sinkhorn_log_reference(M, log_mu, log_nu, mu, nu, max_iter, tol):
         if res_row <= tol and res_col <= tol:
             break
     return plan, iters, res_row, res_col
+
+
+def pairwise_sq_dists(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def cost_matrix(e_f, e_x, metric="sqeuclidean"):
+    """Cost between two row sets in plain numpy; reference for cost_matrix_tape."""
+    e_f = np.asarray(e_f, dtype=np.float64)
+    e_x = np.asarray(e_x, dtype=np.float64)
+    if e_f.ndim != 2 or e_x.ndim != 2 or e_f.shape[1] != e_x.shape[1]:
+        raise ShapeError(f"embedding widths differ: {e_f.shape} vs {e_x.shape}")
+    if metric == "sqeuclidean":
+        return pairwise_sq_dists(e_f, e_x)
+    assert metric == "cosine", metric
+    na = np.linalg.norm(e_f, axis=1, keepdims=True)
+    nb = np.linalg.norm(e_x, axis=1, keepdims=True)
+    sim = (e_f @ e_x.T) / np.maximum(na * nb.T, 1e-30)
+    return np.maximum(1.0 - sim, 0.0)
+
+
+def condition_holds(cond, value):
+    """One condition on one scalar, strict IEEE comparisons, exact equality."""
+    t = cond.threshold
+    return {
+        ">": value > t,
+        ">=": value >= t,
+        "<": value < t,
+        "<=": value <= t,
+        "=": value == t,
+        "!=": value != t,
+    }[cond.predicate]
+
+
+def match_rule(rule, values, name_to_index):
+    """True iff every antecedent condition holds for one sample; reference
+    for rule_match_mask."""
+    for cond in rule.conditions:
+        if cond.attribute not in name_to_index:
+            raise DataError(f"rule {rule.rule_id!r}: unknown attribute {cond.attribute!r}")
+        if not condition_holds(cond, float(values[name_to_index[cond.attribute]])):
+            return False
+    return True
+
+
+def _lse_rows(tape, a_id):
+    """Row-wise log-sum-exp (n x m -> n x 1) with a detached max shift."""
+    shift = tape.value(a_id).max(axis=1, keepdims=True)
+    m = tape.value(a_id).shape[1]
+    centered = tape.sub(a_id, tape.broadcast_col(tape.leaf(shift), m))
+    return tape.add(tape.log(tape.row_sum(tape.exp(centered))), tape.leaf(shift))
+
+
+def _lse_cols(tape, a_id):
+    shift = tape.value(a_id).max(axis=0, keepdims=True)
+    n = tape.value(a_id).shape[0]
+    centered = tape.sub(a_id, tape.broadcast_row(tape.leaf(shift), n))
+    return tape.add(tape.log(tape.col_sum(tape.exp(centered))), tape.leaf(shift))
+
+
+def sinkhorn_tape(tape, c_id, mu, nu, epsilon, n_iter):
+    """Unrolled Sinkhorn returning the plan as a differentiable tape node.
+
+    Runs exactly `n_iter` iterations (no convergence branching) so the
+    gradient path is a fixed computation graph: the gradient oracle for the
+    detached-plan OT loss.  Marginals must be strictly positive.
+    """
+    s, m = tape.value(c_id).shape
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    assert mu.shape == (s,) and nu.shape == (m,) and (mu > 0).all() and (nu > 0).all()
+    M = tape.smul(c_id, -1.0 / epsilon)
+    log_mu = tape.leaf(np.log(mu).reshape(-1, 1))  # s x 1
+    log_nu = tape.leaf(np.log(nu).reshape(1, -1))  # 1 x m
+    u = tape.leaf(np.zeros((s, 1)))
+    v = tape.leaf(np.zeros((1, m)))
+    for _ in range(n_iter):
+        a = tape.add(M, tape.broadcast_col(u, m))
+        v = tape.sub(log_nu, _lse_cols(tape, a))
+        b = tape.add(M, tape.broadcast_row(v, s))
+        u = tape.sub(log_mu, _lse_rows(tape, b))
+    logits = tape.add(tape.add(M, tape.broadcast_col(u, m)), tape.broadcast_row(v, s))
+    return tape.exp(logits)
+
+
+def checkpoints_equal(a, b):
+    """Bit-for-bit equality of two ModelCheckpoints: tensors, E_F, seed, specs."""
+    if set(a.params) != set(b.params):
+        return False
+    for name, arr in a.params.items():
+        other = b.params[name]
+        if arr.shape != other.shape or not (arr == other).all():
+            return False
+    if (a.e_f is None) != (b.e_f is None):
+        return False
+    if a.e_f is not None and not (a.e_f == b.e_f).all():
+        return False
+    return (
+        a.seed == b.seed
+        and a.encoder_spec == b.encoder_spec
+        and a.head_spec == b.head_spec
+        and a.know_spec == b.know_spec
+    )
+
+
+def tree_depth(node):
+    """Depth of a fitted decision tree below ``node`` (a leaf has depth 0)."""
+    if node.is_leaf:
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from kdalign.acquisition import (
-    AcquisitionConfig,
-    TreeConfig,
     acquire_rules,
     extract_anomaly_paths,
     fit_tree,
@@ -13,7 +11,8 @@ from kdalign.acquisition import (
     inject_noise,
 )
 from kdalign.rules import any_rule_mask, rule_match_mask
-from oracles import exhaustive_best_split
+from kdalign.config import RulesConfig
+from oracles import exhaustive_best_split, tree_depth
 
 
 def separable_1d():
@@ -28,7 +27,7 @@ class TestFitTree:
 
     def test_separable_single_split(self):
         X, y = separable_1d()
-        tree = fit_tree(X, y, TreeConfig(max_depth=3))
+        tree = fit_tree(X, y, RulesConfig(max_depth=3))
         # oracle: exhaustive split search over the only feature
         threshold, _ = exhaustive_best_split(X[:, 0], y)
         assert not tree.root.is_leaf
@@ -40,15 +39,15 @@ class TestFitTree:
 
     def test_pure_input_single_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
-        tree = fit_tree(X, np.zeros(3, dtype=int), TreeConfig())
+        tree = fit_tree(X, np.zeros(3, dtype=int), RulesConfig())
         assert tree.root.is_leaf
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0.5).astype(int)
-        t1 = fit_tree(X, y, TreeConfig(max_depth=4, seed=9, feature_subsample=2))
-        t2 = fit_tree(X, y, TreeConfig(max_depth=4, seed=9, feature_subsample=2))
+        t1 = fit_tree(X, y, RulesConfig(max_depth=4, seed=9, feature_subsample=2))
+        t2 = fit_tree(X, y, RulesConfig(max_depth=4, seed=9, feature_subsample=2))
         assert t1.features_used == t2.features_used
 
         def signature(node):
@@ -62,25 +61,25 @@ class TestFitTree:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 4))
         y = rng.integers(0, 2, size=200)
-        tree = fit_tree(X, y, TreeConfig(max_depth=3))
-        assert tree.depth() <= 3
+        tree = fit_tree(X, y, RulesConfig(max_depth=3))
+        assert tree_depth(tree.root) <= 3
 
     def test_feature_allowlist(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(100, 4))
         y = (X[:, 0] > 0.8).astype(int)
-        tree = fit_tree(X, y, TreeConfig(max_depth=2, feature_indices=(2, 3)))
+        tree = fit_tree(X, y, RulesConfig(max_depth=2, feature_indices=(2, 3)))
         assert tree.features_used == (2, 3)
 
     def test_empty_dataset(self):
         with pytest.raises(Exception, match="nonempty"):
-            fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=int), TreeConfig())
+            fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=int), RulesConfig())
 
 
 class TestExtractPaths:
     def test_separable_yields_single_rule(self):
         X, y = separable_1d()
-        tree = fit_tree(X, y, TreeConfig(max_depth=3))
+        tree = fit_tree(X, y, RulesConfig(max_depth=3))
         rules, provenance = extract_anomaly_paths([tree], X, y, ["x"])
         assert len(rules) == 1
         rule = rules[0]
@@ -92,13 +91,13 @@ class TestExtractPaths:
     def test_all_normal_data_yields_nothing(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
         y = np.zeros(30, dtype=int)
-        tree = fit_tree(X, y, TreeConfig(max_depth=3))
+        tree = fit_tree(X, y, RulesConfig(max_depth=3))
         rules, _ = extract_anomaly_paths([tree], X, y, ["a", "b"])
         assert rules == []
 
     def test_identical_paths_deduplicated(self):
         X, y = separable_1d()
-        tree = fit_tree(X, y, TreeConfig(max_depth=3))
+        tree = fit_tree(X, y, RulesConfig(max_depth=3))
         rules, _ = extract_anomaly_paths([tree, tree], X, y, ["x"])
         assert len(rules) == 1
 
@@ -108,7 +107,7 @@ class TestExtractPaths:
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 10, size=(300, 2))
         y = ((X[:, 0] > 6.0) & (X[:, 0] <= 8.5)).astype(int)
-        tree = fit_tree(X, y, TreeConfig(max_depth=4))
+        tree = fit_tree(X, y, RulesConfig(max_depth=4))
         rules, _ = extract_anomaly_paths([tree], X, y, ["a", "b"])
         assert rules, "expected at least one anomaly path"
         for rule in rules:
@@ -124,7 +123,7 @@ class TestExtractPaths:
         n = 200
         X = rng.normal(size=(n, 3))
         y = ((X[:, 0] > 1.0) | (X[:, 1] < -1.2)).astype(int)
-        rules, _ = acquire_rules(X, y, ["a", "b", "c"], AcquisitionConfig(n_trees=3, max_depth=3, seed=seed))
+        rules, _ = acquire_rules(X, y, ["a", "b", "c"], RulesConfig(trees=3, max_depth=3, seed=seed))
         names = {"a": 0, "b": 1, "c": 2}
         for rule in rules:
             mask = rule_match_mask(rule, X, names)
@@ -142,7 +141,7 @@ class TestInjectNoise:
         self.y = np.r_[np.zeros(200, dtype=int), np.ones(60, dtype=int)]
         self.names = ["a", "b"]
         self.rules, _ = acquire_rules(
-            self.X, self.y, self.names, AcquisitionConfig(n_trees=4, max_depth=2, seed=1)
+            self.X, self.y, self.names, RulesConfig(trees=4, max_depth=2, seed=1)
         )
         assert len(self.rules) >= 2
 

@@ -8,7 +8,6 @@ from kdalign.ddnnf import compile_ddnnf
 from kdalign.gcn import (
     KnowEncoderSpec,
     NODE_TYPES,
-    PretrainConfig,
     assignment_graph,
     ddnnf_to_graph,
     embed_knowledge_set,
@@ -21,6 +20,7 @@ from kdalign.gcn import (
     pretrain_encoder,
 )
 from kdalign.gcn import FormulaGraph, TYPE_INDEX
+from kdalign.config import KnowEncoderConfig
 from kdalign.logic import CnfFormula, PropositionTable
 
 
@@ -225,16 +225,17 @@ def toy_corpus():
 class TestPretrain:
     def test_zero_steps_returns_initialization(self):
         graphs = toy_corpus()
-        cfg = PretrainConfig(steps=0, seed=1, var_capacity=4, hidden_width=8, embed_width=8)
+        cfg = KnowEncoderConfig(steps=0, seed=1, var_capacity=4, hidden=8, embed=8)
         result = pretrain_encoder(graphs, cfg)
-        fresh = init_know_encoder(cfg.spec(), np.random.default_rng(1))
+        spec = KnowEncoderSpec(hidden_width=8, embed_width=8, var_capacity=4)
+        fresh = init_know_encoder(spec, np.random.default_rng(1))
         for name in fresh.values:
             np.testing.assert_array_equal(result.params.values[name], fresh.values[name])
 
     def test_constant_and_unsat_formulae_skipped(self):
         # unsatisfiable input compiles to the FALSE sink, i.e. a constant
         graphs = toy_corpus() + [compile_ddnnf(cnf_of([[1], [-1]], 1))]
-        cfg = PretrainConfig(steps=0, seed=0, var_capacity=4)
+        cfg = KnowEncoderConfig(steps=0, seed=0, var_capacity=4)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = pretrain_encoder(graphs, cfg)
@@ -249,13 +250,13 @@ class TestPretrain:
         graphs = toy_corpus() + [bad]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = pretrain_encoder(graphs, PretrainConfig(steps=0, seed=0, var_capacity=4))
+            result = pretrain_encoder(graphs, KnowEncoderConfig(steps=0, seed=0, var_capacity=4))
         assert result.skipped == [len(graphs) - 1]
         assert any("unsatisfiable" in str(w.message) for w in caught)
 
     def test_loss_decreases_on_toy_corpus(self):
         graphs = toy_corpus()
-        cfg = PretrainConfig(steps=50, seed=3, var_capacity=4, hidden_width=8, embed_width=8)
+        cfg = KnowEncoderConfig(steps=50, seed=3, var_capacity=4, hidden=8, embed=8)
         result = pretrain_encoder(graphs, cfg)
         smooth = np.convolve(result.loss_history, np.ones(5) / 5, mode="valid")
         assert smooth[-1] < smooth[0]
@@ -264,8 +265,8 @@ class TestPretrain:
 
     def test_separates_p_from_not_p(self):
         graphs = [compile_ddnnf(cnf_of([[1]], 1)), compile_ddnnf(cnf_of([[-1]], 1))]
-        cfg = PretrainConfig(
-            steps=120, seed=2, margin=1.0, var_capacity=2, hidden_width=8, embed_width=8
+        cfg = KnowEncoderConfig(
+            steps=120, seed=2, margin=1.0, var_capacity=2, hidden=8, embed=8
         )
         result = pretrain_encoder(graphs, cfg)
         spec = result.spec
@@ -279,6 +280,6 @@ class TestPretrain:
 
     def test_heldout_accuracy_on_toy_corpus(self):
         graphs = toy_corpus()
-        cfg = PretrainConfig(steps=250, seed=0, var_capacity=4, hidden_width=12, embed_width=12)
+        cfg = KnowEncoderConfig(steps=250, seed=0, var_capacity=4, hidden=12, embed=12)
         result = pretrain_encoder(graphs, cfg)
         assert result.best_val_accuracy >= 0.9

@@ -7,16 +7,17 @@ from kdalign.rules import (
     Condition,
     Rule,
     load_rules,
-    match_rule,
     parse_rule,
     parse_rules_text,
     render_rule,
+    rule_match_mask,
     rule_match_stats,
     rules_from_json,
     rules_to_json,
     rules_to_text,
     save_rules,
 )
+from oracles import condition_holds, match_rule
 
 
 class TestParse:
@@ -101,7 +102,7 @@ class TestMatch:
 
     def test_missing_attribute(self):
         with pytest.raises(DataError, match="unknown attribute"):
-            match_rule(self.RULE, [6.0], {"attr_1": 0})
+            rule_match_mask(self.RULE, np.array([[6.0]]), {"attr_1": 0})
 
     def test_match_agrees_with_formula_evaluation(self):
         # match_rule(rule, x) iff the induced assignment satisfies the
@@ -117,8 +118,8 @@ class TestMatch:
             if rng.random() < 0.2:
                 x[2] = 2.0
             assignment = {
-                table.intern(c.attribute, c.predicate, render_threshold(c)): c.holds(
-                    x[names[c.attribute]]
+                table.intern(c.attribute, c.predicate, render_threshold(c)): condition_holds(
+                    c, x[names[c.attribute]]
                 )
                 for c in rule.conditions
             }
