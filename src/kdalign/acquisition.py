@@ -42,13 +42,6 @@ class DecisionTree:
     features_used: tuple[int, ...]
 
 
-def gini(y: np.ndarray) -> float:
-    if y.size == 0:
-        return 0.0
-    p = float(y.mean())
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-
 def fit_tree(X: np.ndarray, y: np.ndarray, config: RulesConfig) -> DecisionTree:
     """Greedy CART on binary labels, seeded by ``config.seed``.
 

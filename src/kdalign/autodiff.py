@@ -280,9 +280,6 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         return ParamSet({k: v.copy() for k, v in self.values.items()})
 
-    def names(self) -> list[str]:
-        return list(self.values)
-
 
 def bind_params(tape: Tape, params: ParamSet) -> dict[str, int]:
     return {name: tape.leaf(value) for name, value in params.values.items()}
@@ -293,58 +290,3 @@ def accumulate_grads(params: ParamSet, ids: dict[str, int], adjoints) -> None:
         g = adjoints[nid]
         if g is not None:
             params.grads[name] += g
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: dict[str, float]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(err <= self.tol for err in self.max_rel_error.values())
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_rel_error.values(), default=0.0)
-
-
-def grad_check(build_fn, params: ParamSet, h: float = 1e-6, tol: float = 1e-4) -> GradCheckReport:
-    """Compare tape adjoints against central finite differences.
-
-    ``build_fn(tape, ids)`` must deterministically construct a scalar loss
-    from bound parameter nodes.  Relative error per element is
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    tape = Tape()
-    ids = bind_params(tape, params)
-    loss = build_fn(tape, ids)
-    adjoints = tape.backward(loss)
-
-    def loss_value(values: dict[str, np.ndarray]) -> float:
-        t = Tape()
-        probe = ParamSet({k: v for k, v in values.items()})
-        pid = bind_params(t, probe)
-        return float(t.value(build_fn(t, pid))[0, 0])
-
-    report: dict[str, float] = {}
-    for name in params.names():
-        analytic = adjoints[ids[name]]
-        if analytic is None:
-            analytic = np.zeros_like(params.values[name])
-        worst = 0.0
-        base = {k: v.copy() for k, v in params.values.items()}
-        flat = base[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_value(base)
-            flat[i] = orig - h
-            down = loss_value(base)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = analytic.reshape(-1)[i]
-            denom = max(1.0, abs(a), abs(numeric))
-            worst = max(worst, abs(a - numeric) / denom)
-        report[name] = worst
-    return GradCheckReport(report, tol)

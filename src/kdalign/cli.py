@@ -18,6 +18,7 @@ import numpy as np
 from .acquisition import acquire_rules
 from .config import (
     SCHEMA,
+    ModelConfig,
     OtConfig,
     RulesConfig,
     TrainConfig,
@@ -31,7 +32,7 @@ from .evaluate import auprc, load_csv, rec_at_k_detail, save_csv, split_dataset
 from .experiment import (
     build_knowledge,
     compile_rules,
-    encoder_specs_from,
+    load_dataset,
     noise_study,
     pretrain_knowledge,
     run_experiment,
@@ -44,6 +45,7 @@ from .train import (
     load_checkpoint,
     save_checkpoint,
     train,
+    with_knowledge_encoder,
     write_training_log,
 )
 
@@ -125,7 +127,7 @@ def cmd_synth_data(args) -> int:
 
 def cmd_acquire_rules(args) -> int:
     cfg = _collect_config(args)
-    data = load_csv(args.data)
+    data = load_dataset(cfg)
     rules, provenance = acquire_rules(
         data.X, data.y, data.feature_names, RulesConfig(**cfg["rules"])
     )
@@ -167,16 +169,16 @@ def cmd_compile_rules(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _collect_config(args)
-    rules = load_rules(args.rules)
+    path = cfg["rules"]["path"]
+    if not path:
+        raise ConfigError("[rules] path is required")
+    rules = load_rules(path)
     if not rules:
-        raise DataError(f"{args.rules}: no rules to pretrain on")
+        raise DataError(f"{path}: no rules to pretrain on")
     table, graphs = compile_rules(rules)
     result, e_f = pretrain_knowledge(graphs, len(table), cfg)
     ck = ModelCheckpoint(
-        params=dict(result.params.values),
-        seed=cfg["know_encoder"]["seed"],
-        know_spec=result.spec,
-        e_f=e_f,
+        dict(result.params.values), result.config.seed, know_encoder=result.config, e_f=e_f
     )
     save_checkpoint(ck, args.out)
     print(
@@ -188,37 +190,25 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _collect_config(args)
-    data = load_csv(args.data)
-    knowledge = None
-    e_f = know_spec = None
-    know_params = None
-    rules = []
-    if args.rules:
-        cfg["rules"]["path"] = args.rules
+    data = load_dataset(cfg)
+    rules_path = cfg["rules"]["path"]
+    rules, e_f, know = [], None, None
     if args.encoder:
         pre = load_checkpoint(args.encoder)
-        if pre.e_f is None or pre.know_spec is None:
+        if pre.e_f is None or pre.know_encoder is None:
             raise DataError(f"{args.encoder}: not a knowledge-encoder checkpoint")
-        rules = load_rules(cfg["rules"]["path"]) if cfg["rules"]["path"] else []
-        e_f, know_spec, know_params = pre.e_f, pre.know_spec, pre.params
-    elif cfg["rules"]["path"]:
+        rules = load_rules(rules_path) if rules_path else []
+        e_f, know, know_params = pre.e_f, pre.know_encoder, pre.params
+    elif rules_path:
         knowledge = build_knowledge(data, cfg)
-        rules = knowledge.rules
-        e_f, know_spec, know_params = knowledge.e_f, knowledge.know_spec, knowledge.know_params
+        rules, e_f = knowledge.rules, knowledge.e_f
+        know, know_params = knowledge.pretrain.config, knowledge.pretrain.params.values
     split = split_dataset(data, rules, cfg["eval"]["k_labeled"], cfg["train"]["seed"])
-    enc, head = encoder_specs_from(cfg, data.X.shape[1])
     os.makedirs(args.out, exist_ok=True)
-    ck, log = train(
-        split,
-        enc,
-        head,
-        TrainConfig(**cfg["train"]),
-        OtConfig(**cfg["ot"]),
-        e_f=e_f,
-        know_spec=know_spec,
-        know_params=know_params,
-        dump_dir=os.path.join(args.out, "ot_dumps") if args.dump_ot else None,
-    )
+    tc, ot = TrainConfig(**cfg["train"]), OtConfig(**cfg["ot"])
+    ck, log = train(split, ModelConfig(**cfg["model"]), e_f, tc, ot)
+    if know is not None:
+        ck = with_knowledge_encoder(ck, know, know_params)
     save_checkpoint(ck, os.path.join(args.out, "checkpoint.kdal"))
     write_training_log(log, os.path.join(args.out, "training_log.jsonl"))
     write_effective_config(cfg, args.out)
@@ -280,7 +270,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("acquire-rules", help="extract all-right anomaly paths from decision trees")
-    p.add_argument("--data", required=True, help="labeled dataset CSV")
     p.add_argument("--out", required=True, help="output rule file (.rules or .json)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_acquire_rules)
@@ -291,17 +280,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_compile_rules)
 
     p = sub.add_parser("pretrain", help="pretrain the knowledge encoder on a rule file")
-    p.add_argument("--rules", required=True, help="rule file")
     p.add_argument("--out", required=True, help="output checkpoint path")
     _add_config_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="train the detector (with or without knowledge)")
-    p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--rules", default=None, help="rule file (enables the OT loss)")
     p.add_argument("--encoder", default=None, help="pretrained knowledge-encoder checkpoint")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dump-ot", action="store_true", help="dump per-batch transport plans")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 

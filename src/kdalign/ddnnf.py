@@ -190,28 +190,6 @@ def eval_ddnnf(graph: DdnnfGraph, assignment: Mapping[int, bool], node: int | No
     return rec(node)
 
 
-def check_determinism(graph: DdnnfGraph, exhaustive_max_vars: int = 16) -> None:
-    """Verify OR children are pairwise inconsistent by exhaustive evaluation.
-
-    Only practical for small variable counts; raises beyond the bound.
-    """
-    from .logic import assignments
-
-    for i, kind in enumerate(graph.kinds):
-        if kind != K_OR:
-            continue
-        kids = graph.children[i]
-        union_vars = frozenset().union(*(graph.varsets[c] for c in kids))
-        if len(union_vars) > exhaustive_max_vars:
-            raise ValueError(f"OR node {i} spans {len(union_vars)} vars, too many to check")
-        for assignment in assignments(union_vars):
-            sat = [c for c in kids if eval_ddnnf(graph, assignment, node=c)]
-            if len(sat) > 1:
-                raise AssertionError(
-                    f"OR node {i}: children {sat} jointly satisfied by {assignment}"
-                )
-
-
 def model_count(graph: DdnnfGraph, n_vars: int) -> int:
     """Exact model count over an n_vars-variable space.
 

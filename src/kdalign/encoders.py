@@ -9,12 +9,15 @@ deterministic with dropout off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import ParamSet, Tape
+from .autodiff import ParamSet, Tape, bind_params
 from .errors import NumericError, ShapeError
+
+if TYPE_CHECKING:  # config imports this module for the accepted strings
+    from .config import ModelConfig
 
 DEVIATION_MARGIN = 5.0
 DEVIATION_PRIOR_SIZE = 5000
@@ -23,72 +26,39 @@ HEAD_TRANSFORMS = ("sigmoid", "raw")  # probabilities | raw scores
 LOSSES = ("bce", "deviation")  # bce needs the sigmoid head, deviation the raw one
 
 
-@dataclass
-class EncoderSpec:
-    kind: str  # one of ENCODER_KINDS
-    input_dim: int
-    hidden: tuple[int, ...] = (32, 16)
-    blocks: int = 2
-    main_dim: int = 32
-    dropout_first: float = 0.0
-    dropout_second: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ENCODER_KINDS:
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
-        if self.input_dim <= 0 or any(w <= 0 for w in self.hidden):
-            raise ValueError("widths must be positive")
-        if self.kind == "resnet" and (self.blocks <= 0 or self.main_dim <= 0):
-            raise ValueError("resnet needs positive block count and main width")
-        for p in (self.dropout_first, self.dropout_second):
-            if not 0.0 <= p < 1.0:
-                raise ValueError("dropout rates must lie in [0, 1)")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.hidden[-1] if self.kind == "mlp" else self.main_dim
-
-
-@dataclass
-class HeadSpec:
-    embed_dim: int
-    hidden: tuple[int, ...] = ()
-    transform: str = "sigmoid"  # one of HEAD_TRANSFORMS
-
-    def __post_init__(self):
-        if self.transform not in HEAD_TRANSFORMS:
-            raise ValueError(f"unknown head transform {self.transform!r}")
-
-    def widths(self) -> list[int]:
-        return [self.embed_dim, *self.hidden, 1]
+def embed_width(model: ModelConfig) -> int:
+    """Width h of E_X: the last hidden width (mlp) or the main stream width."""
+    return model.hidden[-1] if model.kind == "mlp" else model.main_dim
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / (fan_in + fan_out))
 
 
-def init_encoder(spec: EncoderSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def init_encoder(
+    model: ModelConfig, input_dim: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
     values: dict[str, np.ndarray] = {}
-    if spec.kind == "mlp":
-        widths = [spec.input_dim, *spec.hidden]
+    if model.kind == "mlp":
+        widths = [input_dim, *model.hidden]
         for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
             values[f"enc/w{i}"] = _glorot(rng, fi, fo)
             values[f"enc/b{i}"] = np.zeros((1, fo))
         return values
-    values["enc/stem_w"] = _glorot(rng, spec.input_dim, spec.main_dim)
-    values["enc/stem_b"] = np.zeros((1, spec.main_dim))
-    width = spec.hidden[-1]
-    for i in range(spec.blocks):
-        values[f"enc/block{i}/w1"] = _glorot(rng, spec.main_dim, width)
+    values["enc/stem_w"] = _glorot(rng, input_dim, model.main_dim)
+    values["enc/stem_b"] = np.zeros((1, model.main_dim))
+    width = model.hidden[-1]
+    for i in range(model.blocks):
+        values[f"enc/block{i}/w1"] = _glorot(rng, model.main_dim, width)
         values[f"enc/block{i}/b1"] = np.zeros((1, width))
-        values[f"enc/block{i}/w2"] = _glorot(rng, width, spec.main_dim)
-        values[f"enc/block{i}/b2"] = np.zeros((1, spec.main_dim))
+        values[f"enc/block{i}/w2"] = _glorot(rng, width, model.main_dim)
+        values[f"enc/block{i}/b2"] = np.zeros((1, model.main_dim))
     return values
 
 
-def init_head(spec: HeadSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def init_head(model: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     values: dict[str, np.ndarray] = {}
-    widths = spec.widths()
+    widths = [embed_width(model), *model.head_hidden, 1]
     for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
         values[f"head/w{i}"] = _glorot(rng, fi, fo)
         values[f"head/b{i}"] = np.zeros((1, fo))
@@ -111,18 +81,19 @@ def _dropout(tape: Tape, x: int, rate: float, seed_parts: tuple[int, ...]) -> in
 def encode_tape(
     tape: Tape,
     x_id: int,
-    spec: EncoderSpec,
+    model: ModelConfig,
     ids: dict[str, int],
     train: bool = False,
     dropout_seed: int | tuple[int, ...] = 0,
 ) -> int:
     """E_X for a batch node: hidden ReLU layers, identity on the output layer."""
     rows, cols = tape.value(x_id).shape
-    if cols != spec.input_dim:
-        raise ShapeError(f"input width {cols} != encoder width {spec.input_dim}")
-    if spec.kind == "mlp":
+    first = tape.value(ids["enc/w0" if model.kind == "mlp" else "enc/stem_w"])
+    if cols != first.shape[0]:
+        raise ShapeError(f"input width {cols} != encoder width {first.shape[0]}")
+    if model.kind == "mlp":
         z = x_id
-        n_layers = len(spec.hidden)
+        n_layers = len(model.hidden)
         for i in range(n_layers):
             z = _linear_named(tape, z, ids, f"enc/w{i}", f"enc/b{i}", rows)
             if i < n_layers - 1:
@@ -130,30 +101,30 @@ def encode_tape(
         return z
     seed = dropout_seed if isinstance(dropout_seed, tuple) else (dropout_seed,)
     z = _linear_named(tape, x_id, ids, "enc/stem_w", "enc/stem_b", rows)
-    for i in range(spec.blocks):
+    for i in range(model.blocks):
         h = _linear_named(tape, z, ids, f"enc/block{i}/w1", f"enc/block{i}/b1", rows)
         h = tape.relu(h)
         if train:
-            h = _dropout(tape, h, spec.dropout_first, (*seed, i, 0))
+            h = _dropout(tape, h, model.dropout_first, (*seed, i, 0))
         h = _linear_named(tape, h, ids, f"enc/block{i}/w2", f"enc/block{i}/b2", rows)
         if train:
-            h = _dropout(tape, h, spec.dropout_second, (*seed, i, 1))
+            h = _dropout(tape, h, model.dropout_second, (*seed, i, 1))
         z = tape.add(z, h)
     return z
 
 
-def score_tape(tape: Tape, e_id: int, spec: HeadSpec, ids: dict[str, int]) -> int:
+def score_tape(tape: Tape, e_id: int, model: ModelConfig, ids: dict[str, int]) -> int:
     """One score per row of E_X."""
     rows, cols = tape.value(e_id).shape
-    if cols != spec.embed_dim:
-        raise ShapeError(f"embedding width {cols} != head width {spec.embed_dim}")
+    if cols != embed_width(model):
+        raise ShapeError(f"embedding width {cols} != head width {embed_width(model)}")
     z = e_id
-    n_layers = len(spec.widths()) - 1
+    n_layers = len(model.head_hidden) + 1
     for i in range(n_layers):
         z = _linear_named(tape, z, ids, f"head/w{i}", f"head/b{i}", rows)
         if i < n_layers - 1:
             z = tape.relu(z)
-    if spec.transform == "sigmoid":
+    if model.transform == "sigmoid":
         z = tape.sigmoid(z)
     return z
 
@@ -208,18 +179,15 @@ def deviation_loss_tape(
 
 def forward_scores(
     X: np.ndarray,
-    enc_spec: EncoderSpec,
-    head_spec: HeadSpec,
+    model: ModelConfig,
     params: ParamSet,
     train: bool = False,
     dropout_seed: int | tuple[int, ...] = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-style forward returning (E_X, scores) as plain arrays."""
-    from .autodiff import bind_params
-
     tape = Tape()
     ids = bind_params(tape, params)
     x_id = tape.leaf(np.asarray(X, dtype=np.float64))
-    e_id = encode_tape(tape, x_id, enc_spec, ids, train=train, dropout_seed=dropout_seed)
-    s_id = score_tape(tape, e_id, head_spec, ids)
+    e_id = encode_tape(tape, x_id, model, ids, train=train, dropout_seed=dropout_seed)
+    s_id = score_tape(tape, e_id, model, ids)
     return tape.value(e_id), tape.value(s_id).reshape(-1)

@@ -233,11 +233,6 @@ def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
     return ap
 
 
-def rec_at_k(scores: np.ndarray, labels: np.ndarray) -> float:
-    value, _, _ = rec_at_k_detail(scores, labels)
-    return value
-
-
 def rec_at_k_detail(scores: np.ndarray, labels: np.ndarray) -> tuple[float, int, bool]:
     """(recall@k, k, tie-at-cut flag) with k = number of positives.
 
@@ -255,18 +250,19 @@ def rec_at_k_detail(scores: np.ndarray, labels: np.ndarray) -> tuple[float, int,
     return int(labels[top].sum()) / k, k, tie_at_cut
 
 
+SUMMARY_METRICS = ("auprc", "rec_at_k", "val_auprc")
+SUMMARY_GROUPS = ("model", "noise_ratio")
+
+
 @dataclass
 class MetricReport:
+    """Result rows; the table ends with one mean±std line of the metric
+    columns per model (and per model and noise ratio in a noise study)."""
+
     rows: list[dict] = field(default_factory=list)
 
     def add(self, **kwargs) -> None:
         self.rows.append(kwargs)
-
-    def mean(self, key: str) -> float:
-        return float(np.mean([row[key] for row in self.rows]))
-
-    def std(self, key: str) -> float:
-        return float(np.std([row[key] for row in self.rows]))
 
     def columns(self) -> list[str]:
         cols: list[str] = []
@@ -280,21 +276,22 @@ class MetricReport:
         cols = self.columns()
         if not cols:
             return "(empty report)\n"
-        widths = {c: max(len(c), 12) for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
+        keys = [c for c in SUMMARY_GROUPS if c in cols]
+        groups: dict[tuple, list[dict]] = {}
         for row in self.rows:
-            lines.append(
-                "  ".join(_fmt(row.get(c, "")).ljust(widths[c]) for c in cols)
-            )
-        numeric = [c for c in cols if all(isinstance(r.get(c), (int, float)) for r in self.rows)]
-        summary = []
-        for c in cols:
-            if c in numeric:
-                summary.append(f"{self.mean(c):.4f}±{self.std(c):.4f}".ljust(widths[c]))
-            else:
-                summary.append("".ljust(widths[c]))
-        lines.append("  ".join(summary))
-        return "\n".join(lines) + "\n"
+            groups.setdefault(tuple(row.get(c) for c in keys), []).append(row)
+        lines = [cols] + [[_fmt(row.get(c, "")) for c in cols] for row in self.rows]
+        for group, rows in groups.items():
+            cells = dict(zip(keys, map(_fmt, group)))
+            for c in SUMMARY_METRICS:
+                if c in cols:
+                    values = [row[c] for row in rows]
+                    cells[c] = f"{np.mean(values):.4f}±{np.std(values):.4f}"
+            lines.append([cells.get(c, "") for c in cols])
+        widths = [max(12, *(len(line[i]) for line in lines)) for i in range(len(cols))]
+        return "".join(
+            "  ".join(cell.ljust(w) for cell, w in zip(line, widths)) + "\n" for line in lines
+        )
 
     def to_delimited(self, delimiter: str = ",") -> str:
         cols = self.columns()

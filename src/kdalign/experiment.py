@@ -10,32 +10,47 @@ study repeats the whole pipeline per noisy-rule ratio.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .acquisition import acquire_rules, inject_noise
-from .config import KnowEncoderConfig, OtConfig, RulesConfig, TrainConfig, write_effective_config
+from .config import (
+    KnowEncoderConfig,
+    ModelConfig,
+    OtConfig,
+    RulesConfig,
+    TrainConfig,
+    write_effective_config,
+)
 from .ddnnf import DdnnfGraph, compile_ddnnf
-from .encoders import EncoderSpec, HeadSpec
 from .errors import ConfigError, DataError
 from .evaluate import Dataset, MetricReport, auprc, load_csv, rec_at_k_detail, split_dataset
 from .gcn import PretrainResult, embed_knowledge_set, pretrain_encoder
 from .logic import PropositionTable, formula_to_cnf, rule_to_formula
 from .rules import Rule, load_rules
-from .train import EpochRecord, ModelCheckpoint, infer, train, write_training_log
+from .train import (
+    EpochRecord,
+    ModelCheckpoint,
+    infer,
+    train,
+    with_knowledge_encoder,
+    write_training_log,
+)
 
 
 @dataclass
 class KnowledgeArtifacts:
     rules: list[Rule]
-    table: PropositionTable
-    graphs: list[DdnnfGraph]
     e_f: np.ndarray
-    know_spec: Any
-    know_params: dict[str, np.ndarray]
-    pretrain_history: list[float] = field(default_factory=list)
+    pretrain: PretrainResult  # its config: [know_encoder] grown to fit the propositions
+
+
+def load_dataset(cfg: dict) -> Dataset:
+    """The dataset named by [data] path."""
+    if not cfg["data"]["path"]:
+        raise ConfigError("[data] path is required")
+    return load_csv(cfg["data"]["path"])
 
 
 def compile_rules(rules: list[Rule]) -> tuple[PropositionTable, list[DdnnfGraph]]:
@@ -55,7 +70,7 @@ def pretrain_knowledge(
     ke = KnowEncoderConfig(**cfg["know_encoder"])
     ke = replace(ke, var_capacity=max(ke.var_capacity, n_propositions))
     result = pretrain_encoder(graphs, ke)
-    return result, embed_knowledge_set(graphs, result.spec, result.params)
+    return result, embed_knowledge_set(graphs, result.config, result.params)
 
 
 def build_knowledge(data: Dataset, cfg: dict, rules: list[Rule] | None = None) -> KnowledgeArtifacts:
@@ -70,30 +85,7 @@ def build_knowledge(data: Dataset, cfg: dict, rules: list[Rule] | None = None) -
         raise DataError("no rules available: acquisition produced an empty set")
     table, graphs = compile_rules(rules)
     result, e_f = pretrain_knowledge(graphs, len(table), cfg)
-    return KnowledgeArtifacts(
-        rules=rules,
-        table=table,
-        graphs=graphs,
-        e_f=e_f,
-        know_spec=result.spec,
-        know_params=dict(result.params.values),
-        pretrain_history=result.loss_history,
-    )
-
-
-def encoder_specs_from(cfg: dict, input_dim: int) -> tuple[EncoderSpec, HeadSpec]:
-    mc = cfg["model"]
-    enc = EncoderSpec(
-        kind=mc["kind"],
-        input_dim=input_dim,
-        hidden=tuple(mc["hidden"]),
-        blocks=mc["blocks"],
-        main_dim=mc["main_dim"],
-        dropout_first=mc["dropout_first"],
-        dropout_second=mc["dropout_second"],
-    )
-    head = HeadSpec(embed_dim=enc.embed_dim, hidden=tuple(mc["head_hidden"]), transform=mc["transform"])
-    return enc, head
+    return KnowledgeArtifacts(rules, e_f, result)
 
 
 @dataclass
@@ -119,22 +111,17 @@ def run_seed(
     """Split, train (tuning lambda on validation when a grid is set), score."""
     rules = knowledge.rules if knowledge is not None else []
     split = split_dataset(data, rules, cfg["eval"]["k_labeled"], seed)
-    enc, head = encoder_specs_from(cfg, data.X.shape[1])
+    model = ModelConfig(**cfg["model"])
     tc = TrainConfig(**cfg["train"])
     ot = OtConfig(**cfg["ot"])
     grid = [rule_weight] if rule_weight is not None else list(tc.lambda_grid) or [tc.rule_weight]
     best: tuple[float, ModelCheckpoint, list[EpochRecord], float] | None = None
+    e_f = None if knowledge is None else knowledge.e_f
     for lam in grid:
-        ck, log = train(
-            split,
-            enc,
-            head,
-            replace(tc, seed=seed, rule_weight=lam),
-            ot,
-            e_f=None if knowledge is None else knowledge.e_f,
-            know_spec=None if knowledge is None else knowledge.know_spec,
-            know_params=None if knowledge is None else knowledge.know_params,
-        )
+        ck, log = train(split, model, e_f, replace(tc, seed=seed, rule_weight=lam), ot)
+        if knowledge is not None:
+            pre = knowledge.pretrain
+            ck = with_knowledge_encoder(ck, pre.config, pre.params.values)
         val_best = max(r.val_auprc for r in log)
         if best is None or val_best > best[0]:
             best = (val_best, ck, log, lam)
@@ -159,14 +146,13 @@ def run_seed(
 def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None = None) -> MetricReport:
     """Full protocol over all seeds; optionally persists artifacts."""
     if data is None:
-        if not cfg["data"]["path"]:
-            raise ConfigError("[data] path is required")
-        data = load_csv(cfg["data"]["path"])
+        data = load_dataset(cfg)
     knowledge = build_knowledge(data, cfg)
     report = MetricReport()
     for seed in cfg["eval"]["seeds"]:
         outcome = run_seed(data, knowledge, cfg, seed)
         report.add(
+            model="kdalign",
             seed=seed,
             rule_weight=outcome.rule_weight,
             auprc=outcome.test_auprc,
@@ -178,6 +164,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None =
         if cfg["eval"]["include_baseline"]:
             baseline = run_seed(data, knowledge, cfg, seed, rule_weight=0.0)
             report.add(
+                model="baseline",
                 seed=seed,
                 rule_weight=0.0,
                 auprc=baseline.test_auprc,
@@ -199,9 +186,7 @@ def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = No
     """Repeat the experiment per noisy-rule ratio (rules re-perturbed, the
     knowledge encoder re-pretrained on the perturbed corpus)."""
     if data is None:
-        if not cfg["data"]["path"]:
-            raise ConfigError("[data] path is required")
-        data = load_csv(cfg["data"]["path"])
+        data = load_dataset(cfg)
     base = build_knowledge(data, cfg)
     report = MetricReport()
     for ratio_index, ratio in enumerate(cfg["eval"]["noise_ratios"]):
@@ -216,6 +201,7 @@ def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = No
         for seed in cfg["eval"]["seeds"]:
             outcome = run_seed(data, knowledge, cfg, seed)
             report.add(
+                model="kdalign",
                 noise_ratio=ratio,
                 seed=seed,
                 rule_weight=outcome.rule_weight,
@@ -225,6 +211,7 @@ def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = No
             if cfg["eval"]["include_baseline"]:
                 baseline = run_seed(data, knowledge, cfg, seed, rule_weight=0.0)
                 report.add(
+                    model="baseline",
                     noise_ratio=ratio,
                     seed=seed,
                     rule_weight=0.0,

@@ -104,31 +104,19 @@ def ddnnf_to_graph(graph: DdnnfGraph, var_capacity: int) -> FormulaGraph:
     return FormulaGraph(type_codes, features, adj, children, global_index)
 
 
-@dataclass
-class KnowEncoderSpec:
-    n_layers: int = 2
-    hidden_width: int = 16
-    embed_width: int = 16
-    var_capacity: int = 24
-
-    @property
-    def input_width(self) -> int:
-        return 4 + self.var_capacity
-
-    def layer_dims(self) -> list[tuple[int, int]]:
-        widths = [self.input_width]
-        widths += [self.hidden_width] * (self.n_layers - 1)
-        widths += [self.embed_width]
-        return list(zip(widths[:-1], widths[1:]))
+def layer_dims(config: KnowEncoderConfig) -> list[tuple[int, int]]:
+    """(fan-in, fan-out) per GCN layer; the input is 4 + var_capacity wide."""
+    widths = [4 + config.var_capacity, *[config.hidden] * (config.layers - 1), config.embed]
+    return list(zip(widths[:-1], widths[1:]))
 
 
 def param_name(layer: int, node_type: str) -> str:
     return f"know_encoder/layer{layer}/{node_type}"
 
 
-def init_know_encoder(spec: KnowEncoderSpec, rng: np.random.Generator) -> ParamSet:
+def init_know_encoder(config: KnowEncoderConfig, rng: np.random.Generator) -> ParamSet:
     values = {}
-    for l, (fan_in, fan_out) in enumerate(spec.layer_dims()):
+    for l, (fan_in, fan_out) in enumerate(layer_dims(config)):
         scale = np.sqrt(2.0 / (fan_in + fan_out))
         for t in NODE_TYPES:
             values[param_name(l, t)] = rng.normal(size=(fan_in, fan_out)) * scale
@@ -139,18 +127,17 @@ def _type_masks(fg: FormulaGraph) -> list[np.ndarray]:
     return [(fg.node_types == i).astype(np.float64).reshape(-1, 1) for i in range(4)]
 
 
-def gcn_forward(fg: FormulaGraph, spec: KnowEncoderSpec, params: ParamSet) -> np.ndarray:
+def gcn_forward(fg: FormulaGraph, config: KnowEncoderConfig, params: ParamSet) -> np.ndarray:
     """Node embeddings after all layers (numpy path, used for frozen E_F)."""
-    if fg.features.shape[1] != spec.input_width:
-        raise ShapeError(
-            f"feature width {fg.features.shape[1]} != encoder input {spec.input_width}"
-        )
+    dims = layer_dims(config)
+    if fg.features.shape[1] != dims[0][0]:
+        raise ShapeError(f"feature width {fg.features.shape[1]} != encoder input {dims[0][0]}")
     norm = fg.norm_adj()
     masks = _type_masks(fg)
     z = fg.features
-    n_layers = spec.n_layers
+    n_layers = config.layers
     for l in range(n_layers):
-        h = np.zeros((z.shape[0], spec.layer_dims()[l][1]))
+        h = np.zeros((z.shape[0], dims[l][1]))
         for ti, t in enumerate(NODE_TYPES):
             h = h + masks[ti] * (z @ params.values[param_name(l, t)])
         z = norm @ h
@@ -160,20 +147,19 @@ def gcn_forward(fg: FormulaGraph, spec: KnowEncoderSpec, params: ParamSet) -> np
 
 
 def gcn_forward_tape(
-    tape: Tape, fg: FormulaGraph, spec: KnowEncoderSpec, ids: dict[str, int]
+    tape: Tape, fg: FormulaGraph, config: KnowEncoderConfig, ids: dict[str, int]
 ) -> int:
     norm = tape.leaf(fg.norm_adj())
     masks = _type_masks(fg)
     z = tape.leaf(fg.features)
-    for l in range(spec.n_layers):
-        out_w = spec.layer_dims()[l][1]
+    for l, (_, out_w) in enumerate(layer_dims(config)):
         h = None
         for ti, t in enumerate(NODE_TYPES):
             routed = tape.matmul(z, ids[param_name(l, t)])
             masked = tape.hadamard(tape.broadcast_col(tape.leaf(masks[ti]), out_w), routed)
             h = masked if h is None else tape.add(h, masked)
         z = tape.matmul(norm, h)
-        if l < spec.n_layers - 1:
+        if l < config.layers - 1:
             z = tape.relu(z)
     return z
 
@@ -191,14 +177,14 @@ def formula_embedding_tape(tape: Tape, z_id: int, fg: FormulaGraph) -> int:
 
 
 def embed_knowledge_set(
-    graphs: list[DdnnfGraph], spec: KnowEncoderSpec, params: ParamSet
+    graphs: list[DdnnfGraph], config: KnowEncoderConfig, params: ParamSet
 ) -> np.ndarray:
     """E_F: one frozen embedding row per formula."""
     rows = []
     for g in graphs:
-        fg = ddnnf_to_graph(g, spec.var_capacity)
-        rows.append(formula_embedding(gcn_forward(fg, spec, params), fg))
-    return np.vstack(rows) if rows else np.zeros((0, spec.embed_width))
+        fg = ddnnf_to_graph(g, config.var_capacity)
+        rows.append(formula_embedding(gcn_forward(fg, config, params), fg))
+    return np.vstack(rows) if rows else np.zeros((0, config.embed))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +210,7 @@ def assignment_graph(assignment: dict[int, bool]) -> DdnnfGraph:
 
 @dataclass
 class PretrainResult:
-    spec: KnowEncoderSpec
+    config: KnowEncoderConfig
     params: ParamSet
     loss_history: list[float] = field(default_factory=list)
     val_history: list[tuple[int, float]] = field(default_factory=list)
@@ -253,9 +239,8 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
     accuracy.  Formulae with no satisfying or no falsifying assignment are
     skipped with a warning.
     """
-    spec = KnowEncoderSpec(config.layers, config.hidden, config.embed, config.var_capacity)
     rng = np.random.default_rng(config.seed)
-    params = init_know_encoder(spec, rng)
+    params = init_know_encoder(config, rng)
 
     usable = []
     skipped = []
@@ -272,7 +257,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
             )
             skipped.append(idx)
             continue
-        fg = ddnnf_to_graph(g, spec.var_capacity)
+        fg = ddnnf_to_graph(g, config.var_capacity)
         usable.append((fg, sat, unsat))
     if len(usable) < 2:
         raise DataError(f"pretraining needs at least 2 usable formulae, got {len(usable)}")
@@ -282,7 +267,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
     def fg_of(assignment: dict[int, bool]) -> FormulaGraph:
         key = frozenset((v if b else -v) for v, b in assignment.items())
         if key not in graph_cache:
-            graph_cache[key] = ddnnf_to_graph(assignment_graph(assignment), spec.var_capacity)
+            graph_cache[key] = ddnnf_to_graph(assignment_graph(assignment), config.var_capacity)
         return graph_cache[key]
 
     val_triples = []
@@ -295,14 +280,14 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
     def val_accuracy(p: ParamSet) -> float:
         hits = 0
         for fg, fg_sat, fg_unsat in val_triples:
-            e_f = formula_embedding(gcn_forward(fg, spec, p), fg)
-            e_s = formula_embedding(gcn_forward(fg_sat, spec, p), fg_sat)
-            e_u = formula_embedding(gcn_forward(fg_unsat, spec, p), fg_unsat)
+            e_f = formula_embedding(gcn_forward(fg, config, p), fg)
+            e_s = formula_embedding(gcn_forward(fg_sat, config, p), fg_sat)
+            e_u = formula_embedding(gcn_forward(fg_unsat, config, p), fg_unsat)
             if ((e_f - e_s) ** 2).sum() < ((e_f - e_u) ** 2).sum():
                 hits += 1
         return hits / len(val_triples)
 
-    result = PretrainResult(spec, params.copy(), skipped=skipped)
+    result = PretrainResult(config, params.copy(), skipped=skipped)
     best_acc = val_accuracy(params)
     result.best_val_accuracy = best_acc
     result.val_history.append((0, best_acc))
@@ -315,12 +300,12 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
         and_total, or_total = None, None
         n_and, n_or = 0, 0
         for fg, sat, unsat in usable:
-            z_id = gcn_forward_tape(tape, fg, spec, ids)
+            z_id = gcn_forward_tape(tape, fg, config, ids)
             e_f = formula_embedding_tape(tape, z_id, fg)
             fg_sat = fg_of(sat[rng.integers(len(sat))])
             fg_unsat = fg_of(unsat[rng.integers(len(unsat))])
-            z_sat = gcn_forward_tape(tape, fg_sat, spec, ids)
-            z_unsat = gcn_forward_tape(tape, fg_unsat, spec, ids)
+            z_sat = gcn_forward_tape(tape, fg_sat, config, ids)
+            z_unsat = gcn_forward_tape(tape, fg_unsat, config, ids)
             e_s = formula_embedding_tape(tape, z_sat, fg_sat)
             e_u = formula_embedding_tape(tape, z_unsat, fg_unsat)
             d_pos = tape.row_sum(tape.square(tape.sub(e_f, e_s)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .rules import Rule, _format_threshold
 
@@ -210,21 +210,8 @@ def formula_to_cnf(formula: PropFormula, max_clauses: int = DEFAULT_MAX_CLAUSES)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and assignment enumeration
+# Assignment enumeration
 # ---------------------------------------------------------------------------
-
-
-def eval_formula(node: FNode, assignment: Mapping[int, bool]) -> bool:
-    if node.kind == LEAF:
-        return assignment[node.pid]
-    if node.kind == NOT:
-        return not eval_formula(node.children[0], assignment)
-    if node.kind == AND:
-        return all(eval_formula(c, assignment) for c in node.children)
-    if node.kind == OR:
-        return any(eval_formula(c, assignment) for c in node.children)
-    a, b = node.children
-    return (not eval_formula(a, assignment)) or eval_formula(b, assignment)
 
 
 def assignments(variables: Iterable[int]) -> Iterator[dict[int, bool]]:

@@ -50,9 +50,6 @@ class Rule:
             raise ValueError(f"rule {self.rule_id!r}: empty antecedent")
         _check_satisfiable(self)
 
-    def attributes(self) -> list[str]:
-        return [c.attribute for c in self.conditions]
-
 
 def _check_satisfiable(rule: Rule) -> None:
     """Reject antecedents whose per-attribute constraints admit no real value."""

@@ -10,6 +10,16 @@ best-validation-AUPRC checkpoint is returned.
 Checkpoint container layout (little-endian): magic "KDAL", version u32,
 metadata length u64 + JSON metadata, then one entry per tensor:
 name length u16 + name, rows u64, cols u64, row-major float64 data.
+
+The JSON metadata holds ``seed``, the ``tensors`` list and the objects
+``encoder`` and ``head`` (the detector's ``[model]``) and ``know_encoder``
+(the ``[know_encoder]`` architecture), each null when that network is
+absent.  ``METADATA_KEYS`` maps their keys to section fields; the derived
+``input_dim`` is the width of ``norm/mean`` and ``embed_dim`` is
+``encoders.embed_width``.  Only architecture keys are stored, so the other
+fields of a loaded ``[know_encoder]`` read their defaults.  A detector's
+``enc/*``, ``head/*`` and ``norm/*`` tensors must be the ones
+``init_encoder``/``init_head`` give its ``[model]``.
 """
 
 from __future__ import annotations
@@ -18,18 +28,18 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .autodiff import ParamSet, Tape, accumulate_grads, bind_params
-from .config import OtConfig, TrainConfig
+from .config import SCHEMA, KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig, load_config
+from .config import render_value
 from .encoders import (
-    EncoderSpec,
-    HeadSpec,
     bce_loss_tape,
     deviation_loss_tape,
     deviation_prior,
+    embed_width,
     encode_tape,
     forward_scores,
     init_encoder,
@@ -38,7 +48,6 @@ from .encoders import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import SplitDataset, auprc
-from .gcn import KnowEncoderSpec
 from .ot import cost_matrix_tape, ot_loss_tape, sinkhorn
 
 MAGIC = b"KDAL"
@@ -92,20 +101,46 @@ class Adam:
 class ModelCheckpoint:
     params: dict[str, np.ndarray]
     seed: int
-    encoder_spec: EncoderSpec | None = None
-    head_spec: HeadSpec | None = None
-    know_spec: KnowEncoderSpec | None = None
+    model: ModelConfig | None = None
+    know_encoder: KnowEncoderConfig | None = None
     e_f: np.ndarray | None = None
 
 
-def _spec_to_dict(spec) -> dict | None:
-    if spec is None:
-        return None
-    out = dict(spec.__dict__)
-    for key, value in out.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
+def with_knowledge_encoder(
+    ck: ModelCheckpoint, config: KnowEncoderConfig, params: dict[str, np.ndarray]
+) -> ModelCheckpoint:
+    """``ck`` plus a copy of the knowledge encoder that produced its E_F."""
+    know = {k: v.copy() for k, v in params.items() if k.startswith("know_encoder/")}
+    return replace(ck, params={**ck.params, **know}, know_encoder=config)
+
+
+# Metadata object -> (section, {key: field}); a None field is a derived key.
+METADATA_KEYS = {
+    "encoder": ("model", {"kind": "kind", "input_dim": None, "hidden": "hidden",
+                          "blocks": "blocks", "main_dim": "main_dim",
+                          "dropout_first": "dropout_first", "dropout_second": "dropout_second"}),
+    "head": ("model", {"embed_dim": None, "hidden": "head_hidden", "transform": "transform"}),
+    "know_encoder": ("know_encoder", {"n_layers": "layers", "hidden_width": "hidden",
+                                      "embed_width": "embed", "var_capacity": "var_capacity"}),
+}
+
+
+def _architecture(ck: ModelCheckpoint) -> dict:
+    """The encoder/head/know_encoder metadata objects of a checkpoint."""
+    derived = {}
+    if ck.model is not None:
+        derived = {"input_dim": ck.params["norm/mean"].shape[1], "embed_dim": embed_width(ck.model)}
+    out = dict.fromkeys(METADATA_KEYS)
+    for obj, (section, keys) in METADATA_KEYS.items():
+        config = getattr(ck, section)
+        if config is not None:
+            values = {**asdict(config), **derived}
+            out[obj] = {k: _json(values[f or k]) for k, f in keys.items()}
     return out
+
+
+def _json(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 def save_checkpoint(ck: ModelCheckpoint, path) -> None:
@@ -115,13 +150,10 @@ def save_checkpoint(ck: ModelCheckpoint, path) -> None:
     if ck.e_f is not None:
         tensors.append(("E_F", np.asarray(ck.e_f, dtype=np.float64)))
     meta = {
+        **_architecture(ck),
         "seed": ck.seed,
-        "encoder": _spec_to_dict(ck.encoder_spec),
-        "head": _spec_to_dict(ck.head_spec),
-        "know_encoder": _spec_to_dict(ck.know_spec),
         "tensors": [
-            {"name": n, "rows": int(a.shape[0]), "cols": int(a.shape[1])}
-            for n, a in tensors
+            {"name": n, "rows": int(a.shape[0]), "cols": int(a.shape[1])} for n, a in tensors
         ],
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -172,24 +204,56 @@ def load_checkpoint(path) -> ModelCheckpoint:
         if fh.read(1):
             raise DataError("trailing bytes after tensor table")
 
-    def spec_from(key, cls):
-        obj = meta.get(key)
-        if obj is None:
-            return None
-        try:
-            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise DataError(f"checkpoint {key!r} spec does not fit {cls.__name__}: {exc}") from None
-
     e_f = tensors.pop("E_F", None)
-    return ModelCheckpoint(
-        params=tensors,
-        seed=meta["seed"],
-        encoder_spec=spec_from("encoder", EncoderSpec),
-        head_spec=spec_from("head", HeadSpec),
-        know_spec=spec_from("know_encoder", KnowEncoderSpec),
-        e_f=e_f,
-    )
+    model, know = _section(meta, "model"), _section(meta, "know_encoder")
+    ck = ModelCheckpoint(tensors, meta["seed"], model, know, e_f)
+    if model is not None:
+        _check_detector(ck)
+    written = {obj: meta.get(obj) for obj in METADATA_KEYS}
+    if json.dumps(_architecture(ck), sort_keys=True) != json.dumps(written, sort_keys=True):
+        raise DataError(f"checkpoint metadata {written} does not fit its sections and tensors")
+    return ck
+
+
+def _section(meta: dict, section: str):
+    """The section stored in the metadata, read through the config parser."""
+    objects = [obj for obj, (s, _) in METADATA_KEYS.items() if s == section]
+    if all(meta.get(obj) is None for obj in objects):
+        return None
+    overrides = []
+    for obj in objects:
+        keys, stored = METADATA_KEYS[obj][1], meta.get(obj)
+        if not isinstance(stored, dict) or stored.keys() != keys.keys():
+            raise DataError(f"checkpoint {obj!r} metadata needs the keys {sorted(keys)}: {stored}")
+        for k, f in keys.items():
+            if f is not None:
+                value = tuple(stored[k]) if isinstance(stored[k], list) else stored[k]
+                overrides.append((f"{section}.{f}", render_value(value)))
+    try:
+        return SCHEMA[section](**load_config(None, overrides)[section])
+    except ConfigError as exc:
+        raise DataError(f"checkpoint metadata does not fit [{section}]: {exc}") from None
+
+
+def _check_detector(ck: ModelCheckpoint) -> None:
+    """Its enc/*, head/* and norm/* tensors are those its [model] creates."""
+    if "norm/mean" not in ck.params:
+        raise DataError("checkpoint detector lacks the tensor 'norm/mean'")
+    width, rng = ck.params["norm/mean"].shape[1], np.random.default_rng(0)
+    made = {**init_encoder(ck.model, width, rng), **init_head(ck.model, rng)}
+    want = {name: value.shape for name, value in made.items()}
+    want["norm/mean"] = want["norm/std"] = (1, width)
+    have = {n: a.shape for n, a in ck.params.items() if n.startswith(("enc/", "head/", "norm/"))}
+    for name in sorted(want.keys() | have.keys()):
+        if have.get(name) != want.get(name):
+            raise DataError(
+                f"checkpoint tensor {name!r}: {_shape(have.get(name))} in the file, "
+                f"{_shape(want.get(name))} for its [model]"
+            )
+
+
+def _shape(shape) -> str:
+    return "x".join(map(str, shape)) if shape else "absent"
 
 
 def _metadata(raw: bytes) -> dict:
@@ -223,33 +287,33 @@ def _standardizer(X_train: np.ndarray, enabled: bool):
 
 def train(
     split: SplitDataset,
-    enc_spec: EncoderSpec,
-    head_spec: HeadSpec,
+    model: ModelConfig,
+    e_f: np.ndarray | None,
     config: TrainConfig,
     ot: OtConfig = OtConfig(),
-    e_f: np.ndarray | None = None,
-    know_spec: KnowEncoderSpec | None = None,
-    know_params: dict[str, np.ndarray] | None = None,
-    dump_dir=None,
 ) -> tuple[ModelCheckpoint, list[EpochRecord]]:
-    """Run weakly-supervised training and return the best checkpoint + log."""
-    if config.loss == "bce" and head_spec.transform != "sigmoid":
+    """Run weakly-supervised training and return the best checkpoint + log.
+
+    ``e_f`` is the frozen knowledge embedding set, or None to train on the
+    prediction loss alone.
+    """
+    if config.loss == "bce" and model.transform != "sigmoid":
         raise ConfigError("bce loss needs the sigmoid head transform")
-    if config.loss == "deviation" and head_spec.transform != "raw":
+    if config.loss == "deviation" and model.transform != "raw":
         raise ConfigError("deviation loss needs the raw head transform")
     use_ot = config.rule_weight > 0.0 and e_f is not None
-    if use_ot and e_f.shape[1] != enc_spec.embed_dim:
+    if use_ot and e_f.shape[1] != embed_width(model):
         raise ConfigError(
-            f"knowledge embedding width {e_f.shape[1]} != encoder width {enc_spec.embed_dim}"
+            f"knowledge embedding width {e_f.shape[1]} != encoder width {embed_width(model)}"
         )
 
     rng = np.random.default_rng(config.seed)
-    values = init_encoder(enc_spec, rng)
-    values.update(init_head(head_spec, rng))
+    X_train = split.train_features()
+    values = init_encoder(model, X_train.shape[1], rng)
+    values.update(init_head(model, rng))
     params = ParamSet(values)
     opt = Adam(params, config.learning_rate)
 
-    X_train = split.train_features()
     mean, std = _standardizer(X_train, config.standardize)
     X_train = (X_train - mean) / std
     y_train = split.train_labels
@@ -290,9 +354,9 @@ def train(
             ids = bind_params(tape, params)
             x_id = tape.leaf(xb)
             e_id = encode_tape(
-                tape, x_id, enc_spec, ids, train=True, dropout_seed=(config.seed, global_step)
+                tape, x_id, model, ids, train=True, dropout_seed=(config.seed, global_step)
             )
-            s_id = score_tape(tape, e_id, head_spec, ids)
+            s_id = score_tape(tape, e_id, model, ids)
             if config.loss == "bce":
                 l_p = bce_loss_tape(tape, s_id, yb)
             else:
@@ -312,8 +376,6 @@ def train(
                 plan = sinkhorn(c_value, mu, nu, epsilon, max_iter=ot.max_iter, tol=ot.tol)
                 if not plan.converged:
                     failures += 1
-                if dump_dir is not None:
-                    _dump_plan(dump_dir, epoch, global_step, plan)
                 l_ot = ot_loss_tape(tape, c_id, plan.plan)
                 l_ot_value = float(tape.value(l_ot)[0, 0])
                 total = tape.add(l_p, tape.smul(l_ot, config.rule_weight))
@@ -336,7 +398,7 @@ def train(
                 f"Sinkhorn failed to converge in {failures}/{steps_per_epoch} batches"
             )
 
-        _, val_scores = forward_scores(X_val, enc_spec, head_spec, params)
+        _, val_scores = forward_scores(X_val, model, params)
         val_auprc = auprc(val_scores, y_val)
         record = EpochRecord(
             epoch,
@@ -356,58 +418,28 @@ def train(
     tensors = {k: v.copy() for k, v in best_params.values.items()}
     tensors["norm/mean"] = mean
     tensors["norm/std"] = std
-    if know_params:
-        tensors.update({k: v.copy() for k, v in know_params.items()})
     ck = ModelCheckpoint(
-        params=tensors,
-        seed=config.seed,
-        encoder_spec=enc_spec,
-        head_spec=head_spec,
-        know_spec=know_spec,
-        e_f=None if e_f is None else e_f.copy(),
+        params=tensors, seed=config.seed, model=model, e_f=None if e_f is None else e_f.copy()
     )
     return ck, log
 
 
-def _dump_plan(dump_dir, epoch: int, step: int, plan) -> None:
-    os.makedirs(dump_dir, exist_ok=True)
-    path = os.path.join(dump_dir, f"ot_epoch{epoch:03d}_step{step:06d}.json")
-    payload = {
-        "epoch": epoch,
-        "step": step,
-        "iterations": plan.iterations,
-        "epsilon": plan.epsilon,
-        "residual_row": plan.residual_row,
-        "residual_col": plan.residual_col,
-        "converged": plan.converged,
-        "plan": plan.plan.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
 def infer(ck: ModelCheckpoint, X: np.ndarray) -> np.ndarray:
     """Scores for a test matrix: the trained encoder and head only."""
-    if ck.encoder_spec is None or ck.head_spec is None:
+    if ck.model is None:
         raise DataError("checkpoint has no detector (knowledge-encoder-only container)")
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != ck.encoder_spec.input_dim:
+    width = ck.params["norm/mean"].shape[1]
+    if X.ndim != 2 or X.shape[1] != width:
         raise DataError(
-            f"input width {X.shape[1] if X.ndim == 2 else X.shape} != "
-            f"encoder width {ck.encoder_spec.input_dim}"
+            f"input width {X.shape[1] if X.ndim == 2 else X.shape} != encoder width {width}"
         )
     if X.shape[0] == 0:
         return np.zeros(0)
     mean = ck.params["norm/mean"]
     std = ck.params["norm/std"]
-    model = ParamSet(
-        {
-            k: v
-            for k, v in ck.params.items()
-            if k.startswith("enc/") or k.startswith("head/")
-        }
-    )
-    _, scores = forward_scores((X - mean) / std, ck.encoder_spec, ck.head_spec, model)
+    detector = ParamSet({k: v for k, v in ck.params.items() if k.startswith(("enc/", "head/"))})
+    _, scores = forward_scores((X - mean) / std, ck.model, detector)
     return scores
 
 

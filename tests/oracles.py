@@ -3,15 +3,20 @@
 Everything here is deliberately naive: recursive tree evaluation, exhaustive
 enumeration, scalar loops, a Sinkhorn loop that re-measures its plan every
 iteration.  None of it shares code with the implementations under test,
-except that the unrolled Sinkhorn is built from the tape's primitives so
-that gradient checks can differentiate through it.
+except that the unrolled Sinkhorn and the finite-difference gradient check
+are built from the tape's primitives, ``check_determinism`` evaluates
+d-DNNF nodes with ``eval_ddnnf`` and ``rec_at_k`` reads ``rec_at_k_detail``.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from kdalign.autodiff import ParamSet, Tape, bind_params
+from kdalign.ddnnf import K_OR, eval_ddnnf
 from kdalign.errors import DataError, ShapeError
+from kdalign.evaluate import rec_at_k_detail
 
 
 def eval_tree(node, assignment):
@@ -104,14 +109,15 @@ def recall_at_k(scores, labels):
     return sum(labels[i] for i in top) / k
 
 
-def gini_weighted(y_left, y_right):
-    def gini(y):
-        n = len(y)
-        if n == 0:
-            return 0.0
-        p = sum(y) / n
-        return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+def gini(y):
+    n = len(y)
+    if n == 0:
+        return 0.0
+    p = sum(y) / n
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
+
+def gini_weighted(y_left, y_right):
     n = len(y_left) + len(y_right)
     return (len(y_left) * gini(y_left) + len(y_right) * gini(y_right)) / n
 
@@ -244,7 +250,7 @@ def sinkhorn_tape(tape, c_id, mu, nu, epsilon, n_iter):
 
 
 def checkpoints_equal(a, b):
-    """Bit-for-bit equality of two ModelCheckpoints: tensors, E_F, seed, specs."""
+    """Bit-for-bit equality of two ModelCheckpoints: tensors, E_F, seed, sections."""
     if set(a.params) != set(b.params):
         return False
     for name, arr in a.params.items():
@@ -255,12 +261,7 @@ def checkpoints_equal(a, b):
         return False
     if a.e_f is not None and not (a.e_f == b.e_f).all():
         return False
-    return (
-        a.seed == b.seed
-        and a.encoder_spec == b.encoder_spec
-        and a.head_spec == b.head_spec
-        and a.know_spec == b.know_spec
-    )
+    return a.seed == b.seed and a.model == b.model and a.know_encoder == b.know_encoder
 
 
 def tree_depth(node):
@@ -268,3 +269,83 @@ def tree_depth(node):
     if node.is_leaf:
         return 0
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def rec_at_k(scores, labels):
+    """Rec@K alone, without the k and tie flag of ``rec_at_k_detail``."""
+    value, _, _ = rec_at_k_detail(scores, labels)
+    return value
+
+
+def check_determinism(graph, exhaustive_max_vars=16):
+    """Verify OR children are pairwise inconsistent by exhaustive evaluation.
+
+    Only practical for small variable counts; raises beyond the bound.
+    """
+    for i, kind in enumerate(graph.kinds):
+        if kind != K_OR:
+            continue
+        kids = graph.children[i]
+        union_vars = frozenset().union(*(graph.varsets[c] for c in kids))
+        if len(union_vars) > exhaustive_max_vars:
+            raise ValueError(f"OR node {i} spans {len(union_vars)} vars, too many to check")
+        for assignment in all_assignments(union_vars):
+            sat = [c for c in kids if eval_ddnnf(graph, assignment, node=c)]
+            if len(sat) > 1:
+                raise AssertionError(
+                    f"OR node {i}: children {sat} jointly satisfied by {assignment}"
+                )
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: dict
+    tol: float
+
+    @property
+    def passed(self):
+        return all(err <= self.tol for err in self.max_rel_error.values())
+
+    @property
+    def worst(self):
+        return max(self.max_rel_error.values(), default=0.0)
+
+
+def grad_check(build_fn, params, h=1e-6, tol=1e-4):
+    """Compare tape adjoints against central finite differences.
+
+    ``build_fn(tape, ids)`` must deterministically construct a scalar loss
+    from bound parameter nodes.  Relative error per element is
+    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    """
+    tape = Tape()
+    ids = bind_params(tape, params)
+    loss = build_fn(tape, ids)
+    adjoints = tape.backward(loss)
+
+    def loss_value(values):
+        t = Tape()
+        pid = bind_params(t, ParamSet(dict(values)))
+        return float(t.value(build_fn(t, pid))[0, 0])
+
+    report = {}
+    for name in params.values:
+        analytic = adjoints[ids[name]]
+        if analytic is None:
+            analytic = np.zeros_like(params.values[name])
+        worst = 0.0
+        base = {k: v.copy() for k, v in params.values.items()}
+        flat = base[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_value(base)
+            flat[i] = orig - h
+            down = loss_value(base)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = analytic.reshape(-1)[i]
+            denom = max(1.0, abs(a), abs(numeric))
+            worst = max(worst, abs(a - numeric) / denom)
+        report[name] = worst
+    return GradCheckReport(report, tol)

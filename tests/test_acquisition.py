@@ -7,12 +7,11 @@ from kdalign.acquisition import (
     acquire_rules,
     extract_anomaly_paths,
     fit_tree,
-    gini,
     inject_noise,
 )
 from kdalign.rules import any_rule_mask, rule_match_mask
 from kdalign.config import RulesConfig
-from oracles import exhaustive_best_split, tree_depth
+from oracles import exhaustive_best_split, gini, tree_depth
 
 
 def separable_1d():

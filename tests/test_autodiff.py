@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kdalign.autodiff import ParamSet, Tape, bind_params, grad_check
+from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.errors import NumericError, ShapeError
+from oracles import grad_check
 
 
 class TestForward:

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from kdalign import cli
+from kdalign.config import ModelConfig, load_config
+from kdalign.encoders import init_encoder, init_head
+from kdalign.evaluate import load_csv
 from kdalign.rules import load_rules
-from kdalign.train import MAGIC, VERSION, ModelCheckpoint, load_checkpoint, save_checkpoint
+from kdalign.train import MAGIC, VERSION, ModelCheckpoint, infer, load_checkpoint, save_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,15 +78,41 @@ def _rule_json(tmp_path, text):
     return ["compile-rules", "--rules", path, "--out", tmp_path / "out.json"]
 
 
-def _checkpoint(tmp_path, meta: bytes):
+def _checkpoint(tmp_path, meta: bytes, tensors=()):
     path = tmp_path / "model.kdal"
-    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(meta)) + meta)
+    raw = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(meta)) + meta
+    for name, arr in tensors:
+        raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<QQ", *arr.shape)
+        raw += arr.astype("<f8").tobytes()
+    path.write_bytes(raw)
     return path
 
 
-def _infer_meta(tmp_path, small_csv, meta: bytes):
-    ck = _checkpoint(tmp_path, meta)
+def _infer_meta(tmp_path, small_csv, meta: bytes, tensors=()):
+    ck = _checkpoint(tmp_path, meta, tensors)
     return ["infer", "--checkpoint", ck, "--data", small_csv, "--out", tmp_path / "s.txt"]
+
+
+def _detector(tmp_path, small_csv, encoder=None, drop=(), resize=None):
+    """infer on a default-[model] detector for the 4 CSV features, altered."""
+    model = ModelConfig()
+    rng = np.random.default_rng(0)
+    tensors = {**init_encoder(model, 4, rng), **init_head(model, rng)}
+    tensors.update({"norm/mean": np.zeros((1, 4)), "norm/std": np.ones((1, 4))})
+    for name in drop:
+        del tensors[name]
+    if resize:
+        tensors[resize[0]] = np.zeros(resize[1])
+    meta = {
+        "seed": 0,
+        "encoder": {"kind": "mlp", "input_dim": 4, "hidden": [32, 16], "blocks": 2,
+                    "main_dim": 32, "dropout_first": 0.0, "dropout_second": 0.0, **(encoder or {})},
+        "head": {"embed_dim": 16, "hidden": [], "transform": "sigmoid"},
+        "tensors": [
+            {"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in tensors.items()
+        ],
+    }
+    return _infer_meta(tmp_path, small_csv, json.dumps(meta).encode(), tensors.items())
 
 
 def _with_cell(tmp_path, small_csv, row, col, text):
@@ -94,10 +123,6 @@ def _with_cell(tmp_path, small_csv, row, col, text):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def _spec_meta(encoder: dict) -> bytes:
-    return json.dumps({"seed": 0, "tensors": [], "encoder": encoder}).encode()
 
 
 def _infer_bad_csv(tmp_path, small_csv, text):
@@ -135,13 +160,33 @@ MALFORMED_FILES = {
         lambda t, csv: _infer_meta(t, csv, b'{"tensors": []}'),
         "'seed'",
     ),
-    "checkpoint-spec-unknown-field": (
-        lambda t, csv: _infer_meta(t, csv, _spec_meta({"kind": "mlp", "input_dim": 4, "bogus": 1})),
-        "does not fit EncoderSpec",
+    "checkpoint-meta-unknown-key": (
+        lambda t, csv: _detector(t, csv, encoder={"bogus": 1}),
+        "checkpoint 'encoder' metadata needs the keys",
     ),
-    "checkpoint-spec-bad-value": (
-        lambda t, csv: _infer_meta(t, csv, _spec_meta({"kind": "foo", "input_dim": 4})),
-        "does not fit EncoderSpec",
+    "checkpoint-meta-bad-value": (
+        lambda t, csv: _detector(t, csv, encoder={"kind": "foo"}),
+        "does not fit [model]",
+    ),
+    "checkpoint-meta-string-for-int": (
+        lambda t, csv: _detector(t, csv, encoder={"blocks": "2"}),
+        "does not fit its sections and tensors",
+    ),
+    "checkpoint-meta-input-dim": (
+        lambda t, csv: _detector(t, csv, encoder={"input_dim": 5}),
+        "does not fit its sections and tensors",
+    ),
+    "checkpoint-no-norm": (
+        lambda t, csv: _detector(t, csv, drop=("norm/mean", "norm/std")),
+        "lacks the tensor 'norm/mean'",
+    ),
+    "checkpoint-no-enc-w1": (
+        lambda t, csv: _detector(t, csv, drop=("enc/w1",)),
+        "tensor 'enc/w1': absent in the file, 32x16 for its [model]",
+    ),
+    "checkpoint-enc-w0-shape": (
+        lambda t, csv: _detector(t, csv, resize=("enc/w0", (4, 7))),
+        "tensor 'enc/w0': 4x7 in the file, 4x32 for its [model]",
     ),
     "experiment-nan-cell": (
         lambda t, csv: ["experiment", "--data.path", _with_cell(t, csv, 5, 1, "nan")],
@@ -173,7 +218,7 @@ def test_malformed_file_exits_2(small_csv, tmp_path, capsys, case):
 
 def test_acquire_rules_reads_the_rules_section(small_csv, tmp_path):
     out = tmp_path / "rules.rules"
-    argv = ["acquire-rules", "--data", str(small_csv), "--out", str(out),
+    argv = ["acquire-rules", "--data.path", str(small_csv), "--out", str(out),
             "--rules.max_depth=1", "--rules.trees=3"]
     assert cli.main(argv) == 0
     rules = load_rules(out)
@@ -184,14 +229,65 @@ def test_acquire_rules_reads_the_rules_section(small_csv, tmp_path):
 
 def test_pretrain_checkpoint_carries_the_know_encoder_seed(small_csv, tmp_path):
     rules = tmp_path / "rules.rules"
-    assert cli.main(["acquire-rules", "--data", str(small_csv), "--out", str(rules)]) == 0
+    assert cli.main(["acquire-rules", "--data.path", str(small_csv), "--out", str(rules)]) == 0
     out = tmp_path / "enc.kdal"
-    argv = ["pretrain", "--rules", str(rules), "--out", str(out),
+    argv = ["pretrain", "--rules.path", str(rules), "--out", str(out),
             "--know_encoder.steps=2", "--know_encoder.seed=7", "--know_encoder.embed=5"]
     assert cli.main(argv) == 0
     ck = load_checkpoint(out)
-    assert ck.seed == 7 and ck.know_spec.embed_width == 5
+    assert ck.seed == 7 and ck.know_encoder.embed == 5
     assert ck.e_f.shape[1] == 5 and np.isfinite(ck.e_f).all()
+
+
+def test_pretrain_without_a_rules_path_exits_1(tmp_path, capsys):
+    code, line = run_one_line(["pretrain", "--out", tmp_path / "enc.kdal"], capsys)
+    assert code == 1
+    assert line == "config error: [rules] path is required"
+
+
+def test_train_echoes_the_data_path(small_csv, tmp_path):
+    out = tmp_path / "run"
+    argv = ["train", "--data.path", str(small_csv), "--out", str(out), "--train.epochs=1"]
+    assert cli.main(argv) == 0
+    effective = load_config(str(out / "effective_config.ini"))
+    assert effective["data"]["path"] == str(small_csv)
+    assert f"[data]\npath = {small_csv}\n" in (out / "effective_config.ini").read_text()
+
+
+def test_pipeline_smoke(small_csv, tmp_path, capsys):
+    """synth-data -> acquire-rules -> compile-rules -> pretrain -> train -> infer -> eval."""
+    rules, enc = tmp_path / "rules.rules", tmp_path / "enc.kdal"
+    run, scores, labels = tmp_path / "run", tmp_path / "scores.txt", tmp_path / "labels.txt"
+    fast = ["--know_encoder.steps=5", "--train.epochs=2"]
+    steps = [
+        ["acquire-rules", "--data.path", small_csv, "--out", rules, "--rules.max_depth=2",
+         "--rules.min_leaf=5", "--rules.feature_indices=2"],
+        ["compile-rules", "--rules", rules, "--out", tmp_path / "compiled.json"],
+        ["pretrain", "--rules.path", rules, "--out", enc, *fast],
+        ["train", "--data.path", small_csv, "--rules.path", rules, "--encoder", enc,
+         "--out", run, *fast],
+        ["infer", "--checkpoint", run / "checkpoint.kdal", "--data", small_csv, "--out", scores],
+    ]
+    for argv in steps:
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    data = load_csv(str(small_csv))
+    ck = load_checkpoint(run / "checkpoint.kdal")
+    written = np.array([float(line) for line in scores.read_text().splitlines()])
+    np.testing.assert_array_equal(written, infer(ck, data.X))
+    assert ck.know_encoder is not None and ck.e_f.shape == (len(load_rules(rules)), 16)
+
+    labels.write_text("".join(f"{int(v)}\n" for v in data.y))
+    capsys.readouterr()
+    assert cli.main(["eval", "--scores", str(scores), "--labels", str(labels)]) == 0
+    assert capsys.readouterr().out.startswith("auprc=")
+
+    # a trained checkpoint as --encoder lends only its knowledge encoder
+    for source, out in ((enc, tmp_path / "a"), (run / "checkpoint.kdal", tmp_path / "b")):
+        argv = ["train", "--data.path", small_csv, "--rules.path", rules, "--encoder", source,
+                "--out", out, "--train.epochs=1", "--train.seed=1"]
+        assert cli.main([str(a) for a in argv]) == 0
+    retrained = (tmp_path / "b" / "checkpoint.kdal").read_bytes()
+    assert retrained == (tmp_path / "a" / "checkpoint.kdal").read_bytes()
 
 
 # ---------------------------------------------------------------------------

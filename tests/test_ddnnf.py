@@ -5,13 +5,12 @@ from kdalign.ddnnf import (
     K_FALSE,
     K_LEAF,
     check_decomposability,
-    check_determinism,
     compile_ddnnf,
     eval_ddnnf,
     model_count,
 )
 from kdalign.logic import CnfFormula, PropositionTable
-from oracles import all_assignments, count_models, eval_clauses
+from oracles import all_assignments, check_determinism, count_models, eval_clauses
 
 
 def cnf_of(clauses, n_vars):

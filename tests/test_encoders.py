@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kdalign.autodiff import ParamSet, Tape, bind_params, grad_check
+from kdalign.autodiff import ParamSet, Tape, bind_params
+from kdalign.config import ModelConfig
 from kdalign.encoders import (
-    EncoderSpec,
-    HeadSpec,
     bce_loss_tape,
     deviation_loss_tape,
     deviation_prior,
+    embed_width,
     encode_tape,
     forward_scores,
     init_encoder,
@@ -17,18 +17,23 @@ from kdalign.encoders import (
     score_tape,
 )
 from kdalign.errors import ShapeError
+from oracles import grad_check
 
 
-def make_params(enc_spec, head_spec, seed=0):
+def make_params(model, input_dim, seed=0):
     rng = np.random.default_rng(seed)
-    values = init_encoder(enc_spec, rng)
-    values.update(init_head(head_spec, rng))
+    values = init_encoder(model, input_dim, rng)
+    values.update(init_head(model, rng))
     return ParamSet(values)
 
 
 class TestEncode:
+    def test_embed_width(self):
+        assert embed_width(ModelConfig(hidden=(6, 3), main_dim=9)) == 3
+        assert embed_width(ModelConfig(kind="resnet", hidden=(6, 3), main_dim=9)) == 9
+
     def test_identity_mlp_reproduces_input(self):
-        spec = EncoderSpec("mlp", input_dim=3, hidden=(3,))
+        spec = ModelConfig(hidden=(3,))
         params = ParamSet({"enc/w0": np.eye(3), "enc/b0": np.zeros((1, 3))})
         x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
         t = Tape()
@@ -37,62 +42,57 @@ class TestEncode:
         np.testing.assert_array_equal(out, x)
 
     def test_eval_mode_deterministic(self):
-        spec = EncoderSpec("resnet", input_dim=4, hidden=(8,), blocks=2, main_dim=6,
+        spec = ModelConfig(kind="resnet", hidden=(8,), blocks=2, main_dim=6,
                            dropout_first=0.5, dropout_second=0.3)
-        head = HeadSpec(embed_dim=6)
-        params = make_params(spec, head, seed=1)
+        params = make_params(spec, 4, seed=1)
         x = np.random.default_rng(0).normal(size=(5, 4))
-        e1, s1 = forward_scores(x, spec, head, params)
-        e2, s2 = forward_scores(x, spec, head, params)
+        e1, s1 = forward_scores(x, spec, params)
+        e2, s2 = forward_scores(x, spec, params)
         assert (e1 == e2).all() and (s1 == s2).all()
 
     def test_resnet_zeroed_blocks_equal_stem(self):
-        spec = EncoderSpec("resnet", input_dim=4, hidden=(8,), blocks=1, main_dim=6)
-        head = HeadSpec(embed_dim=6)
-        params = make_params(spec, head, seed=2)
+        spec = ModelConfig(kind="resnet", hidden=(8,), blocks=1, main_dim=6)
+        params = make_params(spec, 4, seed=2)
         params.values["enc/block0/w2"][:] = 0.0
         params.values["enc/block0/b2"][:] = 0.0
         x = np.random.default_rng(1).normal(size=(7, 4))
-        e, _ = forward_scores(x, spec, head, params)
+        e, _ = forward_scores(x, spec, params)
         stem = x @ params.values["enc/stem_w"] + params.values["enc/stem_b"]
         np.testing.assert_allclose(e, stem, atol=1e-12)
 
     def test_dropout_seed_reproducible_and_step_varying(self):
-        spec = EncoderSpec("resnet", input_dim=4, hidden=(8,), blocks=1, main_dim=6,
-                           dropout_first=0.5)
-        head = HeadSpec(embed_dim=6)
-        params = make_params(spec, head, seed=3)
+        spec = ModelConfig(kind="resnet", hidden=(8,), blocks=1, main_dim=6, dropout_first=0.5)
+        params = make_params(spec, 4, seed=3)
         x = np.random.default_rng(2).normal(size=(16, 4))
-        _, a = forward_scores(x, spec, head, params, train=True, dropout_seed=7)
-        _, b = forward_scores(x, spec, head, params, train=True, dropout_seed=7)
-        _, c = forward_scores(x, spec, head, params, train=True, dropout_seed=8)
+        _, a = forward_scores(x, spec, params, train=True, dropout_seed=7)
+        _, b = forward_scores(x, spec, params, train=True, dropout_seed=7)
+        _, c = forward_scores(x, spec, params, train=True, dropout_seed=8)
         assert (a == b).all()
         assert not (a == c).all()
 
     def test_width_mismatch(self):
-        spec = EncoderSpec("mlp", input_dim=3, hidden=(4,))
-        params = ParamSet(init_encoder(spec, np.random.default_rng(0)))
+        spec = ModelConfig(hidden=(4,))
+        params = ParamSet(init_encoder(spec, 3, np.random.default_rng(0)))
         t = Tape()
         ids = bind_params(t, params)
         with pytest.raises(ShapeError):
             encode_tape(t, t.leaf(np.ones((2, 5))), spec, ids)
 
     def test_row_permutation_equivariance(self):
-        spec = EncoderSpec("mlp", input_dim=4, hidden=(6, 3))
-        head = HeadSpec(embed_dim=3)
-        params = make_params(spec, head, seed=4)
+        spec = ModelConfig(hidden=(6, 3))
+        params = make_params(spec, 4, seed=4)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(9, 4))
         perm = rng.permutation(9)
-        e, s = forward_scores(x, spec, head, params)
-        ep, sp = forward_scores(x[perm], spec, head, params)
+        e, s = forward_scores(x, spec, params)
+        ep, sp = forward_scores(x[perm], spec, params)
         np.testing.assert_allclose(ep, e[perm], atol=1e-12)
         np.testing.assert_allclose(sp, s[perm], atol=1e-12)
 
 
 class TestScore:
     def test_zero_head_gives_half(self):
-        head = HeadSpec(embed_dim=4)
+        head = ModelConfig(hidden=(4,))
         params = ParamSet({"head/w0": np.zeros((4, 1)), "head/b0": np.zeros((1, 1))})
         t = Tape()
         ids = bind_params(t, params)
@@ -100,7 +100,7 @@ class TestScore:
         np.testing.assert_array_equal(out, np.full((5, 1), 0.5))
 
     def test_single_row(self):
-        head = HeadSpec(embed_dim=3, hidden=(4,))
+        head = ModelConfig(hidden=(3,), head_hidden=(4,))
         params = ParamSet(init_head(head, np.random.default_rng(0)))
         t = Tape()
         ids = bind_params(t, params)
@@ -110,7 +110,7 @@ class TestScore:
 
     def test_row_locality(self):
         # score of row i is unchanged when another row is perturbed
-        head = HeadSpec(embed_dim=4, hidden=(5,))
+        head = ModelConfig(hidden=(4,), head_hidden=(5,))
         params = ParamSet(init_head(head, np.random.default_rng(1)))
         rng = np.random.default_rng(2)
         e = rng.normal(size=(6, 4))
@@ -154,15 +154,14 @@ class TestBce:
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
-        spec = EncoderSpec("mlp", input_dim=3, hidden=(5, 4))
-        head = HeadSpec(embed_dim=4)
-        params = make_params(spec, head, seed=5)
+        spec = ModelConfig(hidden=(5, 4))
+        params = make_params(spec, 3, seed=5)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6)
 
         def build(t, ids):
             e = encode_tape(t, t.leaf(x), spec, ids)
-            s = score_tape(t, e, head, ids)
+            s = score_tape(t, e, spec, ids)
             return bce_loss_tape(t, s, y)
 
         report = grad_check(build, params, tol=1e-4)
@@ -206,16 +205,15 @@ class TestDeviation:
 
     def test_gradient_through_raw_head(self):
         rng = np.random.default_rng(7)
-        spec = EncoderSpec("mlp", input_dim=3, hidden=(5,))
-        head = HeadSpec(embed_dim=5, transform="raw")
-        params = make_params(spec, head, seed=8)
+        spec = ModelConfig(hidden=(5,), transform="raw")
+        params = make_params(spec, 3, seed=8)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6)
         mean, std = deviation_prior(9, 0)
 
         def build(t, ids):
             e = encode_tape(t, t.leaf(x), spec, ids)
-            s = score_tape(t, e, head, ids)
+            s = score_tape(t, e, spec, ids)
             return deviation_loss_tape(t, s, y, mean, std)
 
         report = grad_check(build, params, tol=1e-4)

@@ -6,7 +6,6 @@ import pytest
 from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.ddnnf import compile_ddnnf
 from kdalign.gcn import (
-    KnowEncoderSpec,
     NODE_TYPES,
     assignment_graph,
     ddnnf_to_graph,
@@ -16,6 +15,7 @@ from kdalign.gcn import (
     gcn_forward,
     gcn_forward_tape,
     init_know_encoder,
+    layer_dims,
     param_name,
     pretrain_encoder,
 )
@@ -33,7 +33,7 @@ def cnf_of(clauses, n_vars):
 
 def homogeneous_params(spec, rng):
     params = init_know_encoder(spec, rng)
-    for l in range(spec.n_layers):
+    for l in range(spec.layers):
         shared = params.values[param_name(l, "and")]
         for t in NODE_TYPES:
             params.values[param_name(l, t)] = shared.copy()
@@ -84,20 +84,25 @@ class TestGraphConversion:
 
 
 class TestForward:
+    def test_layer_dims(self):
+        spec = KnowEncoderConfig(layers=3, hidden=6, embed=5, var_capacity=8)
+        assert layer_dims(spec) == [(12, 6), (6, 6), (6, 5)]
+        assert layer_dims(KnowEncoderConfig(layers=1, embed=2, var_capacity=1)) == [(5, 2)]
+
     def test_single_node_identity(self):
         # one leaf plus global: check the 1-layer identity configuration on a
-        # hand-built single-node graph (self-loop only => norm_adj == 1)
+        # hand-built single-node graph (self-loop only => norm_adj == 1); the
+        # features are padded with zeros to the 4 + var_capacity input width
         fg = FormulaGraph(
             node_types=np.array([TYPE_INDEX["leaf"]]),
-            features=np.array([[1.0, 2.0]]),
+            features=np.array([[1.0, 2.0, 0.0, 0.0, 0.0]]),
             adj=np.array([[1.0]]),
             children=[()],
             global_index=0,
         )
-        spec = KnowEncoderSpec(n_layers=1, hidden_width=2, embed_width=2, var_capacity=0)
-        assert spec.input_width == 4  # not used below; weights set directly
-        params = ParamSet({param_name(0, t): np.eye(2) for t in NODE_TYPES})
-        out = gcn_forward(fg, KnowEncoderSpec(1, 2, 2, -2), params)
+        spec = KnowEncoderConfig(layers=1, embed=2, var_capacity=1)
+        params = ParamSet({param_name(0, t): np.eye(5, 2) for t in NODE_TYPES})
+        out = gcn_forward(fg, spec, params)
         np.testing.assert_allclose(out, [[1.0, 2.0]], atol=1e-15)
 
     def test_two_node_average(self):
@@ -105,13 +110,13 @@ class TestForward:
         # the average of the two input rows
         fg = FormulaGraph(
             node_types=np.array([TYPE_INDEX["leaf"], TYPE_INDEX["global"]]),
-            features=np.array([[2.0, 0.0], [0.0, 4.0]]),
+            features=np.array([[2.0, 0.0, 0.0, 0.0, 0.0], [0.0, 4.0, 0.0, 0.0, 0.0]]),
             adj=np.ones((2, 2)),
             children=[(), ()],
             global_index=1,
         )
-        params = ParamSet({param_name(0, t): np.eye(2) for t in NODE_TYPES})
-        out = gcn_forward(fg, KnowEncoderSpec(1, 2, 2, -2), params)
+        params = ParamSet({param_name(0, t): np.eye(5, 2) for t in NODE_TYPES})
+        out = gcn_forward(fg, KnowEncoderConfig(layers=1, embed=2, var_capacity=1), params)
         np.testing.assert_allclose(out, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -124,8 +129,8 @@ class TestForward:
         adj = np.maximum(adj, adj.T)
         np.fill_diagonal(adj, 1.0)
         types = rng.integers(0, 4, size=n)
-        spec = KnowEncoderSpec(n_layers=2, hidden_width=5, embed_width=3, var_capacity=2)
-        feats = rng.normal(size=(n, spec.input_width))
+        spec = KnowEncoderConfig(layers=2, hidden=5, embed=3, var_capacity=2)
+        feats = rng.normal(size=(n, 4 + spec.var_capacity))
         fg = FormulaGraph(types, feats, adj, [() for _ in range(n)], global_index=n - 1)
         params = homogeneous_params(spec, rng)
 
@@ -143,7 +148,7 @@ class TestForward:
     def test_tape_matches_numpy_forward(self):
         rng = np.random.default_rng(3)
         g = compile_ddnnf(cnf_of([[-1, -2, 3]], 3))
-        spec = KnowEncoderSpec(2, 6, 4, 8)
+        spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         fg = ddnnf_to_graph(g, spec.var_capacity)
         params = init_know_encoder(spec, rng)
         t = Tape()
@@ -154,7 +159,7 @@ class TestForward:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         g = compile_ddnnf(cnf_of([[1, 2], [-1, 3]], 3))
-        spec = KnowEncoderSpec(2, 6, 4, 8)
+        spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         fg = ddnnf_to_graph(g, spec.var_capacity)
         params = init_know_encoder(spec, rng)
         base = formula_embedding(gcn_forward(fg, spec, params), fg)
@@ -174,7 +179,7 @@ class TestForward:
 
     def test_identical_formulae_identical_embeddings(self):
         rng = np.random.default_rng(6)
-        spec = KnowEncoderSpec(2, 6, 4, 8)
+        spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         params = init_know_encoder(spec, rng)
         g1 = compile_ddnnf(cnf_of([[1, 2]], 2))
         g2 = compile_ddnnf(cnf_of([[1, 2]], 2))
@@ -185,7 +190,7 @@ class TestForward:
 class TestEmbedKnowledgeSet:
     def test_shapes_and_duplicates(self):
         rng = np.random.default_rng(0)
-        spec = KnowEncoderSpec(2, 6, 5, 8)
+        spec = KnowEncoderConfig(layers=2, hidden=6, embed=5, var_capacity=8)
         params = init_know_encoder(spec, rng)
         g = compile_ddnnf(cnf_of([[1]], 1))
         e1 = embed_knowledge_set([g], spec, params)
@@ -198,7 +203,7 @@ class TestEmbedKnowledgeSet:
 
     def test_bitwise_stable(self):
         rng = np.random.default_rng(1)
-        spec = KnowEncoderSpec(2, 6, 5, 8)
+        spec = KnowEncoderConfig(layers=2, hidden=6, embed=5, var_capacity=8)
         params = init_know_encoder(spec, rng)
         corpus = [compile_ddnnf(cnf_of([[1, -2], [2, 3]], 3))]
         a = embed_knowledge_set(corpus, spec, params)
@@ -227,8 +232,8 @@ class TestPretrain:
         graphs = toy_corpus()
         cfg = KnowEncoderConfig(steps=0, seed=1, var_capacity=4, hidden=8, embed=8)
         result = pretrain_encoder(graphs, cfg)
-        spec = KnowEncoderSpec(hidden_width=8, embed_width=8, var_capacity=4)
-        fresh = init_know_encoder(spec, np.random.default_rng(1))
+        assert result.config == cfg
+        fresh = init_know_encoder(cfg, np.random.default_rng(1))
         for name in fresh.values:
             np.testing.assert_array_equal(result.params.values[name], fresh.values[name])
 
@@ -269,7 +274,7 @@ class TestPretrain:
             steps=120, seed=2, margin=1.0, var_capacity=2, hidden=8, embed=8
         )
         result = pretrain_encoder(graphs, cfg)
-        spec = result.spec
+        spec = result.config
         fg_p = ddnnf_to_graph(graphs[0], spec.var_capacity)
         fg_sat = ddnnf_to_graph(assignment_graph({1: True}), spec.var_capacity)
         fg_unsat = ddnnf_to_graph(assignment_graph({1: False}), spec.var_capacity)

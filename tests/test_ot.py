@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdalign.autodiff import ParamSet, Tape, grad_check
+from kdalign.autodiff import ParamSet, Tape
 from kdalign.errors import NumericError, ShapeError
 from kdalign.ot import (
     cost_matrix_tape,
@@ -11,7 +11,7 @@ from kdalign.ot import (
     sinkhorn,
     uniform_marginals,
 )
-from oracles import cost_matrix, exact_ot_uniform, sinkhorn_tape
+from oracles import cost_matrix, exact_ot_uniform, grad_check, sinkhorn_tape
 
 
 def tape_cost(e_f, e_x, metric="sqeuclidean"):

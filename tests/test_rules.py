@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kdalign.errors import DataError, RuleSyntaxError
-from kdalign.logic import PropositionTable, eval_formula, rule_to_formula
+from kdalign.logic import PropositionTable, rule_to_formula
 from kdalign.rules import (
     Condition,
     Rule,
@@ -17,7 +17,7 @@ from kdalign.rules import (
     rules_to_text,
     save_rules,
 )
-from oracles import condition_holds, match_rule
+from oracles import condition_holds, eval_tree, match_rule
 
 
 class TestParse:
@@ -123,7 +123,7 @@ class TestMatch:
                 )
                 for c in rule.conditions
             }
-            assert match_rule(rule, x, names) == eval_formula(antecedent, assignment)
+            assert match_rule(rule, x, names) == eval_tree(antecedent, assignment)
 
 
 def render_threshold(cond):

@@ -1,14 +1,14 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
-from kdalign.autodiff import ParamSet, grad_check
-from kdalign.config import OtConfig, TrainConfig
+from kdalign.autodiff import ParamSet
+from kdalign.config import KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig
 from kdalign.encoders import (
-    EncoderSpec,
-    HeadSpec,
     bce_loss_tape,
+    embed_width,
     encode_tape,
     forward_scores,
     init_encoder,
@@ -17,8 +17,10 @@ from kdalign.encoders import (
 )
 from kdalign.errors import ConfigError, DataError, NumericError
 from kdalign.evaluate import Dataset, split_dataset
+from kdalign.gcn import NODE_TYPES
 from kdalign.ot import cost_matrix_tape, uniform_marginals
 from kdalign.train import (
+    MAGIC,
     Adam,
     ModelCheckpoint,
     infer,
@@ -26,7 +28,7 @@ from kdalign.train import (
     save_checkpoint,
     train,
 )
-from oracles import checkpoints_equal, cost_matrix, sinkhorn_tape
+from oracles import checkpoints_equal, cost_matrix, grad_check, sinkhorn_tape
 
 
 def toy_split(seed=0, n=400, with_rule_cluster=True):
@@ -41,10 +43,8 @@ def toy_split(seed=0, n=400, with_rule_cluster=True):
     return split_dataset(data, [], k_labeled=10, seed=seed)
 
 
-def small_specs(h=4):
-    enc = EncoderSpec("mlp", input_dim=3, hidden=(8, h))
-    head = HeadSpec(embed_dim=h)
-    return enc, head
+def small_model(h=4, **kwargs):
+    return ModelConfig(hidden=(8, h), **kwargs)
 
 
 def fast_config(**kwargs):
@@ -61,23 +61,55 @@ class TestCheckpointIO:
 
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        enc, head = small_specs()
-        ck = ModelCheckpoint(
-            params={
-                "enc/w0": rng.normal(size=(3, 8)),
-                "head/w0": rng.normal(size=(4, 1)),
-                "norm/mean": rng.normal(size=(1, 3)),
-            },
-            seed=7,
-            encoder_spec=enc,
-            head_spec=head,
-            e_f=rng.normal(size=(5, 4)),
-        )
+        model = small_model()
+        params = init_encoder(model, 3, rng)
+        params.update(init_head(model, rng))
+        for name in params:
+            params[name] = rng.normal(size=params[name].shape)
+        params["norm/mean"] = rng.normal(size=(1, 3))
+        params["norm/std"] = rng.uniform(0.5, 2.0, size=(1, 3))
+        ck = ModelCheckpoint(params=params, seed=7, model=model, e_f=rng.normal(size=(5, 4)))
         again = self.roundtrip(ck, tmp_path)
         assert checkpoints_equal(again, ck)
         for name in ck.params:
             assert (again.params[name] == ck.params[name]).all()
         assert (again.e_f == ck.e_f).all()
+
+    def test_version_1_metadata_is_pinned(self, tmp_path):
+        # the on-disk names predate the [model]/[know_encoder] sections
+        params = {"enc/w0": np.zeros((1, 2)), "enc/b0": np.zeros((1, 2)),
+                  "head/w0": np.zeros((2, 1)), "head/b0": np.zeros((1, 1)),
+                  "norm/mean": np.zeros((1, 1)), "norm/std": np.ones((1, 1))}
+        params.update({f"know_encoder/layer0/{t}": np.zeros((5, 2)) for t in NODE_TYPES})
+        ck = ModelCheckpoint(
+            params=params,
+            seed=3,
+            model=ModelConfig(hidden=(2,), dropout_first=0.25),
+            know_encoder=KnowEncoderConfig(layers=1, embed=2, var_capacity=1),
+            e_f=np.zeros((1, 2)),
+        )
+        path = tmp_path / "model.kdal"
+        save_checkpoint(ck, path)
+        raw = path.read_bytes()
+        assert raw[:8] == MAGIC + struct.pack("<I", 1)
+        (length,) = struct.unpack("<Q", raw[8:16])
+        tensors = ", ".join(
+            f'{{"cols": {c}, "name": "{n}", "rows": {r}}}'
+            for n, r, c in [
+                ("enc/b0", 1, 2), ("enc/w0", 1, 2), ("head/b0", 1, 1), ("head/w0", 2, 1),
+                ("know_encoder/layer0/and", 5, 2), ("know_encoder/layer0/global", 5, 2),
+                ("know_encoder/layer0/leaf", 5, 2), ("know_encoder/layer0/or", 5, 2),
+                ("norm/mean", 1, 1), ("norm/std", 1, 1), ("E_F", 1, 2),
+            ]
+        )
+        assert raw[16 : 16 + length].decode() == (
+            '{"encoder": {"blocks": 2, "dropout_first": 0.25, "dropout_second": 0.0, '
+            '"hidden": [2], "input_dim": 1, "kind": "mlp", "main_dim": 32}, '
+            '"head": {"embed_dim": 2, "hidden": [], "transform": "sigmoid"}, '
+            '"know_encoder": {"embed_width": 2, "hidden_width": 16, "n_layers": 1, '
+            '"var_capacity": 1}, "seed": 3, "tensors": [' + tensors + "]}"
+        )
+        assert checkpoints_equal(load_checkpoint(path), ck)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "model.kdal"
@@ -146,38 +178,38 @@ class TestAdam:
 class TestTrainLoop:
     def test_deterministic_checkpoints(self):
         split = toy_split()
-        enc, head = small_specs()
-        ck1, log1 = train(split, enc, head, fast_config())
-        ck2, log2 = train(split, enc, head, fast_config())
+        model = small_model()
+        ck1, log1 = train(split, model, None, fast_config())
+        ck2, log2 = train(split, model, None, fast_config())
         assert checkpoints_equal(ck1, ck2)
         assert [r.total for r in log1] == [r.total for r in log2]
 
     def test_lambda_zero_bit_equals_ot_disabled(self):
         # lambda = 0 with E_F trains exactly as a run without knowledge
         split = toy_split()
-        enc, head = small_specs()
-        e_f = np.random.default_rng(5).normal(size=(3, enc.embed_dim))
-        ck_zero, log_zero = train(split, enc, head, fast_config(rule_weight=0.0), e_f=e_f)
-        ck_off, log_off = train(split, enc, head, fast_config(rule_weight=1.0))
+        model = small_model()
+        e_f = np.random.default_rng(5).normal(size=(3, embed_width(model)))
+        ck_zero, log_zero = train(split, model, e_f, fast_config(rule_weight=0.0))
+        ck_off, log_off = train(split, model, None, fast_config(rule_weight=1.0))
         assert checkpoints_equal(ck_zero, dataclasses.replace(ck_off, e_f=e_f))
         assert [r.l_p for r in log_zero] == [r.l_p for r in log_off]
         assert all(r.l_ot == 0.0 for r in log_zero)
 
     def test_ot_changes_trajectory(self):
         split = toy_split()
-        enc, head = small_specs()
-        e_f = np.random.default_rng(5).normal(size=(3, enc.embed_dim))
-        ck_base, _ = train(split, enc, head, fast_config(rule_weight=0.0), e_f=e_f)
-        ck_ot, log_ot = train(split, enc, head, fast_config(rule_weight=1.0), e_f=e_f)
+        model = small_model()
+        e_f = np.random.default_rng(5).normal(size=(3, embed_width(model)))
+        ck_base, _ = train(split, model, e_f, fast_config(rule_weight=0.0))
+        ck_ot, log_ot = train(split, model, e_f, fast_config(rule_weight=1.0))
         assert not checkpoints_equal(ck_base, ck_ot)
         assert all(r.l_ot > 0.0 for r in log_ot)
 
     def test_loss_decreases_on_separable_data(self):
         split = toy_split(seed=1)
-        enc, head = small_specs()
-        e_f = np.random.default_rng(2).normal(size=(2, enc.embed_dim))
+        model = small_model()
+        e_f = np.random.default_rng(2).normal(size=(2, embed_width(model)))
         cfg = fast_config(epochs=20, rule_weight=0.1, learning_rate=0.02, patience=50)
-        _, log = train(split, enc, head, cfg, e_f=e_f)
+        _, log = train(split, model, e_f, cfg)
         totals = np.array([r.total for r in log])
         smooth = np.convolve(totals, np.ones(3) / 3, mode="valid")
         assert smooth[-1] < smooth[0]
@@ -186,94 +218,92 @@ class TestTrainLoop:
 
     def test_best_checkpoint_matches_logged_curve(self):
         split = toy_split(seed=2)
-        enc, head = small_specs()
+        model = small_model()
         cfg = fast_config(epochs=8, patience=100)
-        ck, log = train(split, enc, head, cfg)
+        ck, log = train(split, model, None, cfg)
         best_epoch = int(np.argmax([r.val_auprc for r in log])) + 1
         # retrain stopping exactly at the best epoch and compare parameters
-        ck_short, _ = train(split, enc, head, fast_config(epochs=best_epoch, patience=100))
+        ck_short, _ = train(split, model, None, fast_config(epochs=best_epoch, patience=100))
         for name in ck.params:
             np.testing.assert_array_equal(ck.params[name], ck_short.params[name])
 
     def test_early_stopping_honors_patience(self):
         split = toy_split(seed=3)
-        enc, head = small_specs()
+        model = small_model()
         cfg = fast_config(epochs=50, patience=2, learning_rate=0.0)
-        _, log = train(split, enc, head, cfg)
+        _, log = train(split, model, None, cfg)
         # zero learning rate: epoch 1 is the best; stop after patience more epochs
         assert len(log) == 3
 
     def test_nan_loss_aborts(self):
         split = toy_split(seed=4)
         split.data.X[split.train_idx[0], 0] = np.nan
-        enc, head = small_specs()
+        model = small_model()
         with pytest.raises(NumericError, match="non-finite"):
-            train(split, enc, head, fast_config(standardize=False))
+            train(split, model, None, fast_config(standardize=False))
 
     def test_sinkhorn_failure_rate_aborts(self):
         split = toy_split(seed=5)
-        enc, head = small_specs()
-        e_f = np.random.default_rng(1).normal(size=(4, enc.embed_dim))
+        model = small_model()
+        e_f = np.random.default_rng(1).normal(size=(4, embed_width(model)))
         ot = OtConfig(max_iter=1, tol=1e-14, epsilon_scale=0.001)
         with pytest.raises(NumericError, match="Sinkhorn failed"):
-            train(split, enc, head, fast_config(rule_weight=1.0), ot, e_f=e_f)
+            train(split, model, e_f, fast_config(rule_weight=1.0), ot)
 
     def test_loss_head_mismatch_rejected(self):
         split = toy_split()
-        enc, _ = small_specs()
         with pytest.raises(ConfigError, match="sigmoid"):
-            train(split, enc, HeadSpec(embed_dim=4, transform="raw"), fast_config())
+            train(split, small_model(transform="raw"), None, fast_config())
         with pytest.raises(ConfigError, match="raw"):
-            train(split, enc, HeadSpec(embed_dim=4), fast_config(loss="deviation"))
+            train(split, small_model(), None, fast_config(loss="deviation"))
 
     def test_deviation_loss_variant_trains(self):
         split = toy_split(seed=6)
-        enc, _ = small_specs()
-        head = HeadSpec(embed_dim=4, transform="raw")
-        ck, log = train(split, enc, head, fast_config(loss="deviation", epochs=2))
+        model = small_model(transform="raw")
+        ck, log = train(split, model, None, fast_config(loss="deviation", epochs=2))
         assert len(log) == 2
         scores = infer(ck, split.data.X[split.test_idx])
         assert np.isfinite(scores).all()
 
     def test_embedding_width_mismatch(self):
         split = toy_split()
-        enc, head = small_specs()
+        model = small_model()
         with pytest.raises(ConfigError, match="width"):
-            train(split, enc, head, fast_config(), e_f=np.ones((3, enc.embed_dim + 1)))
+            train(split, model, np.ones((3, embed_width(model) + 1)), fast_config())
 
 
 class TestInfer:
     def test_empty_input(self):
         split = toy_split()
-        enc, head = small_specs()
-        ck, _ = train(split, enc, head, fast_config(epochs=1))
+        model = small_model()
+        ck, _ = train(split, model, None, fast_config(epochs=1))
         assert infer(ck, np.zeros((0, 3))).shape == (0,)
 
     def test_idempotent(self):
         split = toy_split()
-        enc, head = small_specs()
-        ck, _ = train(split, enc, head, fast_config(epochs=1))
+        model = small_model()
+        ck, _ = train(split, model, None, fast_config(epochs=1))
         X = split.data.X[split.test_idx]
         a, b = infer(ck, X), infer(ck, X)
         assert (a == b).all()
 
     def test_matches_eval_forward_with_best_params(self):
         split = toy_split()
-        enc, head = small_specs()
-        ck, _ = train(split, enc, head, fast_config(epochs=2))
+        model = small_model()
+        ck, _ = train(split, model, None, fast_config(epochs=2))
         X = split.train_features()
         scores = infer(ck, X)
-        model = ParamSet(
+        detector = ParamSet(
             {k: v for k, v in ck.params.items() if k.startswith(("enc/", "head/"))}
         )
         Xn = (X - ck.params["norm/mean"]) / ck.params["norm/std"]
-        _, expected = forward_scores(Xn, enc, head, model)
+        _, expected = forward_scores(Xn, model, detector)
         np.testing.assert_array_equal(scores, expected)
 
     def test_width_mismatch(self):
         split = toy_split()
-        enc, head = small_specs()
-        ck, _ = train(split, enc, head, fast_config(epochs=1))
+        model = small_model()
+        ck, _ = train(split, model, None, fast_config(epochs=1))
         with pytest.raises(DataError, match="width"):
             infer(ck, np.zeros((2, 5)))
 
@@ -288,10 +318,9 @@ class TestComposedGradient:
         # s=2 rules, m=4 samples, h=3: full finite-difference check of
         # L_P + lambda * <C, S> with the plan unrolled through the tape
         rng = np.random.default_rng(12)
-        enc = EncoderSpec("mlp", input_dim=3, hidden=(5, 3))
-        head = HeadSpec(embed_dim=3)
-        values = init_encoder(enc, rng)
-        values.update(init_head(head, rng))
+        model = ModelConfig(hidden=(5, 3))
+        values = init_encoder(model, 3, rng)
+        values.update(init_head(model, rng))
         params = ParamSet(values)
         X = rng.normal(size=(4, 3))
         y = np.array([1, 0, 0, 1])
@@ -301,12 +330,12 @@ class TestComposedGradient:
 
         # epsilon is held fixed across perturbations: the per-batch epsilon
         # recomputation is a detached scale choice, not a gradient path
-        e0, _ = forward_scores(X, enc, head, params)
+        e0, _ = forward_scores(X, model, params)
         eps = 0.3 * float(cost_matrix(e_f, e0).mean())
 
         def build(t, ids):
-            e_id = encode_tape(t, t.leaf(X), enc, ids)
-            s_id = score_tape(t, e_id, head, ids)
+            e_id = encode_tape(t, t.leaf(X), model, ids)
+            s_id = score_tape(t, e_id, model, ids)
             l_p = bce_loss_tape(t, s_id, y)
             c_id = cost_matrix_tape(t, e_f, e_id)
             plan = sinkhorn_tape(t, c_id, mu, nu, eps, n_iter=40)
@@ -319,11 +348,11 @@ class TestComposedGradient:
 
 class TestBatchComposition:
     def test_labeled_anomalies_filling_the_batch_rejected(self):
-        enc, head = small_specs()
+        model = small_model()
         with pytest.raises(ConfigError, match=r"k_labeled \(10\) must be below batch_size \(10\)"):
-            train(toy_split(), enc, head, fast_config(batch_size=10))
+            train(toy_split(), model, None, fast_config(batch_size=10))
 
     def test_one_unlabeled_row_per_batch_trains(self):
-        enc, head = small_specs()
-        _, log = train(toy_split(), enc, head, fast_config(batch_size=11, epochs=1))
+        model = small_model()
+        _, log = train(toy_split(), model, None, fast_config(batch_size=11, epochs=1))
         assert len(log) == 1
