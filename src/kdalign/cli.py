@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .acquisition import acquire_rules
+from .atomic import write_atomic
 from .config import (
     SCHEMA,
     ModelConfig,
@@ -81,13 +82,6 @@ def _collect_config(args) -> dict:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _read_values(path: str) -> np.ndarray:
     values = []
     with open(path, encoding="utf-8") as fh:
@@ -120,7 +114,7 @@ def cmd_synth_data(args) -> int:
     )
     save_csv(data, args.out)
     if args.clusters_out:
-        _write_text_atomic(args.clusters_out, "\n".join(clusters) + "\n")
+        write_atomic(args.clusters_out, "\n".join(clusters) + "\n")
     print(f"wrote {data.n_samples} samples ({int(data.y.sum())} anomalies) to {args.out}")
     return 0
 
@@ -133,7 +127,7 @@ def cmd_acquire_rules(args) -> int:
     )
     save_rules(rules, args.out)
     sidecar = str(args.out) + ".provenance.json"
-    _write_text_atomic(
+    write_atomic(
         sidecar,
         json.dumps([p.__dict__ for p in provenance], indent=2) + "\n",
     )
@@ -162,7 +156,7 @@ def cmd_compile_rules(args) -> int:
             for rule, graph in zip(rules, graphs)
         ],
     }
-    _write_text_atomic(args.out, json.dumps(payload, indent=2) + "\n")
+    write_atomic(args.out, json.dumps(payload, indent=2) + "\n")
     print(f"compiled {len(rules)} rules -> {args.out}")
     return 0
 
@@ -194,10 +188,12 @@ def cmd_train(args) -> int:
     rules_path = cfg["rules"]["path"]
     rules, e_f, know = [], None, None
     if args.encoder:
+        if not rules_path:  # the split deletes the anomalies the rules cover
+            raise ConfigError("train --encoder needs the [rules] path of the encoder's rules")
         pre = load_checkpoint(args.encoder)
         if pre.e_f is None or pre.know_encoder is None:
             raise DataError(f"{args.encoder}: not a knowledge-encoder checkpoint")
-        rules = load_rules(rules_path) if rules_path else []
+        rules = load_rules(rules_path)
         e_f, know, know_params = pre.e_f, pre.know_encoder, pre.params
     elif rules_path:
         knowledge = build_knowledge(data, cfg)
@@ -221,7 +217,7 @@ def cmd_infer(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     data = load_csv(args.data)
     scores = infer(ck, data.X)
-    _write_text_atomic(args.out, "".join(f"{float(s)!r}\n" for s in scores))
+    write_atomic(args.out, "".join(f"{float(s)!r}\n" for s in scores))
     print(f"wrote {scores.size} scores to {args.out}")
     return 0
 

@@ -20,6 +20,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, get_args, get_type_hints
 
+from .atomic import write_atomic
 from .encoders import ENCODER_KINDS, HEAD_TRANSFORMS, LOSSES
 from .errors import ConfigError
 from .ot import METRICS
@@ -253,8 +254,4 @@ def render_config(cfg: dict[str, dict[str, Any]]) -> str:
 
 def write_effective_config(cfg, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "effective_config.ini")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(render_config(cfg))
-    os.replace(tmp, path)
+    write_atomic(os.path.join(out_dir, "effective_config.ini"), render_config(cfg))

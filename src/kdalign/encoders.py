@@ -24,6 +24,7 @@ DEVIATION_PRIOR_SIZE = 5000
 ENCODER_KINDS = ("mlp", "resnet")
 HEAD_TRANSFORMS = ("sigmoid", "raw")  # probabilities | raw scores
 LOSSES = ("bce", "deviation")  # bce needs the sigmoid head, deviation the raw one
+SCORE_CHUNK = 4096  # rows per scoring tape
 
 
 def embed_width(model: ModelConfig) -> int:
@@ -31,7 +32,7 @@ def embed_width(model: ModelConfig) -> int:
     return model.hidden[-1] if model.kind == "mlp" else model.main_dim
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / (fan_in + fan_out))
 
 
@@ -42,16 +43,16 @@ def init_encoder(
     if model.kind == "mlp":
         widths = [input_dim, *model.hidden]
         for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
-            values[f"enc/w{i}"] = _glorot(rng, fi, fo)
+            values[f"enc/w{i}"] = glorot(rng, fi, fo)
             values[f"enc/b{i}"] = np.zeros((1, fo))
         return values
-    values["enc/stem_w"] = _glorot(rng, input_dim, model.main_dim)
+    values["enc/stem_w"] = glorot(rng, input_dim, model.main_dim)
     values["enc/stem_b"] = np.zeros((1, model.main_dim))
     width = model.hidden[-1]
     for i in range(model.blocks):
-        values[f"enc/block{i}/w1"] = _glorot(rng, model.main_dim, width)
+        values[f"enc/block{i}/w1"] = glorot(rng, model.main_dim, width)
         values[f"enc/block{i}/b1"] = np.zeros((1, width))
-        values[f"enc/block{i}/w2"] = _glorot(rng, width, model.main_dim)
+        values[f"enc/block{i}/w2"] = glorot(rng, width, model.main_dim)
         values[f"enc/block{i}/b2"] = np.zeros((1, model.main_dim))
     return values
 
@@ -60,7 +61,7 @@ def init_head(model: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
     values: dict[str, np.ndarray] = {}
     widths = [embed_width(model), *model.head_hidden, 1]
     for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
-        values[f"head/w{i}"] = _glorot(rng, fi, fo)
+        values[f"head/w{i}"] = glorot(rng, fi, fo)
         values[f"head/b{i}"] = np.zeros((1, fo))
     return values
 
@@ -177,17 +178,19 @@ def deviation_loss_tape(
     return tape.reduce_mean(tape.add(inlier, outlier))
 
 
-def forward_scores(
-    X: np.ndarray,
-    model: ModelConfig,
-    params: ParamSet,
-    train: bool = False,
-    dropout_seed: int | tuple[int, ...] = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-style forward returning (E_X, scores) as plain arrays."""
-    tape = Tape()
-    ids = bind_params(tape, params)
-    x_id = tape.leaf(np.asarray(X, dtype=np.float64))
-    e_id = encode_tape(tape, x_id, model, ids, train=train, dropout_seed=dropout_seed)
-    s_id = score_tape(tape, e_id, model, ids)
-    return tape.value(e_id), tape.value(s_id).reshape(-1)
+def forward_scores(X: np.ndarray, model: ModelConfig, params: ParamSet) -> np.ndarray:
+    """Eval-mode scores as a plain array, one tape per block of SCORE_CHUNK
+    rows so that memory stays bounded however many rows come.
+
+    A 1-row remainder joins the block before it: numpy sends a 1-row matmul
+    to BLAS gemv, which rounds differently from the gemm that one tape over
+    all rows would use.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    scores = []
+    for block in np.split(X, range(SCORE_CHUNK, X.shape[0] - 1, SCORE_CHUNK)):
+        tape = Tape()
+        ids = bind_params(tape, params)
+        e_id = encode_tape(tape, tape.leaf(block), model, ids)
+        scores.append(tape.value(score_tape(tape, e_id, model, ids)).reshape(-1))
+    return np.concatenate(scores)

@@ -11,11 +11,13 @@ with precision@k and F1@k.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import DataError
 from .rules import Rule, any_rule_mask
 
@@ -109,7 +111,7 @@ def load_csv(path) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with io.StringIO() as fh:
         writer = csv.writer(fh)
         header = list(dataset.feature_names) + ["label"]
         if dataset.split is not None:
@@ -120,6 +122,7 @@ def save_csv(dataset: Dataset, path) -> None:
             if dataset.split is not None:
                 row.append(str(dataset.split[i]))
             writer.writerow(row)
+        write_atomic(path, fh.getvalue())
 
 
 @dataclass

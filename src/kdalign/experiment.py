@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acquisition import acquire_rules, inject_noise
+from .atomic import write_atomic
 from .config import (
     KnowEncoderConfig,
     ModelConfig,
@@ -143,6 +144,30 @@ def run_seed(
     )
 
 
+def _add_seed_rows(
+    report: MetricReport, data: Dataset, knowledge: KnowledgeArtifacts, cfg: dict, seed: int, **keys
+) -> SeedOutcome:
+    """Run one seed, and its lambda=0 baseline when [eval] asks for it, and
+    add a row per model; ``keys`` lead each row's seed and metric columns."""
+    outcome = run_seed(data, knowledge, cfg, seed)
+    runs = [("kdalign", outcome)]
+    if cfg["eval"]["include_baseline"]:
+        runs.append(("baseline", run_seed(data, knowledge, cfg, seed, rule_weight=0.0)))
+    for model, run in runs:
+        report.add(
+            model=model,
+            **keys,
+            seed=seed,
+            rule_weight=run.rule_weight,
+            auprc=run.test_auprc,
+            rec_at_k=run.test_rec_at_k,
+            k=run.k,
+            tie_at_cut=run.tie_at_cut,
+            val_auprc=run.best_val_auprc,
+        )
+    return outcome
+
+
 def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None = None) -> MetricReport:
     """Full protocol over all seeds; optionally persists artifacts."""
     if data is None:
@@ -150,29 +175,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None =
     knowledge = build_knowledge(data, cfg)
     report = MetricReport()
     for seed in cfg["eval"]["seeds"]:
-        outcome = run_seed(data, knowledge, cfg, seed)
-        report.add(
-            model="kdalign",
-            seed=seed,
-            rule_weight=outcome.rule_weight,
-            auprc=outcome.test_auprc,
-            rec_at_k=outcome.test_rec_at_k,
-            k=outcome.k,
-            tie_at_cut=outcome.tie_at_cut,
-            val_auprc=outcome.best_val_auprc,
-        )
-        if cfg["eval"]["include_baseline"]:
-            baseline = run_seed(data, knowledge, cfg, seed, rule_weight=0.0)
-            report.add(
-                model="baseline",
-                seed=seed,
-                rule_weight=0.0,
-                auprc=baseline.test_auprc,
-                rec_at_k=baseline.test_rec_at_k,
-                k=baseline.k,
-                tie_at_cut=baseline.tie_at_cut,
-                val_auprc=baseline.best_val_auprc,
-            )
+        outcome = _add_seed_rows(report, data, knowledge, cfg, seed)
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
             write_training_log(outcome.log, os.path.join(out_dir, f"train_seed{seed}.jsonl"))
@@ -199,25 +202,7 @@ def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = No
             )
             knowledge = build_knowledge(data, cfg, rules=noisy)
         for seed in cfg["eval"]["seeds"]:
-            outcome = run_seed(data, knowledge, cfg, seed)
-            report.add(
-                model="kdalign",
-                noise_ratio=ratio,
-                seed=seed,
-                rule_weight=outcome.rule_weight,
-                auprc=outcome.test_auprc,
-                rec_at_k=outcome.test_rec_at_k,
-            )
-            if cfg["eval"]["include_baseline"]:
-                baseline = run_seed(data, knowledge, cfg, seed, rule_weight=0.0)
-                report.add(
-                    model="baseline",
-                    noise_ratio=ratio,
-                    seed=seed,
-                    rule_weight=0.0,
-                    auprc=baseline.test_auprc,
-                    rec_at_k=baseline.test_rec_at_k,
-                )
+            _add_seed_rows(report, data, knowledge, cfg, seed, noise_ratio=ratio)
     if out_dir:
         write_effective_config(cfg, out_dir)
         _write_report(report, out_dir, "noise_report")
@@ -227,8 +212,4 @@ def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = No
 def _write_report(report: MetricReport, out_dir: str, stem: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for suffix, text in ((".txt", report.to_table()), (".csv", report.to_delimited())):
-        path = os.path.join(out_dir, stem + suffix)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        write_atomic(os.path.join(out_dir, stem + suffix), text)

@@ -5,7 +5,9 @@ plus a global node linked to everything, self-loops added) and is encoded
 with a multi-layer GCN using the symmetric-normalized propagation rule.
 Node heterogeneity is realized by routing each node's row through the weight
 matrix of its node type before aggregation.  The formula embedding is the
-global node's output row.
+global node's output row.  The GCN runs only on the tape: pretraining
+differentiates through it, and E_F and the validation triples are read from
+forward-only tapes (``embed_formulae``).
 
 Pretraining separates formula embeddings from the embeddings of their
 unsatisfying assignments with a triplet objective plus structural
@@ -23,6 +25,7 @@ import numpy as np
 from .autodiff import ParamSet, Tape, accumulate_grads, bind_params
 from .config import KnowEncoderConfig
 from .ddnnf import DdnnfGraph, K_AND, K_FALSE, K_LEAF, K_OR, K_TRUE, eval_ddnnf
+from .encoders import glorot
 from .errors import DataError, ShapeError
 from .logic import assignments
 
@@ -39,11 +42,13 @@ class FormulaGraph:
     adj: np.ndarray  # symmetric, self-loops on the diagonal
     children: list[tuple[int, ...]]  # d-DNNF child lists (empty for global)
     global_index: int
+    norm: np.ndarray = field(init=False)  # D^-1/2 adj D^-1/2
+    masks: list[np.ndarray] = field(init=False)  # one N x 1 mask per node type
 
-    def norm_adj(self) -> np.ndarray:
-        deg = self.adj.sum(axis=1)
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        return self.adj * inv_sqrt[:, None] * inv_sqrt[None, :]
+    def __post_init__(self):
+        inv_sqrt = 1.0 / np.sqrt(self.adj.sum(axis=1))
+        self.norm = self.adj * inv_sqrt[:, None] * inv_sqrt[None, :]
+        self.masks = [(self.node_types == i).astype(np.float64).reshape(-1, 1) for i in range(4)]
 
 
 def ddnnf_to_graph(graph: DdnnfGraph, var_capacity: int) -> FormulaGraph:
@@ -117,56 +122,27 @@ def param_name(layer: int, node_type: str) -> str:
 def init_know_encoder(config: KnowEncoderConfig, rng: np.random.Generator) -> ParamSet:
     values = {}
     for l, (fan_in, fan_out) in enumerate(layer_dims(config)):
-        scale = np.sqrt(2.0 / (fan_in + fan_out))
         for t in NODE_TYPES:
-            values[param_name(l, t)] = rng.normal(size=(fan_in, fan_out)) * scale
+            values[param_name(l, t)] = glorot(rng, fan_in, fan_out)
     return ParamSet(values)
-
-
-def _type_masks(fg: FormulaGraph) -> list[np.ndarray]:
-    return [(fg.node_types == i).astype(np.float64).reshape(-1, 1) for i in range(4)]
-
-
-def gcn_forward(fg: FormulaGraph, config: KnowEncoderConfig, params: ParamSet) -> np.ndarray:
-    """Node embeddings after all layers (numpy path, used for frozen E_F)."""
-    dims = layer_dims(config)
-    if fg.features.shape[1] != dims[0][0]:
-        raise ShapeError(f"feature width {fg.features.shape[1]} != encoder input {dims[0][0]}")
-    norm = fg.norm_adj()
-    masks = _type_masks(fg)
-    z = fg.features
-    n_layers = config.layers
-    for l in range(n_layers):
-        h = np.zeros((z.shape[0], dims[l][1]))
-        for ti, t in enumerate(NODE_TYPES):
-            h = h + masks[ti] * (z @ params.values[param_name(l, t)])
-        z = norm @ h
-        if l < n_layers - 1:
-            z = np.maximum(z, 0.0)
-    return z
 
 
 def gcn_forward_tape(
     tape: Tape, fg: FormulaGraph, config: KnowEncoderConfig, ids: dict[str, int]
 ) -> int:
-    norm = tape.leaf(fg.norm_adj())
-    masks = _type_masks(fg)
+    """Node embeddings after all layers, as one N x embed tape node."""
+    norm = tape.leaf(fg.norm)
     z = tape.leaf(fg.features)
     for l, (_, out_w) in enumerate(layer_dims(config)):
         h = None
         for ti, t in enumerate(NODE_TYPES):
             routed = tape.matmul(z, ids[param_name(l, t)])
-            masked = tape.hadamard(tape.broadcast_col(tape.leaf(masks[ti]), out_w), routed)
+            masked = tape.hadamard(tape.broadcast_col(tape.leaf(fg.masks[ti]), out_w), routed)
             h = masked if h is None else tape.add(h, masked)
         z = tape.matmul(norm, h)
         if l < config.layers - 1:
             z = tape.relu(z)
     return z
-
-
-def formula_embedding(node_embeddings: np.ndarray, fg: FormulaGraph) -> np.ndarray:
-    """The global node's row, as a 1 x h matrix."""
-    return node_embeddings[fg.global_index : fg.global_index + 1, :]
 
 
 def formula_embedding_tape(tape: Tape, z_id: int, fg: FormulaGraph) -> int:
@@ -176,15 +152,24 @@ def formula_embedding_tape(tape: Tape, z_id: int, fg: FormulaGraph) -> int:
     return tape.matmul(tape.leaf(selector), z_id)
 
 
+def embed_formulae(
+    graphs: list[FormulaGraph], config: KnowEncoderConfig, params: ParamSet
+) -> np.ndarray:
+    """One formula-embedding row per graph, read from one forward-only tape."""
+    tape = Tape()
+    ids = bind_params(tape, params)
+    rows = [
+        tape.value(formula_embedding_tape(tape, gcn_forward_tape(tape, fg, config, ids), fg))
+        for fg in graphs
+    ]
+    return np.vstack(rows) if rows else np.zeros((0, config.embed))
+
+
 def embed_knowledge_set(
     graphs: list[DdnnfGraph], config: KnowEncoderConfig, params: ParamSet
 ) -> np.ndarray:
     """E_F: one frozen embedding row per formula."""
-    rows = []
-    for g in graphs:
-        fg = ddnnf_to_graph(g, config.var_capacity)
-        rows.append(formula_embedding(gcn_forward(fg, config, params), fg))
-    return np.vstack(rows) if rows else np.zeros((0, config.embed))
+    return embed_formulae([ddnnf_to_graph(g, config.var_capacity) for g in graphs], config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +255,17 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
             graph_cache[key] = ddnnf_to_graph(assignment_graph(assignment), config.var_capacity)
         return graph_cache[key]
 
-    val_triples = []
+    val_graphs = []  # (formula, sat, unsat) triples, flattened
     for fg, sat, unsat in usable:
         for _ in range(config.val_pairs):
-            val_triples.append(
-                (fg, fg_of(sat[rng.integers(len(sat))]), fg_of(unsat[rng.integers(len(unsat))]))
-            )
+            fg_sat = fg_of(sat[rng.integers(len(sat))])
+            val_graphs += [fg, fg_sat, fg_of(unsat[rng.integers(len(unsat))])]
 
     def val_accuracy(p: ParamSet) -> float:
-        hits = 0
-        for fg, fg_sat, fg_unsat in val_triples:
-            e_f = formula_embedding(gcn_forward(fg, config, p), fg)
-            e_s = formula_embedding(gcn_forward(fg_sat, config, p), fg_sat)
-            e_u = formula_embedding(gcn_forward(fg_unsat, config, p), fg_unsat)
-            if ((e_f - e_s) ** 2).sum() < ((e_f - e_u) ** 2).sum():
-                hits += 1
-        return hits / len(val_triples)
+        e = embed_formulae(val_graphs, config, p)
+        e_f, e_s, e_u = e[0::3], e[1::3], e[2::3]
+        hits = ((e_f - e_s) ** 2).sum(axis=1) < ((e_f - e_u) ** 2).sum(axis=1)
+        return int(hits.sum()) / len(hits)
 
     result = PretrainResult(config, params.copy(), skipped=skipped)
     best_acc = val_accuracy(params)

@@ -26,9 +26,6 @@ class Proposition:
     predicate: str
     obj: str
 
-    def triple(self) -> tuple[str, str, str]:
-        return (self.subject, self.predicate, self.obj)
-
 
 class PropositionTable:
     """Interning table mapping (subject, predicate, object) triples to ids."""
@@ -45,9 +42,6 @@ class PropositionTable:
             self._by_triple[key] = prop
             self._by_id[prop.pid] = prop
         return prop.pid
-
-    def get(self, pid: int) -> Proposition:
-        return self._by_id[pid]
 
     def __len__(self) -> int:
         return len(self._by_triple)

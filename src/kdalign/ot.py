@@ -20,10 +20,6 @@ from .errors import NumericError, ShapeError
 METRICS = ("sqeuclidean", "cosine")
 
 
-def uniform_marginals(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(s, 1.0 / s), np.full(m, 1.0 / m)
-
-
 def _validate_marginal(w: np.ndarray, n: int, name: str) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
@@ -89,12 +85,6 @@ def sinkhorn(
     plan[np.ix_(rows, cols)] = plan_sub
     converged = bool(res_row <= tol and res_col <= tol)
     return TransportPlan(plan, float(res_row), float(res_col), int(iters), float(epsilon), converged)
-
-
-def ot_distance(C: np.ndarray, S: np.ndarray) -> float:
-    if C.shape != S.shape:
-        raise ShapeError(f"cost {C.shape} vs plan {S.shape}")
-    return float((C * S).sum())
 
 
 @dataclass

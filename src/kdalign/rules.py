@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import DataError, RuleSyntaxError
 
 PREDICATES = (">", ">=", "<", "<=", "=", "!=")
@@ -295,9 +296,8 @@ def load_rules(path) -> list[Rule]:
 
 
 def save_rules(rules: Sequence[Rule], path) -> None:
-    text = rules_to_json(rules) if str(path).endswith(".json") else rules_to_text(rules)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    json_file = str(path).endswith(".json")
+    write_atomic(path, rules_to_json(rules) if json_file else rules_to_text(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .atomic import write_atomic
 from .autodiff import ParamSet, Tape, accumulate_grads, bind_params
 from .config import SCHEMA, KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig, load_config
 from .config import render_value
@@ -157,19 +157,12 @@ def save_checkpoint(ck: ModelCheckpoint, path) -> None:
         ],
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
-        fh.write(meta_bytes)
-        for name, arr in tensors:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
-    os.replace(tmp, path)
+    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(meta_bytes)), meta_bytes]
+    for name, arr in tensors:
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<QQ", *arr.shape)]
+        parts.append(arr.astype("<f8").tobytes(order="C"))
+    write_atomic(path, b"".join(parts))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -398,8 +391,7 @@ def train(
                 f"Sinkhorn failed to converge in {failures}/{steps_per_epoch} batches"
             )
 
-        _, val_scores = forward_scores(X_val, model, params)
-        val_auprc = auprc(val_scores, y_val)
+        val_auprc = auprc(forward_scores(X_val, model, params), y_val)
         record = EpochRecord(
             epoch,
             lp_sum / steps_per_epoch,
@@ -439,13 +431,8 @@ def infer(ck: ModelCheckpoint, X: np.ndarray) -> np.ndarray:
     mean = ck.params["norm/mean"]
     std = ck.params["norm/std"]
     detector = ParamSet({k: v for k, v in ck.params.items() if k.startswith(("enc/", "head/"))})
-    _, scores = forward_scores((X - mean) / std, ck.model, detector)
-    return scores
+    return forward_scores((X - mean) / std, ck.model, detector)
 
 
 def write_training_log(log: list[EpochRecord], path) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in log:
-            fh.write(record.to_json() + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "".join(record.to_json() + "\n" for record in log))

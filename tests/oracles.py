@@ -5,7 +5,8 @@ enumeration, scalar loops, a Sinkhorn loop that re-measures its plan every
 iteration.  None of it shares code with the implementations under test,
 except that the unrolled Sinkhorn and the finite-difference gradient check
 are built from the tape's primitives, ``check_determinism`` evaluates
-d-DNNF nodes with ``eval_ddnnf`` and ``rec_at_k`` reads ``rec_at_k_detail``.
+d-DNNF nodes with ``eval_ddnnf``, ``rec_at_k`` reads ``rec_at_k_detail`` and
+``gcn_forward`` reads the GCN's parameter names and layer widths.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.ddnnf import K_OR, eval_ddnnf
 from kdalign.errors import DataError, ShapeError
 from kdalign.evaluate import rec_at_k_detail
+from kdalign.gcn import NODE_TYPES, layer_dims, param_name
 
 
 def eval_tree(node, assignment):
@@ -137,6 +139,34 @@ def exhaustive_best_split(values, labels, min_leaf=1):
         if imp < best[1]:
             best = ((sv[i] + sv[i + 1]) / 2.0, imp)
     return best
+
+
+def uniform_marginals(s, m):
+    return np.full(s, 1.0 / s), np.full(m, 1.0 / m)
+
+
+def ot_distance(C, S):
+    if C.shape != S.shape:
+        raise ShapeError(f"cost {C.shape} vs plan {S.shape}")
+    return float((C * S).sum())
+
+
+def gcn_forward(fg, config, params):
+    """Node embeddings of a FormulaGraph, in plain numpy: the bit-exact
+    reference of the tape forward."""
+    deg = fg.adj.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    norm = fg.adj * inv_sqrt[:, None] * inv_sqrt[None, :]
+    masks = [(fg.node_types == i).astype(np.float64).reshape(-1, 1) for i in range(4)]
+    z = fg.features
+    for l, (_, out_w) in enumerate(layer_dims(config)):
+        h = np.zeros((z.shape[0], out_w))
+        for ti, t in enumerate(NODE_TYPES):
+            h = h + masks[ti] * (z @ params.values[param_name(l, t)])
+        z = norm @ h
+        if l < config.layers - 1:
+            z = np.maximum(z, 0.0)
+    return z
 
 
 def sinkhorn_log_reference(M, log_mu, log_nu, mu, nu, max_iter, tol):

@@ -1,4 +1,6 @@
+import csv
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from kdalign import cli
-from kdalign.config import ModelConfig, load_config
+from kdalign.config import KnowEncoderConfig, ModelConfig, load_config
 from kdalign.encoders import init_encoder, init_head
 from kdalign.evaluate import load_csv
 from kdalign.rules import load_rules
@@ -245,6 +247,17 @@ def test_pretrain_without_a_rules_path_exits_1(tmp_path, capsys):
     assert line == "config error: [rules] path is required"
 
 
+def test_train_encoder_without_a_rules_path_exits_1(small_csv, tmp_path, capsys):
+    enc = tmp_path / "enc.kdal"
+    know = ModelCheckpoint({}, 0, know_encoder=KnowEncoderConfig(), e_f=np.ones((2, 16)))
+    save_checkpoint(know, enc)
+    argv = ["train", "--data.path", small_csv, "--encoder", enc, "--out", tmp_path / "run"]
+    code, line = run_one_line(argv, capsys)
+    assert code == 1
+    assert line == "config error: train --encoder needs the [rules] path of the encoder's rules"
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_echoes_the_data_path(small_csv, tmp_path):
     out = tmp_path / "run"
     argv = ["train", "--data.path", str(small_csv), "--out", str(out), "--train.epochs=1"]
@@ -288,6 +301,44 @@ def test_pipeline_smoke(small_csv, tmp_path, capsys):
         assert cli.main([str(a) for a in argv]) == 0
     retrained = (tmp_path / "b" / "checkpoint.kdal").read_bytes()
     assert retrained == (tmp_path / "a" / "checkpoint.kdal").read_bytes()
+
+
+def test_noise_study_rows_at_ratio_0_are_the_experiment_rows(small_csv, tmp_path, capsys):
+    fast = ["--data.path", small_csv, "--rules.max_depth=2", "--rules.min_leaf=5",
+            "--rules.feature_indices=2", "--eval.k_labeled=5", "--know_encoder.steps=5",
+            "--train.epochs=2", "--eval.seeds=0,1"]
+    argv = ["noise-study", *fast, "--eval.noise_ratios=0,0.2", "--out", tmp_path / "noise"]
+    capsys.readouterr()
+    assert cli.main([str(a) for a in argv]) == 0
+    summary = [line.split()[:2] for line in capsys.readouterr().out.splitlines() if "±" in line]
+    assert sorted(summary) == sorted(
+        [m, r] for m in ("kdalign", "baseline") for r in ("0.000000", "0.200000")
+    )
+    assert cli.main([str(a) for a in ["experiment", *fast, "--out", tmp_path / "exp"]]) == 0
+
+    def rows(path):
+        return list(csv.DictReader(path.read_text().splitlines()))
+
+    at_0 = [r for r in rows(tmp_path / "noise" / "noise_report.csv")
+            if r.pop("noise_ratio") == "0.000000"]
+    assert at_0 == rows(tmp_path / "exp" / "report.csv")
+
+
+def test_failed_write_keeps_the_old_file(small_csv, tmp_path, monkeypatch, capsys):
+    old_csv, old_rules = tmp_path / "old.csv", tmp_path / "old.rules"
+    old_csv.write_text("old csv\n")
+    old_rules.write_text("old rules\n")
+
+    def no_rename(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    for argv in (["synth-data", "--out", old_csv, "--n-normal", "50"],
+                 ["acquire-rules", "--data.path", small_csv, "--out", old_rules]):
+        code, line = run_one_line(argv, capsys)
+        assert code == 2 and "cannot rename" in line, line
+    assert old_csv.read_text() == "old csv\n" and old_rules.read_text() == "old rules\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "old.rules"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kdalign import encoders
 from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.config import ModelConfig
 from kdalign.encoders import (
@@ -27,6 +28,12 @@ def make_params(model, input_dim, seed=0):
     return ParamSet(values)
 
 
+def embed(x, model, params, **mode):
+    """E_X of one tape; ``mode`` passes train/dropout_seed to encode_tape."""
+    t = Tape()
+    return t.value(encode_tape(t, t.leaf(x), model, bind_params(t, params), **mode))
+
+
 class TestEncode:
     def test_embed_width(self):
         assert embed_width(ModelConfig(hidden=(6, 3), main_dim=9)) == 3
@@ -46,8 +53,8 @@ class TestEncode:
                            dropout_first=0.5, dropout_second=0.3)
         params = make_params(spec, 4, seed=1)
         x = np.random.default_rng(0).normal(size=(5, 4))
-        e1, s1 = forward_scores(x, spec, params)
-        e2, s2 = forward_scores(x, spec, params)
+        e1, s1 = embed(x, spec, params), forward_scores(x, spec, params)
+        e2, s2 = embed(x, spec, params), forward_scores(x, spec, params)
         assert (e1 == e2).all() and (s1 == s2).all()
 
     def test_resnet_zeroed_blocks_equal_stem(self):
@@ -56,7 +63,7 @@ class TestEncode:
         params.values["enc/block0/w2"][:] = 0.0
         params.values["enc/block0/b2"][:] = 0.0
         x = np.random.default_rng(1).normal(size=(7, 4))
-        e, _ = forward_scores(x, spec, params)
+        e = embed(x, spec, params)
         stem = x @ params.values["enc/stem_w"] + params.values["enc/stem_b"]
         np.testing.assert_allclose(e, stem, atol=1e-12)
 
@@ -64,9 +71,9 @@ class TestEncode:
         spec = ModelConfig(kind="resnet", hidden=(8,), blocks=1, main_dim=6, dropout_first=0.5)
         params = make_params(spec, 4, seed=3)
         x = np.random.default_rng(2).normal(size=(16, 4))
-        _, a = forward_scores(x, spec, params, train=True, dropout_seed=7)
-        _, b = forward_scores(x, spec, params, train=True, dropout_seed=7)
-        _, c = forward_scores(x, spec, params, train=True, dropout_seed=8)
+        a = embed(x, spec, params, train=True, dropout_seed=7)
+        b = embed(x, spec, params, train=True, dropout_seed=7)
+        c = embed(x, spec, params, train=True, dropout_seed=8)
         assert (a == b).all()
         assert not (a == c).all()
 
@@ -84,10 +91,22 @@ class TestEncode:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(9, 4))
         perm = rng.permutation(9)
-        e, s = forward_scores(x, spec, params)
-        ep, sp = forward_scores(x[perm], spec, params)
+        e, s = embed(x, spec, params), forward_scores(x, spec, params)
+        ep, sp = embed(x[perm], spec, params), forward_scores(x[perm], spec, params)
         np.testing.assert_allclose(ep, e[perm], atol=1e-12)
         np.testing.assert_allclose(sp, s[perm], atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_scoring_in_blocks_matches_one_tape(self, kind, monkeypatch):
+        # 3 full blocks and a 1-row remainder, which joins the last block
+        spec = ModelConfig(kind=kind, hidden=(8,), main_dim=16)
+        params = make_params(spec, 4, seed=6)
+        x = np.random.default_rng(7).normal(size=(3 * encoders.SCORE_CHUNK + 1, 4))
+        blocks = forward_scores(x, spec, params)
+        monkeypatch.setattr(encoders, "SCORE_CHUNK", x.shape[0])
+        one_tape = forward_scores(x, spec, params)
+        assert blocks.shape == (x.shape[0],)
+        assert blocks.tobytes() == one_tape.tobytes()
 
 
 class TestScore:

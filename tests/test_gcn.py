@@ -9,10 +9,8 @@ from kdalign.gcn import (
     NODE_TYPES,
     assignment_graph,
     ddnnf_to_graph,
+    embed_formulae,
     embed_knowledge_set,
-    formula_embedding,
-    formula_embedding_tape,
-    gcn_forward,
     gcn_forward_tape,
     init_know_encoder,
     layer_dims,
@@ -22,6 +20,7 @@ from kdalign.gcn import (
 from kdalign.gcn import FormulaGraph, TYPE_INDEX
 from kdalign.config import KnowEncoderConfig
 from kdalign.logic import CnfFormula, PropositionTable
+from oracles import gcn_forward
 
 
 def cnf_of(clauses, n_vars):
@@ -29,6 +28,12 @@ def cnf_of(clauses, n_vars):
     for i in range(n_vars):
         table.intern(f"p{i}", "is", "True")
     return CnfFormula([tuple(c) for c in clauses], table)
+
+
+def forward(fg, spec, params):
+    """Node embeddings of one graph from a forward-only tape."""
+    t = Tape()
+    return t.value(gcn_forward_tape(t, fg, spec, bind_params(t, params)))
 
 
 def homogeneous_params(spec, rng):
@@ -91,7 +96,7 @@ class TestForward:
 
     def test_single_node_identity(self):
         # one leaf plus global: check the 1-layer identity configuration on a
-        # hand-built single-node graph (self-loop only => norm_adj == 1); the
+        # hand-built single-node graph (self-loop only => norm == 1); the
         # features are padded with zeros to the 4 + var_capacity input width
         fg = FormulaGraph(
             node_types=np.array([TYPE_INDEX["leaf"]]),
@@ -102,7 +107,7 @@ class TestForward:
         )
         spec = KnowEncoderConfig(layers=1, embed=2, var_capacity=1)
         params = ParamSet({param_name(0, t): np.eye(5, 2) for t in NODE_TYPES})
-        out = gcn_forward(fg, spec, params)
+        out = forward(fg, spec, params)
         np.testing.assert_allclose(out, [[1.0, 2.0]], atol=1e-15)
 
     def test_two_node_average(self):
@@ -116,7 +121,7 @@ class TestForward:
             global_index=1,
         )
         params = ParamSet({param_name(0, t): np.eye(5, 2) for t in NODE_TYPES})
-        out = gcn_forward(fg, KnowEncoderConfig(layers=1, embed=2, var_capacity=1), params)
+        out = forward(fg, KnowEncoderConfig(layers=1, embed=2, var_capacity=1), params)
         np.testing.assert_allclose(out, [[1.0, 2.0], [1.0, 2.0]], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -134,7 +139,7 @@ class TestForward:
         fg = FormulaGraph(types, feats, adj, [() for _ in range(n)], global_index=n - 1)
         params = homogeneous_params(spec, rng)
 
-        out = gcn_forward(fg, spec, params)
+        out = forward(fg, spec, params)
 
         deg = adj.sum(axis=1)
         norm = np.diag(deg**-0.5) @ adj @ np.diag(deg**-0.5)
@@ -162,7 +167,7 @@ class TestForward:
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         fg = ddnnf_to_graph(g, spec.var_capacity)
         params = init_know_encoder(spec, rng)
-        base = formula_embedding(gcn_forward(fg, spec, params), fg)
+        base = embed_formulae([fg], spec, params)
 
         n = fg.adj.shape[0]
         perm = rng.permutation(n)
@@ -174,7 +179,7 @@ class TestForward:
             children=[tuple(int(inv[c]) for c in fg.children[p]) for p in perm],
             global_index=int(inv[fg.global_index]),
         )
-        permuted = formula_embedding(gcn_forward(fg2, spec, params), fg2)
+        permuted = embed_formulae([fg2], spec, params)
         np.testing.assert_allclose(permuted, base, atol=1e-10)
 
     def test_identical_formulae_identical_embeddings(self):
@@ -278,9 +283,7 @@ class TestPretrain:
         fg_p = ddnnf_to_graph(graphs[0], spec.var_capacity)
         fg_sat = ddnnf_to_graph(assignment_graph({1: True}), spec.var_capacity)
         fg_unsat = ddnnf_to_graph(assignment_graph({1: False}), spec.var_capacity)
-        e_p = formula_embedding(gcn_forward(fg_p, spec, result.params), fg_p)
-        e_s = formula_embedding(gcn_forward(fg_sat, spec, result.params), fg_sat)
-        e_u = formula_embedding(gcn_forward(fg_unsat, spec, result.params), fg_unsat)
+        e_p, e_s, e_u = embed_formulae([fg_p, fg_sat, fg_unsat], spec, result.params)
         assert ((e_p - e_s) ** 2).sum() < ((e_p - e_u) ** 2).sum()
 
     def test_heldout_accuracy_on_toy_corpus(self):

@@ -48,9 +48,11 @@ class TestRuleToFormula:
         assert antecedent.kind == "and"
         assert [c.pid for c in antecedent.children] == [1, 2]
         assert consequent.pid == 3
-        assert table.get(1).triple() == ("attr_1", ">", "5")
-        assert table.get(2).triple() == ("attr_2", "=", "0")
-        assert table.get(3).triple() == ("anomaly", "is", "True")
+        assert [(p.pid, p.subject, p.predicate, p.obj) for p in table.propositions()] == [
+            (1, "attr_1", ">", "5"),
+            (2, "attr_2", "=", "0"),
+            (3, "anomaly", "is", "True"),
+        ]
 
     def test_single_condition_degenerate(self):
         table = PropositionTable()

@@ -3,15 +3,15 @@ import pytest
 
 from kdalign.autodiff import ParamSet, Tape
 from kdalign.errors import NumericError, ShapeError
-from kdalign.ot import (
-    cost_matrix_tape,
-    extract_alignment,
+from kdalign.ot import cost_matrix_tape, extract_alignment, ot_loss_tape, sinkhorn
+from oracles import (
+    cost_matrix,
+    exact_ot_uniform,
+    grad_check,
     ot_distance,
-    ot_loss_tape,
-    sinkhorn,
+    sinkhorn_tape,
     uniform_marginals,
 )
-from oracles import cost_matrix, exact_ot_uniform, grad_check, sinkhorn_tape
 
 
 def tape_cost(e_f, e_x, metric="sqeuclidean"):

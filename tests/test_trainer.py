@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from kdalign.autodiff import ParamSet
+from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.config import KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig
 from kdalign.encoders import (
     bce_loss_tape,
@@ -18,7 +18,7 @@ from kdalign.encoders import (
 from kdalign.errors import ConfigError, DataError, NumericError
 from kdalign.evaluate import Dataset, split_dataset
 from kdalign.gcn import NODE_TYPES
-from kdalign.ot import cost_matrix_tape, uniform_marginals
+from kdalign.ot import cost_matrix_tape
 from kdalign.train import (
     MAGIC,
     Adam,
@@ -28,7 +28,7 @@ from kdalign.train import (
     save_checkpoint,
     train,
 )
-from oracles import checkpoints_equal, cost_matrix, grad_check, sinkhorn_tape
+from oracles import checkpoints_equal, cost_matrix, grad_check, sinkhorn_tape, uniform_marginals
 
 
 def toy_split(seed=0, n=400, with_rule_cluster=True):
@@ -297,7 +297,7 @@ class TestInfer:
             {k: v for k, v in ck.params.items() if k.startswith(("enc/", "head/"))}
         )
         Xn = (X - ck.params["norm/mean"]) / ck.params["norm/std"]
-        _, expected = forward_scores(Xn, model, detector)
+        expected = forward_scores(Xn, model, detector)
         np.testing.assert_array_equal(scores, expected)
 
     def test_width_mismatch(self):
@@ -330,7 +330,8 @@ class TestComposedGradient:
 
         # epsilon is held fixed across perturbations: the per-batch epsilon
         # recomputation is a detached scale choice, not a gradient path
-        e0, _ = forward_scores(X, model, params)
+        t0 = Tape()
+        e0 = t0.value(encode_tape(t0, t0.leaf(X), model, bind_params(t0, params)))
         eps = 0.3 * float(cost_matrix(e_f, e0).mean())
 
         def build(t, ids):
