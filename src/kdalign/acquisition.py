@@ -48,7 +48,10 @@ def fit_tree(X: np.ndarray, y: np.ndarray, config: RulesConfig) -> DecisionTree:
     Splits minimize weighted Gini impurity over midpoints of consecutive
     distinct sorted values; ties break to the lowest feature index, then the
     lowest threshold.  Recursion stops at max_depth, pure nodes, or when
-    min_leaf admits no candidate.
+    min_leaf admits no candidate.  Trees grow from presorted orders (SLIQ):
+    each candidate feature is stably sorted once per tree, and a split
+    partitions the node's per-feature row orders with one boolean mask,
+    which keeps every order stably sorted.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -68,37 +71,43 @@ def fit_tree(X: np.ndarray, y: np.ndarray, config: RulesConfig) -> DecisionTree:
         )
     else:
         candidates = tuple(range(n_features))
+    y_float = y.astype(np.float64)
+    in_left = np.zeros(X.shape[0], dtype=bool)
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        labels = y[idx]
+    def build(rows: np.ndarray, orders: dict[int, np.ndarray], depth: int) -> TreeNode:
+        labels = y[rows]
         counts = (int((labels == 0).sum()), int((labels == 1).sum()))
         node = TreeNode(counts=counts)
         if depth >= config.max_depth or counts[0] == 0 or counts[1] == 0:
             return node
-        best = None  # (impurity, feature, threshold, order, split_pos)
-        for f in candidates:
-            order = np.argsort(X[idx, f], kind="stable")
-            values = X[idx[order], f]
-            pos, impurity = kernels.best_split_scan(
-                values, labels[order].astype(np.float64), config.min_leaf
-            )
+        best = None  # (impurity, feature, threshold, split_pos)
+        for f, order in orders.items():
+            values = X[order, f]
+            pos, impurity = kernels.best_split_scan(values, y_float[order], config.min_leaf)
             if pos < 0:
                 continue
             threshold = (values[pos] + values[pos + 1]) / 2.0
             if best is None or impurity < best[0]:
-                best = (impurity, f, threshold, order, pos)
+                best = (impurity, f, threshold, pos)
         if best is None:
             return node
-        _, f, threshold, order, pos = best
+        _, f, threshold, pos = best
         node.feature = f
         node.threshold = float(threshold)
-        left_idx = idx[order[: pos + 1]]
-        right_idx = idx[order[pos + 1 :]]
-        node.left = build(np.sort(left_idx), depth + 1)
-        node.right = build(np.sort(right_idx), depth + 1)
+        left, right = orders[f][: pos + 1], orders[f][pos + 1 :]
+        left_orders, right_orders = {}, {}
+        if depth + 1 < config.max_depth:  # children at max_depth only count labels
+            in_left[left] = True
+            for g, order in orders.items():
+                goes_left = in_left[order]
+                left_orders[g], right_orders[g] = order[goes_left], order[~goes_left]
+            in_left[left] = False
+        node.left = build(left, left_orders, depth + 1)
+        node.right = build(right, right_orders, depth + 1)
         return node
 
-    root = build(np.arange(X.shape[0]), 0)
+    orders = {f: np.argsort(X[:, f], kind="stable") for f in candidates}
+    root = build(np.arange(X.shape[0]), orders, 0)
     return DecisionTree(root, config, candidates)
 
 

@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 A Tape records primitive applications append-only; ``backward`` runs one
-reverse topological sweep and returns exact adjoints for every node.  Every
-value is a 2-D float64 array (scalars are 1x1); there is no implicit
-broadcasting beyond the explicit broadcast_row / broadcast_col primitives.
-The only saturating primitive is the eps-shifted log.
+reverse topological sweep and returns exact adjoints for every node that a
+differentiable ``leaf`` reaches.  Data, graphs and other fixed inputs are
+recorded with ``constant``: they take no gradient, so backward neither
+computes nor stores an adjoint for them or for any node that only constants
+reach, and returns None there.  Every value is a 2-D float64 array (scalars
+are 1x1); there is no implicit broadcasting beyond the explicit
+broadcast_row / broadcast_col primitives.  The only saturating primitive is
+the eps-shifted log.
 """
 
 from __future__ import annotations
@@ -38,13 +42,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Record:
-    op: str
-    inputs: tuple[int, ...]
-    aux: object = None
-
-
 class Tape:
     """Append-only record of primitive applications.
 
@@ -55,7 +52,8 @@ class Tape:
 
     def __init__(self):
         self._values: list[np.ndarray] = []
-        self._records: list[_Record] = []
+        self._records: list[tuple[str, tuple[int, ...], object]] = []  # (op, inputs, aux)
+        self._grad: list[bool] = []  # does a differentiable leaf reach the node?
 
     def __len__(self) -> int:
         return len(self._values)
@@ -64,12 +62,28 @@ class Tape:
         return self._values[nid]
 
     def _push(self, value: np.ndarray, op: str, inputs: tuple[int, ...], aux=None) -> int:
+        need = False
+        for i in inputs:
+            if self._grad[i]:
+                need = True
+                break
         self._values.append(value)
-        self._records.append(_Record(op, inputs, aux))
+        self._records.append((op, inputs, aux))
+        self._grad.append(need)
         return len(self._values) - 1
 
-    def leaf(self, value) -> int:
-        return self._push(as_matrix(value).copy(), "leaf", ())
+    def leaf(self, value, copy: bool = True) -> int:
+        """A differentiable input.  ``copy=False`` records the array itself,
+        which then must not be written to while the tape is in use."""
+        value = as_matrix(value)
+        nid = self._push(value.copy() if copy else value, "leaf", ())
+        self._grad[nid] = True
+        return nid
+
+    def constant(self, value) -> int:
+        """An input that takes no gradient, recorded without a copy: the
+        array must not be written to while the tape is in use."""
+        return self._push(as_matrix(value), "constant", ())
 
     # -- primitives ---------------------------------------------------------
 
@@ -136,9 +150,6 @@ class Tape:
     def reduce_mean(self, a: int) -> int:
         return self._push(np.array([[self._values[a].mean()]]), "reduce_mean", (a,))
 
-    def softplus(self, a: int) -> int:
-        return self._push(np.logaddexp(0.0, self._values[a]), "softplus", (a,))
-
     def concat_rows(self, ids: list[int]) -> int:
         vals = [self._values[i] for i in ids]
         cols = {v.shape[1] for v in vals}
@@ -156,15 +167,17 @@ class Tape:
         return self.col_sum(self.row_sum(a))
 
     def scalar(self, value: float) -> int:
-        return self.leaf(np.array([[float(value)]]))
+        return self.constant(np.array([[float(value)]]))
 
     # -- reverse sweep ------------------------------------------------------
 
     def backward(self, loss: int) -> list[np.ndarray | None]:
         """Adjoints of every node with respect to a scalar loss node.
 
-        Returns a list indexed by node id; entries are None for nodes the
-        loss does not depend on.  The adjoints may share memory: a node's
+        Returns a list indexed by node id.  The loss always gets its own
+        adjoint (ones); every other entry is None for nodes the loss does not
+        depend on, for constants and for nodes that only constants reach, none
+        of which backward computes.  The adjoints may share memory: a node's
         first gradient contribution is stored as is (``add`` hands its own
         adjoint to both inputs, ``transpose`` and ``concat_rows`` hand views
         of it), and later contributions are added out of place.  Treat every
@@ -172,66 +185,76 @@ class Tape:
         """
         if self._values[loss].shape != (1, 1):
             raise ShapeError(f"loss node must be 1x1, got {self._values[loss].shape}")
-        values, records = self._values, self._records
+        values, records, grad = self._values, self._records, self._grad
         adj: list[np.ndarray | None] = [None] * len(values)
         adj[loss] = np.ones((1, 1))
+        if not grad[loss]:
+            return adj
         for nid in range(loss, -1, -1):
             g = adj[nid]
             if g is None:
                 continue
-            rec = records[nid]
-            if rec.op == "leaf":
+            op, inputs, aux = records[nid]
+            if op == "leaf":
                 continue
-            for target, grad in _BACKWARD[rec.op](values, rec, nid, g):
+            for target, contrib in _BACKWARD[op](values, grad, inputs, aux, nid, g):
                 prev = adj[target]
-                adj[target] = grad if prev is None else prev + grad
+                adj[target] = contrib if prev is None else prev + contrib
         return adj
 
 
 # ---------------------------------------------------------------------------
-# Backward rules: (forward values, record, node id, node adjoint) -> the
-# (input id, gradient contribution) pairs, in input order.
+# Backward rules: (values, needs-gradient flags, inputs, aux, node id, node
+# adjoint) -> (input id, contribution) pairs, in input order, for the inputs
+# that need a gradient (a swept unary node's input always does).
 # ---------------------------------------------------------------------------
 
 
-def _matmul_bw(vals, rec, nid, g):
-    a, b = rec.inputs
-    return (a, g @ vals[b].T), (b, vals[a].T @ g)
+def _matmul_bw(vals, grad, inputs, aux, nid, g):
+    a, b = inputs
+    if grad[a]:
+        yield a, g @ vals[b].T
+    if grad[b]:
+        yield b, vals[a].T @ g
 
 
-def _add_bw(vals, rec, nid, g):
-    a, b = rec.inputs
-    return (a, g), (b, g)
+def _add_bw(vals, grad, inputs, aux, nid, g):
+    return ((i, g) for i in inputs if grad[i])
 
 
-def _sub_bw(vals, rec, nid, g):
-    a, b = rec.inputs
-    return (a, g), (b, -g)
+def _sub_bw(vals, grad, inputs, aux, nid, g):
+    a, b = inputs
+    if grad[a]:
+        yield a, g
+    if grad[b]:
+        yield b, -g
 
 
-def _hadamard_bw(vals, rec, nid, g):
-    a, b = rec.inputs
-    return (a, g * vals[b]), (b, g * vals[a])
+def _hadamard_bw(vals, grad, inputs, aux, nid, g):
+    a, b = inputs
+    if grad[a]:
+        yield a, g * vals[b]
+    if grad[b]:
+        yield b, g * vals[a]
 
 
-def _concat_rows_bw(vals, rec, nid, g):
-    out = []
+def _concat_rows_bw(vals, grad, inputs, aux, nid, g):
     start = 0
-    for target in rec.inputs:
+    for target in inputs:
         rows = vals[target].shape[0]
-        out.append((target, g[start : start + rows]))
+        if grad[target]:
+            yield target, g[start : start + rows]
         start += rows
-    return out
 
 
-def _reduce_mean_bw(vals, rec, nid, g):
-    x = rec.inputs[0]
+def _reduce_mean_bw(vals, grad, inputs, aux, nid, g):
+    x = inputs[0]
     return ((x, np.full(vals[x].shape, g[0, 0] / vals[x].size)),)
 
 
-def _sigmoid_bw(vals, rec, nid, g):
+def _sigmoid_bw(vals, grad, inputs, aux, nid, g):
     s = vals[nid]
-    return ((rec.inputs[0], g * s * (1.0 - s)),)
+    return ((inputs[0], g * s * (1.0 - s)),)
 
 
 _BACKWARD = {
@@ -242,29 +265,31 @@ _BACKWARD = {
     "concat_rows": _concat_rows_bw,
     "reduce_mean": _reduce_mean_bw,
     "sigmoid": _sigmoid_bw,
-    "smul": lambda vals, rec, nid, g: ((rec.inputs[0], g * rec.aux),),
-    "exp": lambda vals, rec, nid, g: ((rec.inputs[0], g * vals[nid]),),
-    "log": lambda vals, rec, nid, g: ((rec.inputs[0], g / (vals[rec.inputs[0]] + LOG_SHIFT)),),
-    "relu": lambda vals, rec, nid, g: ((rec.inputs[0], g * (vals[rec.inputs[0]] > 0.0)),),
-    "row_sum": lambda vals, rec, nid, g: (
-        (rec.inputs[0], np.repeat(g, vals[rec.inputs[0]].shape[1], axis=1)),
+    "smul": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g * aux),),
+    "exp": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g * vals[nid]),),
+    "log": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g / (vals[inputs[0]] + LOG_SHIFT)),),
+    "relu": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g * (vals[inputs[0]] > 0.0)),),
+    "row_sum": lambda vals, grad, inputs, aux, nid, g: (
+        (inputs[0], np.repeat(g, vals[inputs[0]].shape[1], axis=1)),
     ),
-    "col_sum": lambda vals, rec, nid, g: (
-        (rec.inputs[0], np.repeat(g, vals[rec.inputs[0]].shape[0], axis=0)),
+    "col_sum": lambda vals, grad, inputs, aux, nid, g: (
+        (inputs[0], np.repeat(g, vals[inputs[0]].shape[0], axis=0)),
     ),
-    "broadcast_row": lambda vals, rec, nid, g: ((rec.inputs[0], g.sum(axis=0, keepdims=True)),),
-    "broadcast_col": lambda vals, rec, nid, g: ((rec.inputs[0], g.sum(axis=1, keepdims=True)),),
-    "transpose": lambda vals, rec, nid, g: ((rec.inputs[0], g.T),),
-    "square": lambda vals, rec, nid, g: ((rec.inputs[0], 2.0 * g * vals[rec.inputs[0]]),),
-    "softplus": lambda vals, rec, nid, g: (
-        (rec.inputs[0], g * stable_sigmoid(vals[rec.inputs[0]])),
-    ),
+    "broadcast_row": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g.sum(axis=0, keepdims=True)),),
+    "broadcast_col": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g.sum(axis=1, keepdims=True)),),
+    "transpose": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g.T),),
+    "square": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], 2.0 * g * vals[inputs[0]]),),
 }
 
 
 @dataclass
 class ParamSet:
-    """Named parameter matrices with a parallel gradient map."""
+    """Named parameter matrices with a parallel gradient map.
+
+    ``bind_params`` records the value arrays on a tape without copying them,
+    so an update must replace ``values[name]`` with a new array, as Adam and
+    the pretraining step do, and never write into it.
+    """
 
     values: dict[str, np.ndarray]
     grads: dict[str, np.ndarray] = field(default_factory=dict)
@@ -282,7 +307,7 @@ class ParamSet:
 
 
 def bind_params(tape: Tape, params: ParamSet) -> dict[str, int]:
-    return {name: tape.leaf(value) for name, value in params.values.items()}
+    return {name: tape.leaf(value, copy=False) for name, value in params.values.items()}
 
 
 def accumulate_grads(params: ParamSet, ids: dict[str, int], adjoints) -> None:

@@ -194,6 +194,10 @@ def cmd_train(args) -> int:
         if pre.e_f is None or pre.know_encoder is None:
             raise DataError(f"{args.encoder}: not a knowledge-encoder checkpoint")
         rules = load_rules(rules_path)
+        if len(rules) != pre.e_f.shape[0]:
+            raise ConfigError(
+                f"{rules_path} has {len(rules)} rules but {args.encoder} embeds {pre.e_f.shape[0]}"
+            )
         e_f, know, know_params = pre.e_f, pre.know_encoder, pre.params
     elif rules_path:
         knowledge = build_knowledge(data, cfg)

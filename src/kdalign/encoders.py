@@ -76,7 +76,7 @@ def _dropout(tape: Tape, x: int, rate: float, seed_parts: tuple[int, ...]) -> in
     shape = tape.value(x).shape
     rng = np.random.default_rng(seed_parts)
     mask = (rng.random(shape) >= rate) / (1.0 - rate)
-    return tape.hadamard(x, tape.leaf(mask))
+    return tape.hadamard(x, tape.constant(mask))
 
 
 def encode_tape(
@@ -136,8 +136,8 @@ def bce_loss_tape(tape: Tape, scores_id: int, labels: np.ndarray) -> int:
     m = tape.value(scores_id).shape[0]
     if y.shape[0] != m:
         raise ShapeError(f"{y.shape[0]} labels for {m} scores")
-    y_id = tape.leaf(y)
-    one = tape.leaf(np.ones((m, 1)))
+    y_id = tape.constant(y)
+    one = tape.constant(np.ones((m, 1)))
     pos = tape.hadamard(y_id, tape.log(scores_id))
     neg = tape.hadamard(tape.sub(one, y_id), tape.log(tape.sub(one, scores_id)))
     return tape.smul(tape.reduce_mean(tape.add(pos, neg)), -1.0)
@@ -167,12 +167,12 @@ def deviation_loss_tape(
     m = tape.value(scores_id).shape[0]
     if y.shape[0] != m:
         raise ShapeError(f"{y.shape[0]} labels for {m} scores")
-    mean_const = tape.leaf(np.full((m, 1), prior_mean))
+    mean_const = tape.constant(np.full((m, 1), prior_mean))
     dev = tape.smul(tape.sub(scores_id, mean_const), 1.0 / prior_std)
     abs_dev = tape.add(tape.relu(dev), tape.relu(tape.smul(dev, -1.0)))
-    margin_term = tape.relu(tape.sub(tape.leaf(np.full((m, 1), margin)), dev))
-    y_id = tape.leaf(y)
-    one = tape.leaf(np.ones((m, 1)))
+    margin_term = tape.relu(tape.sub(tape.constant(np.full((m, 1), margin)), dev))
+    y_id = tape.constant(y)
+    one = tape.constant(np.ones((m, 1)))
     inlier = tape.hadamard(tape.sub(one, y_id), abs_dev)
     outlier = tape.hadamard(y_id, margin_term)
     return tape.reduce_mean(tape.add(inlier, outlier))
@@ -191,6 +191,6 @@ def forward_scores(X: np.ndarray, model: ModelConfig, params: ParamSet) -> np.nd
     for block in np.split(X, range(SCORE_CHUNK, X.shape[0] - 1, SCORE_CHUNK)):
         tape = Tape()
         ids = bind_params(tape, params)
-        e_id = encode_tape(tape, tape.leaf(block), model, ids)
+        e_id = encode_tape(tape, tape.constant(block), model, ids)
         scores.append(tape.value(score_tape(tape, e_id, model, ids)).reshape(-1))
     return np.concatenate(scores)

@@ -44,11 +44,18 @@ class FormulaGraph:
     global_index: int
     norm: np.ndarray = field(init=False)  # D^-1/2 adj D^-1/2
     masks: list[np.ndarray] = field(init=False)  # one N x 1 mask per node type
+    selectors: np.ndarray = field(init=False)  # N x N identity: selectors[i : i + 1] @ z = z[i]
+    child_means: list[np.ndarray | None] = field(init=False)  # 1 x N: child mean row, or None
 
     def __post_init__(self):
         inv_sqrt = 1.0 / np.sqrt(self.adj.sum(axis=1))
         self.norm = self.adj * inv_sqrt[:, None] * inv_sqrt[None, :]
         self.masks = [(self.node_types == i).astype(np.float64).reshape(-1, 1) for i in range(4)]
+        self.selectors = np.eye(len(self.node_types))
+        self.child_means = [
+            self.selectors[list(kids)].mean(axis=0, keepdims=True) if kids else None
+            for kids in self.children
+        ]
 
 
 def ddnnf_to_graph(graph: DdnnfGraph, var_capacity: int) -> FormulaGraph:
@@ -131,13 +138,13 @@ def gcn_forward_tape(
     tape: Tape, fg: FormulaGraph, config: KnowEncoderConfig, ids: dict[str, int]
 ) -> int:
     """Node embeddings after all layers, as one N x embed tape node."""
-    norm = tape.leaf(fg.norm)
-    z = tape.leaf(fg.features)
+    norm = tape.constant(fg.norm)
+    z = tape.constant(fg.features)
     for l, (_, out_w) in enumerate(layer_dims(config)):
         h = None
         for ti, t in enumerate(NODE_TYPES):
             routed = tape.matmul(z, ids[param_name(l, t)])
-            masked = tape.hadamard(tape.broadcast_col(tape.leaf(fg.masks[ti]), out_w), routed)
+            masked = tape.hadamard(tape.broadcast_col(tape.constant(fg.masks[ti]), out_w), routed)
             h = masked if h is None else tape.add(h, masked)
         z = tape.matmul(norm, h)
         if l < config.layers - 1:
@@ -146,10 +153,11 @@ def gcn_forward_tape(
 
 
 def formula_embedding_tape(tape: Tape, z_id: int, fg: FormulaGraph) -> int:
-    n = tape.value(z_id).shape[0]
-    selector = np.zeros((1, n))
-    selector[0, fg.global_index] = 1.0
-    return tape.matmul(tape.leaf(selector), z_id)
+    return _node_row(tape, fg, fg.global_index, z_id)
+
+
+def _node_row(tape: Tape, fg: FormulaGraph, i: int, z_id: int) -> int:
+    return tape.matmul(tape.constant(fg.selectors[i : i + 1]), z_id)
 
 
 def embed_formulae(
@@ -325,28 +333,21 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
 
 def _structure_penalties(tape: Tape, fg: FormulaGraph, z_id: int):
     """AND: squared distance of node to child mean.  OR: (spread - 1)^2."""
-    n = tape.value(z_id).shape[0]
     and_total, or_total = None, None
     n_and = n_or = 0
     for i, kids in enumerate(fg.children):
         if not kids:
             continue
-        sel_node = np.zeros((1, n))
-        sel_node[0, i] = 1.0
-        mean_row = np.zeros((1, n))
-        mean_row[0, list(kids)] = 1.0 / len(kids)
-        z_mean = tape.matmul(tape.leaf(mean_row), z_id)
+        z_mean = tape.matmul(tape.constant(fg.child_means[i]), z_id)
         if fg.node_types[i] == TYPE_INDEX["and"]:
-            z_node = tape.matmul(tape.leaf(sel_node), z_id)
+            z_node = _node_row(tape, fg, i, z_id)
             pen = tape.row_sum(tape.square(tape.sub(z_node, z_mean)))
             and_total = pen if and_total is None else tape.add(and_total, pen)
             n_and += 1
         elif fg.node_types[i] == TYPE_INDEX["or"]:
             spread = None
             for c in kids:
-                sel_c = np.zeros((1, n))
-                sel_c[0, c] = 1.0
-                z_c = tape.matmul(tape.leaf(sel_c), z_id)
+                z_c = _node_row(tape, fg, c, z_id)
                 d = tape.row_sum(tape.square(tape.sub(z_c, z_mean)))
                 spread = d if spread is None else tape.add(spread, d)
             spread = tape.smul(spread, 1.0 / len(kids))

@@ -112,9 +112,9 @@ def cost_matrix_tape(tape: Tape, e_f: np.ndarray, e_x_id: int, metric: str = "sq
     s = e_f.shape[0]
     m = tape.value(e_x_id).shape[0]
     if metric == "sqeuclidean":
-        f_sq = tape.leaf((e_f**2).sum(axis=1, keepdims=True))  # s x 1
+        f_sq = tape.constant((e_f**2).sum(axis=1, keepdims=True))  # s x 1
         x_sq = tape.row_sum(tape.square(e_x_id))  # m x 1
-        cross = tape.matmul(tape.leaf(e_f), tape.transpose(e_x_id))  # s x m
+        cross = tape.matmul(tape.constant(e_f), tape.transpose(e_x_id))  # s x m
         out = tape.add(
             tape.broadcast_col(f_sq, m),
             tape.broadcast_row(tape.transpose(x_sq), s),
@@ -123,15 +123,15 @@ def cost_matrix_tape(tape: Tape, e_f: np.ndarray, e_x_id: int, metric: str = "sq
     if metric == "cosine":
         norms = np.linalg.norm(e_f, axis=1, keepdims=True)
         nf = e_f / np.maximum(norms, 1e-30)
-        cross = tape.matmul(tape.leaf(nf), tape.transpose(e_x_id))  # s x m
+        cross = tape.matmul(tape.constant(nf), tape.transpose(e_x_id))  # s x m
         # 1/|e_x| per row via exp(-0.5 log(|e_x|^2)); the shifted log guards 0
         inv_norm = tape.exp(tape.smul(tape.log(tape.row_sum(tape.square(e_x_id))), -0.5))
         sim = tape.hadamard(cross, tape.broadcast_row(tape.transpose(inv_norm), s))
-        ones = tape.leaf(np.ones((s, m)))
+        ones = tape.constant(np.ones((s, m)))
         return tape.relu(tape.sub(ones, sim))
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
 def ot_loss_tape(tape: Tape, c_id: int, plan: np.ndarray) -> int:
     """<C, S> with the plan held constant (envelope-style gradient via C)."""
-    return tape.full_sum(tape.hadamard(c_id, tape.leaf(plan)))
+    return tape.full_sum(tape.hadamard(c_id, tape.constant(plan)))

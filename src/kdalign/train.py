@@ -345,7 +345,7 @@ def train(
 
             tape = Tape()
             ids = bind_params(tape, params)
-            x_id = tape.leaf(xb)
+            x_id = tape.constant(xb)
             e_id = encode_tape(
                 tape, x_id, model, ids, train=True, dropout_seed=(config.seed, global_step)
             )

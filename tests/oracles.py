@@ -5,8 +5,9 @@ enumeration, scalar loops, a Sinkhorn loop that re-measures its plan every
 iteration.  None of it shares code with the implementations under test,
 except that the unrolled Sinkhorn and the finite-difference gradient check
 are built from the tape's primitives, ``check_determinism`` evaluates
-d-DNNF nodes with ``eval_ddnnf``, ``rec_at_k`` reads ``rec_at_k_detail`` and
-``gcn_forward`` reads the GCN's parameter names and layer widths.
+d-DNNF nodes with ``eval_ddnnf``, ``rec_at_k`` reads ``rec_at_k_detail``,
+``gcn_forward`` reads the GCN's parameter names and layer widths, and
+``fit_tree_argsort`` runs the Gini split kernel ``best_split_scan``.
 """
 
 import itertools
@@ -14,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kdalign.acquisition import TreeNode
 from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.ddnnf import K_OR, eval_ddnnf
 from kdalign.errors import DataError, ShapeError
 from kdalign.evaluate import rec_at_k_detail
 from kdalign.gcn import NODE_TYPES, layer_dims, param_name
+from kdalign.kernels import best_split_scan
 
 
 def eval_tree(node, assignment):
@@ -299,6 +302,53 @@ def tree_depth(node):
     if node.is_leaf:
         return 0
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def fit_tree_argsort(X, y, config):
+    """``fit_tree`` as it was before presorting: a fresh stable argsort of the
+    node's rows for every node and candidate feature.  Same split kernel and
+    candidate draw; returns the root ``TreeNode``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    rng = np.random.default_rng(config.seed)
+    n_features = X.shape[1]
+    if config.feature_indices:
+        candidates = tuple(sorted(config.feature_indices))
+    elif 0 < config.feature_subsample < n_features:
+        candidates = tuple(
+            sorted(rng.choice(n_features, size=config.feature_subsample, replace=False))
+        )
+    else:
+        candidates = tuple(range(n_features))
+
+    def build(idx, depth):
+        labels = y[idx]
+        counts = (int((labels == 0).sum()), int((labels == 1).sum()))
+        node = TreeNode(counts=counts)
+        if depth >= config.max_depth or counts[0] == 0 or counts[1] == 0:
+            return node
+        best = None  # (impurity, feature, threshold, order, split_pos)
+        for f in candidates:
+            order = np.argsort(X[idx, f], kind="stable")
+            values = X[idx[order], f]
+            pos, impurity = best_split_scan(
+                values, labels[order].astype(np.float64), config.min_leaf
+            )
+            if pos < 0:
+                continue
+            threshold = (values[pos] + values[pos + 1]) / 2.0
+            if best is None or impurity < best[0]:
+                best = (impurity, f, threshold, order, pos)
+        if best is None:
+            return node
+        _, f, threshold, order, pos = best
+        node.feature = f
+        node.threshold = float(threshold)
+        node.left = build(np.sort(idx[order[: pos + 1]]), depth + 1)
+        node.right = build(np.sort(idx[order[pos + 1 :]]), depth + 1)
+        return node
+
+    return build(np.arange(X.shape[0]), 0)
 
 
 def rec_at_k(scores, labels):

@@ -11,7 +11,7 @@ from kdalign.acquisition import (
 )
 from kdalign.rules import any_rule_mask, rule_match_mask
 from kdalign.config import RulesConfig
-from oracles import exhaustive_best_split, gini, tree_depth
+from oracles import exhaustive_best_split, fit_tree_argsort, gini, tree_depth
 
 
 def separable_1d():
@@ -73,6 +73,48 @@ class TestFitTree:
     def test_empty_dataset(self):
         with pytest.raises(Exception, match="nonempty"):
             fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=int), RulesConfig())
+
+
+def _tree_signature(node):
+    """(feature, threshold bits, counts) of every node, in preorder."""
+    here = (node.feature, float(node.threshold).hex(), node.counts)
+    if node.is_leaf:
+        return here
+    return here, _tree_signature(node.left), _tree_signature(node.right)
+
+
+class TestPresortedTrees:
+    """Growing from presorted orders gives the trees of a fresh stable argsort
+    per node, node for node, also with tied values and bootstrap duplicates."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "max_depth,min_leaf,feature_subsample,feature_indices",
+        [(1, 1, 0, ()), (3, 1, 0, ()), (4, 3, 2, ()), (6, 1, 3, ()), (8, 5, 0, ()),
+         (5, 2, 0, (1, 2, 4))],
+    )
+    def test_matches_argsort_per_node(
+        self, seed, max_depth, min_leaf, feature_subsample, feature_indices
+    ):
+        rng = np.random.default_rng(seed)
+        n = 300
+        X = np.column_stack([
+            rng.integers(0, 4, n),  # few distinct values: long runs of ties
+            rng.integers(0, 12, n),
+            np.round(rng.normal(size=n), 1),
+            rng.normal(size=n),
+            np.zeros(n),  # one value only: never splits
+        ]).astype(np.float64)
+        y = (((X[:, 0] >= 2) & (X[:, 2] > -0.3)) | (rng.random(n) < 0.15)).astype(int)
+        sample = rng.integers(0, n, size=n)  # bootstrap: duplicated rows
+        X, y = X[sample], y[sample]
+        config = RulesConfig(
+            max_depth=max_depth, min_leaf=min_leaf, feature_subsample=feature_subsample,
+            feature_indices=feature_indices, seed=seed,
+        )
+        tree = fit_tree(X, y, config)
+        assert not tree.root.is_leaf
+        assert _tree_signature(tree.root) == _tree_signature(fit_tree_argsort(X, y, config))
 
 
 class TestExtractPaths:

@@ -11,7 +11,7 @@ from kdalign import cli
 from kdalign.config import KnowEncoderConfig, ModelConfig, load_config
 from kdalign.encoders import init_encoder, init_head
 from kdalign.evaluate import load_csv
-from kdalign.rules import load_rules
+from kdalign.rules import Condition, Rule, load_rules, save_rules
 from kdalign.train import MAGIC, VERSION, ModelCheckpoint, infer, load_checkpoint, save_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,6 +255,19 @@ def test_train_encoder_without_a_rules_path_exits_1(small_csv, tmp_path, capsys)
     code, line = run_one_line(argv, capsys)
     assert code == 1
     assert line == "config error: train --encoder needs the [rules] path of the encoder's rules"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_encoder_with_another_rule_count_exits_1(small_csv, tmp_path, capsys):
+    enc, rules = tmp_path / "enc.kdal", tmp_path / "two.rules"
+    know = ModelCheckpoint({}, 0, know_encoder=KnowEncoderConfig(), e_f=np.ones((3, 16)))
+    save_checkpoint(know, enc)
+    save_rules([Rule(f"r{i}", [Condition("x0", ">", float(i))], True) for i in range(2)], rules)
+    argv = ["train", "--data.path", small_csv, "--rules.path", rules, "--encoder", enc,
+            "--out", tmp_path / "run"]
+    code, line = run_one_line(argv, capsys)
+    assert code == 1
+    assert line == f"config error: {rules} has 2 rules but {enc} embeds 3"
     assert not (tmp_path / "run").exists()
 
 
