@@ -150,13 +150,6 @@ class Tape:
     def reduce_mean(self, a: int) -> int:
         return self._push(np.array([[self._values[a].mean()]]), "reduce_mean", (a,))
 
-    def concat_rows(self, ids: list[int]) -> int:
-        vals = [self._values[i] for i in ids]
-        cols = {v.shape[1] for v in vals}
-        if len(cols) != 1:
-            raise ShapeError(f"concat_rows with mixed column counts {cols}")
-        return self._push(np.vstack(vals), "concat_rows", tuple(ids))
-
     def _check_same_shape(self, a: int, b: int, op: str) -> None:
         if self._values[a].shape != self._values[b].shape:
             raise ShapeError(f"{op} {self._values[a].shape} vs {self._values[b].shape}")
@@ -179,9 +172,9 @@ class Tape:
         depend on, for constants and for nodes that only constants reach, none
         of which backward computes.  The adjoints may share memory: a node's
         first gradient contribution is stored as is (``add`` hands its own
-        adjoint to both inputs, ``transpose`` and ``concat_rows`` hand views
-        of it), and later contributions are added out of place.  Treat every
-        returned array as read-only.
+        adjoint to both inputs, ``transpose`` hands a view of it), and later
+        contributions are added out of place.  Treat every returned array as
+        read-only.
         """
         if self._values[loss].shape != (1, 1):
             raise ShapeError(f"loss node must be 1x1, got {self._values[loss].shape}")
@@ -238,15 +231,6 @@ def _hadamard_bw(vals, grad, inputs, aux, nid, g):
         yield b, g * vals[a]
 
 
-def _concat_rows_bw(vals, grad, inputs, aux, nid, g):
-    start = 0
-    for target in inputs:
-        rows = vals[target].shape[0]
-        if grad[target]:
-            yield target, g[start : start + rows]
-        start += rows
-
-
 def _reduce_mean_bw(vals, grad, inputs, aux, nid, g):
     x = inputs[0]
     return ((x, np.full(vals[x].shape, g[0, 0] / vals[x].size)),)
@@ -262,7 +246,6 @@ _BACKWARD = {
     "add": _add_bw,
     "sub": _sub_bw,
     "hadamard": _hadamard_bw,
-    "concat_rows": _concat_rows_bw,
     "reduce_mean": _reduce_mean_bw,
     "sigmoid": _sigmoid_bw,
     "smul": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g * aux),),

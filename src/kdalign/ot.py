@@ -1,10 +1,10 @@
 """Entropic optimal transport between knowledge and data embeddings.
 
-``sinkhorn`` runs the log-domain Sinkhorn-Knopp solver
-(:func:`kdalign.kernels.sinkhorn_log`), returning the plan with its marginal
-residuals.  ``cost_matrix_tape`` builds the cost between E_F and a batch's
-embeddings on the tape; the loss holds the plan constant.  The alignment
-maps every sample to its argmax rule.
+``sinkhorn`` runs the Sinkhorn-Knopp solver in the scaling domain, or in the
+log domain where the cost range would underflow the scaling kernel, and
+returns the plan with its marginal residuals.  ``cost_matrix_tape`` builds
+the cost between E_F and a batch's embeddings on the tape; the loss holds
+the plan constant.  The alignment maps every sample to its argmax rule.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .autodiff import Tape
 from .errors import NumericError, ShapeError
 
 METRICS = ("sqeuclidean", "cosine")
+
+SCALING_RANGE = 600.0
+"""Widest ``max M - min M`` (M = -C/epsilon) solved in the scaling domain:
+exp(-600) ~ 2.7e-261 leaves about 47 decades above the smallest normal double."""
 
 
 def _validate_marginal(w: np.ndarray, n: int, name: str) -> np.ndarray:
@@ -49,10 +53,11 @@ def sinkhorn(
     max_iter: int = 500,
     tol: float = 1e-6,
 ) -> TransportPlan:
-    """Solve entropy-regularized OT in the log domain.
+    """Solve entropy-regularized OT by Sinkhorn-Knopp iterations.
 
-    Alternately matches the plan's column and row marginals to nu and mu via
-    log-sum-exp updates of the scaled potentials.  Each u-update makes the
+    Alternately matches the plan's column and row marginals to nu and mu, in
+    the scaling domain while ``max M - min M <= SCALING_RANGE`` over the rows
+    and columns with mass, in the log domain beyond.  Each u-update makes the
     row marginal exact, so iteration stops when the column residual reaches
     `tol` (infinity norm) or `max_iter` passes; the row residual is measured
     once on the returned plan.  ``converged`` requires both residuals to be
@@ -78,9 +83,11 @@ def sinkhorn(
     sub_mu = mu[rows]
     sub_nu = nu[cols]
     M = -C[np.ix_(rows, cols)] / epsilon
-    plan_sub, iters, res_row, res_col = kernels.sinkhorn_log(
-        M, np.log(sub_mu), np.log(sub_nu), sub_mu, sub_nu, max_iter, tol
-    )
+    if M.max() - M.min() <= SCALING_RANGE:
+        out = kernels.sinkhorn_scaling(M, sub_mu, sub_nu, max_iter, tol)
+    else:
+        out = kernels.sinkhorn_log(M, np.log(sub_mu), np.log(sub_nu), sub_mu, sub_nu, max_iter, tol)
+    plan_sub, iters, res_row, res_col = out
     plan = np.zeros((s, m))
     plan[np.ix_(rows, cols)] = plan_sub
     converged = bool(res_row <= tol and res_col <= tol)

@@ -184,9 +184,6 @@ class TestPrimitiveGradients:
             "broadcast_col": lambda t, ids: t.reduce_mean(
                 t.hadamard(t.broadcast_col(ids["col"], m), ids["a"])
             ),
-            "concat_rows": lambda t, ids: t.reduce_mean(
-                t.square(t.concat_rows([ids["a"], ids["a"]]))
-            ),
         }
         for name, build in cases.items():
             report = grad_check(build, params, tol=1e-4)
@@ -230,9 +227,9 @@ class TestGradCheckReport:
 
 class TestAdjointAliasing:
     """A node's first gradient contribution is stored as is, so ``add``,
-    ``sub``, ``transpose`` and ``concat_rows`` hand their own adjoint (or a
-    view of it) to their inputs.  Accumulating a second contribution must not
-    write through it.
+    ``sub`` and ``transpose`` hand their own adjoint (or a view of it) to
+    their inputs.  Accumulating a second contribution must not write through
+    it.
 
     Each loss is <op(a), W> + <a^T, V>.  The <a^T, V> branch is swept first,
     so a's first contribution is a view of adjoint V of the ``a^T`` node;
@@ -243,7 +240,6 @@ class TestAdjointAliasing:
         "add": (lambda t, a: t.add(a, a), (3, 2)),
         "sub": (lambda t, a: t.sub(a, a), (3, 2)),
         "hadamard": (lambda t, a: t.hadamard(a, a), (3, 2)),
-        "concat_rows": (lambda t, a: t.concat_rows([a, a]), (6, 2)),
         "transpose_transpose": (lambda t, a: t.add(t.transpose(t.transpose(a)), a), (3, 2)),
     }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kdalign import kernels
-from kdalign.ot import sinkhorn
+from kdalign.ot import SCALING_RANGE, sinkhorn
 from oracles import exhaustive_best_split, pairwise_sq_dists, sinkhorn_log_reference
 
 
@@ -63,29 +63,85 @@ class TestSinkhornParity:
         with pytest.raises(ValueError, match="max_iter"):
             kernels.sinkhorn_log(*args, 0, 1e-6)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_zero_mass_rows_and_columns(self, seed):
+    @staticmethod
+    def _zero_mass_problem(seed):
         rng = np.random.default_rng(50 + seed)
         s, m = 5, 9
         C = rng.uniform(0.0, 3.0, size=(s, m))
         mu = rng.dirichlet(np.ones(s))
         nu = rng.dirichlet(np.ones(m))
-        rows, cols = np.array([0, 2, 3]), np.array([1, 2, 4, 5, 8])
         mu[[1, 4]] = 0.0
         nu[[0, 3, 6, 7]] = 0.0
         mu /= mu.sum()
         nu /= nu.sum()
+        return C, mu, nu, np.array([0, 2, 3]), np.array([1, 2, 4, 5, 8])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_mass_rows_and_columns(self, seed):
+        # ot.sinkhorn solves the positive-mass subproblem with the scaling
+        # kernel and leaves exact zeros around it.
+        C, mu, nu, rows, cols = self._zero_mass_problem(seed)
         eps = 0.1 * C.mean()
         got = sinkhorn(C, mu, nu, epsilon=eps, max_iter=500, tol=1e-9)
         sub = -C[np.ix_(rows, cols)] / eps
-        ref_plan, ref_iters, ref_row, ref_col = sinkhorn_log_reference(
-            sub, np.log(mu[rows]), np.log(nu[cols]), mu[rows], nu[cols], 500, 1e-9
+        ref_plan, ref_iters, ref_row, ref_col = kernels.sinkhorn_scaling(sub, mu[rows], nu[cols], 500, 1e-9)
+        assert np.array_equal(got.plan[np.ix_(rows, cols)], ref_plan)
+        assert not got.plan[[1, 4]].any() and not got.plan[:, [0, 3, 6, 7]].any()
+        assert got.iterations == ref_iters and got.residual_row == ref_row
+        assert got.residual_col == ref_col
+        assert got.converged
+
+    def test_wide_cost_range_falls_back_to_log_kernel(self):
+        C, mu, nu, rows, cols = self._zero_mass_problem(0)
+        sub_c = C[np.ix_(rows, cols)]
+        eps = (sub_c.max() - sub_c.min()) / (SCALING_RANGE + 100.0)
+        got = sinkhorn(C, mu, nu, epsilon=eps, max_iter=500, tol=1e-9)
+        ref_plan, ref_iters, ref_row, ref_col = kernels.sinkhorn_log(
+            -sub_c / eps, np.log(mu[rows]), np.log(nu[cols]), mu[rows], nu[cols], 500, 1e-9
         )
         assert np.array_equal(got.plan[np.ix_(rows, cols)], ref_plan)
         assert not got.plan[[1, 4]].any() and not got.plan[:, [0, 3, 6, 7]].any()
         assert got.iterations == ref_iters and got.residual_row == ref_row
-        assert abs(got.residual_col - ref_col) <= 1e-14
-        assert got.converged
+        assert got.residual_col == ref_col
+        assert got.converged == (ref_row <= 1e-9 and ref_col <= 1e-9)
+
+
+class TestSinkhornScaling:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_reference_loop(self, seed):
+        # The scaling iterations are the log-domain ones in other variables:
+        # the same stop decisions, and plans equal up to rounding.
+        M, log_mu, log_nu, mu, nu = _random_problem(np.random.default_rng(seed))
+        for tol in (1e-3, 1e-6, 1e-9):
+            for max_iter in (5, 50, 500):
+                plan, iters, _, _ = kernels.sinkhorn_scaling(M, mu, nu, max_iter, tol)
+                ref_plan, ref_iters, _, _ = sinkhorn_log_reference(M, log_mu, log_nu, mu, nu, max_iter, tol)
+                assert iters == ref_iters, (tol, max_iter)
+                assert np.abs(plan - ref_plan).max() <= 1e-13, (tol, max_iter)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_widest_scaling_range_stays_finite(self, seed):
+        # Cost ranges just inside ot.SCALING_RANGE, with marginals spread
+        # over many decades, on the widest plan shape a workload solves.
+        rng = np.random.default_rng(300 + seed)
+        s, m = 11, 2048
+        C = rng.uniform(0.0, 1.0, size=(s, m))
+        M = -(C - C.min()) / (C.max() - C.min()) * rng.uniform(550.0, SCALING_RANGE)
+        mu = rng.dirichlet(np.full(s, 0.2))
+        nu = rng.dirichlet(np.full(m, 0.2))
+        assert (mu > 0).all() and (nu > 0).all()
+        tol = 1e-3
+        plan, iters, res_row, res_col = kernels.sinkhorn_scaling(M, mu, nu, 1000, tol)
+        _, ref_iters, ref_row, ref_col = kernels.sinkhorn_log(M, np.log(mu), np.log(nu), mu, nu, 1000, tol)
+        assert np.isfinite(plan).all() and np.isfinite([res_row, res_col]).all()
+        assert iters == ref_iters < 1000
+        assert res_row <= tol and res_col <= tol
+        assert ref_row <= tol and ref_col <= tol
+
+    def test_max_iter_must_be_positive(self):
+        M, _, _, mu, nu = _sinkhorn_inputs(np.random.default_rng(1), 2, 3)
+        with pytest.raises(ValueError, match="max_iter"):
+            kernels.sinkhorn_scaling(M, mu, nu, 0, 1e-6)
 
 
 class TestPairwiseParity:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from kdalign import kernels
 from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.config import KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig
 from kdalign.encoders import (
@@ -241,6 +242,25 @@ class TestTrainLoop:
         model = small_model()
         with pytest.raises(NumericError, match="non-finite"):
             train(split, model, None, fast_config(standardize=False))
+
+    def test_log_domain_fallback_trains_like_scaling(self, monkeypatch):
+        # With the scaling threshold at 0 every OT solve takes the log-domain
+        # kernel; the two kernels differ only in rounding.
+        split = toy_split()
+        model = small_model()
+        e_f = np.random.default_rng(5).normal(size=(3, embed_width(model)))
+        log_calls = []
+        log_kernel = kernels.sinkhorn_log
+        monkeypatch.setattr(kernels, "sinkhorn_log", lambda *args: log_calls.append(1) or log_kernel(*args))
+        _, log_scaling = train(split, model, e_f, fast_config(rule_weight=1.0))
+        assert not log_calls
+        monkeypatch.setattr("kdalign.ot.SCALING_RANGE", 0.0)
+        _, log_fallback = train(split, model, e_f, fast_config(rule_weight=1.0))
+        assert log_calls
+        assert [r.epoch for r in log_fallback] == [r.epoch for r in log_scaling]
+        for got, want in zip(log_fallback, log_scaling):
+            for field in ("l_p", "l_ot", "total", "val_auprc"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0.0), field
 
     def test_sinkhorn_failure_rate_aborts(self):
         split = toy_split(seed=5)
