@@ -3,9 +3,12 @@
 Greedy CART with Gini impurity is fit on labeled data (bootstrap resampling
 across trees); every root-to-leaf path whose matching samples are all
 anomalous and nonempty becomes a rule after per-feature canonicalization
-(<=/> interval bounds).  A noise injector shifts thresholds by quantile
-offsets to produce the incompletely-correct rules used in robustness
-studies.
+(<=/> interval bounds).  A bootstrap sample enters as integer row weights
+(draw counts) on the full data, as in scikit-learn's random forests, and all
+trees grow from one shared stable presort per candidate feature; candidates
+are ``feature_indices`` if set, overriding ``feature_subsample``.  A noise
+injector shifts thresholds by quantile
+offsets to produce the incompletely-correct rules used in robustness studies.
 """
 
 from __future__ import annotations
@@ -42,16 +45,23 @@ class DecisionTree:
     features_used: tuple[int, ...]
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, config: RulesConfig) -> DecisionTree:
+def fit_tree(
+    X: np.ndarray, y: np.ndarray, config: RulesConfig,
+    weights: np.ndarray | None = None, orders: dict[int, np.ndarray] | None = None,
+) -> DecisionTree:
     """Greedy CART on binary labels, seeded by ``config.seed``.
 
     Splits minimize weighted Gini impurity over midpoints of consecutive
     distinct sorted values; ties break to the lowest feature index, then the
     lowest threshold.  Recursion stops at max_depth, pure nodes, or when
-    min_leaf admits no candidate.  Trees grow from presorted orders (SLIQ):
-    each candidate feature is stably sorted once per tree, and a split
-    partitions the node's per-feature row orders with one boolean mask,
-    which keeps every order stably sorted.
+    min_leaf admits no candidate.  Candidates are ``feature_indices`` if set
+    (overriding ``feature_subsample``), else a seeded ``feature_subsample``
+    draw, else all features.  Integer row ``weights`` (default ones) fit the
+    tree of the sample with row i repeated ``weights[i]`` times, bit for bit.
+    Trees grow from presorted orders (SLIQ): ``orders`` maps a feature to the
+    stable argsort of its column, is filled for missing candidates and may be
+    shared by trees on one X; the root keeps the rows of positive weight, and
+    a split partitions the node's orders with one boolean mask.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -71,19 +81,25 @@ def fit_tree(X: np.ndarray, y: np.ndarray, config: RulesConfig) -> DecisionTree:
         )
     else:
         candidates = tuple(range(n_features))
+    weights = np.ones(X.shape[0], dtype=np.int64) if weights is None else weights
+    orders = {} if orders is None else orders
+    w_float = weights.astype(np.float64)
     y_float = y.astype(np.float64)
     in_left = np.zeros(X.shape[0], dtype=bool)
 
     def build(rows: np.ndarray, orders: dict[int, np.ndarray], depth: int) -> TreeNode:
-        labels = y[rows]
-        counts = (int((labels == 0).sum()), int((labels == 1).sum()))
+        w = weights[rows]
+        n_anomalous = int(w[y[rows] == 1].sum())
+        counts = (int(w.sum()) - n_anomalous, n_anomalous)
         node = TreeNode(counts=counts)
         if depth >= config.max_depth or counts[0] == 0 or counts[1] == 0:
             return node
         best = None  # (impurity, feature, threshold, split_pos)
         for f, order in orders.items():
             values = X[order, f]
-            pos, impurity = kernels.best_split_scan(values, y_float[order], config.min_leaf)
+            pos, impurity = kernels.best_split_scan(
+                values, y_float[order], config.min_leaf, w_float[order]
+            )
             if pos < 0:
                 continue
             threshold = (values[pos] + values[pos + 1]) / 2.0
@@ -106,8 +122,12 @@ def fit_tree(X: np.ndarray, y: np.ndarray, config: RulesConfig) -> DecisionTree:
         node.right = build(right, right_orders, depth + 1)
         return node
 
-    orders = {f: np.argsort(X[:, f], kind="stable") for f in candidates}
-    root = build(np.arange(X.shape[0]), orders, 0)
+    root_orders = {}
+    for f in candidates:
+        if f not in orders:
+            orders[f] = np.argsort(X[:, f], kind="stable")
+        root_orders[f] = orders[f][weights[orders[f]] > 0]
+    root = build(np.flatnonzero(weights), root_orders, 0)
     return DecisionTree(root, config, candidates)
 
 
@@ -205,20 +225,19 @@ def acquire_rules(
     feature_names: Sequence[str],
     config: RulesConfig,
 ) -> tuple[list[Rule], list[PathProvenance]]:
-    """Fit bootstrap trees and extract their all-right anomaly paths."""
+    """Fit bootstrap trees on one shared presort; extract their all-right anomaly paths."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
+    orders: dict[int, np.ndarray] = {}
     trees = []
     for t in range(config.trees):
         tree_seed = int(rng.integers(0, 2**31 - 1))
-        if t == 0:
-            sample = np.arange(X.shape[0])  # first tree sees the full data
-        else:
-            sample = np.random.default_rng(tree_seed).integers(
-                0, X.shape[0], size=X.shape[0]
-            )
-        trees.append(fit_tree(X[sample], y[sample], replace(config, seed=tree_seed)))
+        weights = None  # tree 0 sees the full data
+        if t > 0:
+            sample = np.random.default_rng(tree_seed).integers(0, X.shape[0], size=X.shape[0])
+            weights = np.bincount(sample, minlength=X.shape[0])
+        trees.append(fit_tree(X, y, replace(config, seed=tree_seed), weights, orders))
     return extract_anomaly_paths(trees, X, y, feature_names)
 
 

@@ -61,12 +61,7 @@ class Tape:
     def value(self, nid: int) -> np.ndarray:
         return self._values[nid]
 
-    def _push(self, value: np.ndarray, op: str, inputs: tuple[int, ...], aux=None) -> int:
-        need = False
-        for i in inputs:
-            if self._grad[i]:
-                need = True
-                break
+    def _push(self, value: np.ndarray, op: str, inputs: tuple[int, ...], need: bool, aux=None) -> int:
         self._values.append(value)
         self._records.append((op, inputs, aux))
         self._grad.append(need)
@@ -76,14 +71,14 @@ class Tape:
         """A differentiable input.  ``copy=False`` records the array itself,
         which then must not be written to while the tape is in use."""
         value = as_matrix(value)
-        nid = self._push(value.copy() if copy else value, "leaf", ())
-        self._grad[nid] = True
-        return nid
+        return self._push(value.copy() if copy else value, "leaf", (), True)
 
     def constant(self, value) -> int:
         """An input that takes no gradient, recorded without a copy: the
         array must not be written to while the tape is in use."""
-        return self._push(as_matrix(value), "constant", ())
+        if type(value) is not np.ndarray or value.ndim != 2 or value.dtype != np.float64:
+            value = as_matrix(value)
+        return self._push(value, "constant", (), False)
 
     # -- primitives ---------------------------------------------------------
 
@@ -91,68 +86,70 @@ class Tape:
         va, vb = self._values[a], self._values[b]
         if va.shape[1] != vb.shape[0]:
             raise ShapeError(f"matmul {va.shape} @ {vb.shape}")
-        return self._push(va @ vb, "matmul", (a, b))
+        return self._push(va @ vb, "matmul", (a, b), self._grad[a] or self._grad[b])
 
     def add(self, a: int, b: int) -> int:
-        self._check_same_shape(a, b, "add")
-        return self._push(self._values[a] + self._values[b], "add", (a, b))
+        va, vb = self._values[a], self._values[b]
+        if va.shape != vb.shape:
+            raise ShapeError(f"add {va.shape} vs {vb.shape}")
+        return self._push(va + vb, "add", (a, b), self._grad[a] or self._grad[b])
 
     def sub(self, a: int, b: int) -> int:
-        self._check_same_shape(a, b, "sub")
-        return self._push(self._values[a] - self._values[b], "sub", (a, b))
+        va, vb = self._values[a], self._values[b]
+        if va.shape != vb.shape:
+            raise ShapeError(f"sub {va.shape} vs {vb.shape}")
+        return self._push(va - vb, "sub", (a, b), self._grad[a] or self._grad[b])
 
     def hadamard(self, a: int, b: int) -> int:
-        self._check_same_shape(a, b, "hadamard")
-        return self._push(self._values[a] * self._values[b], "hadamard", (a, b))
+        va, vb = self._values[a], self._values[b]
+        if va.shape != vb.shape:
+            raise ShapeError(f"hadamard {va.shape} vs {vb.shape}")
+        return self._push(va * vb, "hadamard", (a, b), self._grad[a] or self._grad[b])
 
     def smul(self, a: int, scalar: float) -> int:
-        return self._push(self._values[a] * float(scalar), "smul", (a,), float(scalar))
+        return self._push(self._values[a] * float(scalar), "smul", (a,), self._grad[a], float(scalar))
 
     def exp(self, a: int) -> int:
-        return self._push(np.exp(self._values[a]), "exp", (a,))
+        return self._push(np.exp(self._values[a]), "exp", (a,), self._grad[a])
 
     def log(self, a: int) -> int:
         v = self._values[a]
         if np.any(v < 0.0):
             raise NumericError("log of negative value")
-        return self._push(np.log(v + LOG_SHIFT), "log", (a,))
+        return self._push(np.log(v + LOG_SHIFT), "log", (a,), self._grad[a])
 
     def relu(self, a: int) -> int:
-        return self._push(np.maximum(self._values[a], 0.0), "relu", (a,))
+        return self._push(np.maximum(self._values[a], 0.0), "relu", (a,), self._grad[a])
 
     def sigmoid(self, a: int) -> int:
-        return self._push(stable_sigmoid(self._values[a]), "sigmoid", (a,))
+        return self._push(stable_sigmoid(self._values[a]), "sigmoid", (a,), self._grad[a])
 
     def row_sum(self, a: int) -> int:
-        return self._push(self._values[a].sum(axis=1, keepdims=True), "row_sum", (a,))
+        return self._push(self._values[a].sum(axis=1, keepdims=True), "row_sum", (a,), self._grad[a])
 
     def col_sum(self, a: int) -> int:
-        return self._push(self._values[a].sum(axis=0, keepdims=True), "col_sum", (a,))
+        return self._push(self._values[a].sum(axis=0, keepdims=True), "col_sum", (a,), self._grad[a])
 
     def broadcast_row(self, a: int, rows: int) -> int:
         v = self._values[a]
         if v.shape[0] != 1:
             raise ShapeError(f"broadcast_row expects a 1xM row, got {v.shape}")
-        return self._push(np.repeat(v, rows, axis=0), "broadcast_row", (a,), rows)
+        return self._push(v.repeat(rows, axis=0), "broadcast_row", (a,), self._grad[a], rows)
 
     def broadcast_col(self, a: int, cols: int) -> int:
         v = self._values[a]
         if v.shape[1] != 1:
             raise ShapeError(f"broadcast_col expects an Nx1 column, got {v.shape}")
-        return self._push(np.repeat(v, cols, axis=1), "broadcast_col", (a,), cols)
+        return self._push(v.repeat(cols, axis=1), "broadcast_col", (a,), self._grad[a], cols)
 
     def transpose(self, a: int) -> int:
-        return self._push(self._values[a].T, "transpose", (a,))
+        return self._push(self._values[a].T, "transpose", (a,), self._grad[a])
 
     def square(self, a: int) -> int:
-        return self._push(self._values[a] ** 2, "square", (a,))
+        return self._push(self._values[a] ** 2, "square", (a,), self._grad[a])
 
     def reduce_mean(self, a: int) -> int:
-        return self._push(np.array([[self._values[a].mean()]]), "reduce_mean", (a,))
-
-    def _check_same_shape(self, a: int, b: int, op: str) -> None:
-        if self._values[a].shape != self._values[b].shape:
-            raise ShapeError(f"{op} {self._values[a].shape} vs {self._values[b].shape}")
+        return self._push(np.array([[self._values[a].mean()]]), "reduce_mean", (a,), self._grad[a])
 
     # -- composites ---------------------------------------------------------
 
@@ -205,30 +202,36 @@ class Tape:
 
 def _matmul_bw(vals, grad, inputs, aux, nid, g):
     a, b = inputs
-    if grad[a]:
-        yield a, g @ vals[b].T
-    if grad[b]:
-        yield b, vals[a].T @ g
+    if not grad[b]:
+        return ((a, g @ vals[b].T),)
+    if not grad[a]:
+        return ((b, vals[a].T @ g),)
+    return (a, g @ vals[b].T), (b, vals[a].T @ g)
 
 
 def _add_bw(vals, grad, inputs, aux, nid, g):
-    return ((i, g) for i in inputs if grad[i])
+    a, b = inputs
+    if grad[a] and grad[b]:
+        return (a, g), (b, g)
+    return ((a if grad[a] else b, g),)
 
 
 def _sub_bw(vals, grad, inputs, aux, nid, g):
     a, b = inputs
-    if grad[a]:
-        yield a, g
-    if grad[b]:
-        yield b, -g
+    if not grad[b]:
+        return ((a, g),)
+    if not grad[a]:
+        return ((b, -g),)
+    return (a, g), (b, -g)
 
 
 def _hadamard_bw(vals, grad, inputs, aux, nid, g):
     a, b = inputs
-    if grad[a]:
-        yield a, g * vals[b]
-    if grad[b]:
-        yield b, g * vals[a]
+    if not grad[b]:
+        return ((a, g * vals[b]),)
+    if not grad[a]:
+        return ((b, g * vals[a]),)
+    return (a, g * vals[b]), (b, g * vals[a])
 
 
 def _reduce_mean_bw(vals, grad, inputs, aux, nid, g):
@@ -253,10 +256,10 @@ _BACKWARD = {
     "log": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g / (vals[inputs[0]] + LOG_SHIFT)),),
     "relu": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g * (vals[inputs[0]] > 0.0)),),
     "row_sum": lambda vals, grad, inputs, aux, nid, g: (
-        (inputs[0], np.repeat(g, vals[inputs[0]].shape[1], axis=1)),
+        (inputs[0], g.repeat(vals[inputs[0]].shape[1], axis=1)),
     ),
     "col_sum": lambda vals, grad, inputs, aux, nid, g: (
-        (inputs[0], np.repeat(g, vals[inputs[0]].shape[0], axis=0)),
+        (inputs[0], g.repeat(vals[inputs[0]].shape[0], axis=0)),
     ),
     "broadcast_row": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g.sum(axis=0, keepdims=True)),),
     "broadcast_col": lambda vals, grad, inputs, aux, nid, g: ((inputs[0], g.sum(axis=1, keepdims=True)),),

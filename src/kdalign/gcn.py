@@ -163,14 +163,16 @@ def _node_row(tape: Tape, fg: FormulaGraph, i: int, z_id: int) -> int:
 def embed_formulae(
     graphs: list[FormulaGraph], config: KnowEncoderConfig, params: ParamSet
 ) -> np.ndarray:
-    """One formula-embedding row per graph, read from one forward-only tape."""
+    """One formula-embedding row per graph, read from one forward-only tape;
+    a graph object listed again is embedded once, on its own tape nodes."""
     tape = Tape()
     ids = bind_params(tape, params)
-    rows = [
-        tape.value(formula_embedding_tape(tape, gcn_forward_tape(tape, fg, config, ids), fg))
-        for fg in graphs
-    ]
-    return np.vstack(rows) if rows else np.zeros((0, config.embed))
+    rows: dict[int, np.ndarray] = {}
+    for fg in graphs:
+        if id(fg) not in rows:
+            z_id = gcn_forward_tape(tape, fg, config, ids)
+            rows[id(fg)] = tape.value(formula_embedding_tape(tape, z_id, fg))
+    return np.vstack([rows[id(fg)] for fg in graphs]) if graphs else np.zeros((0, config.embed))
 
 
 def embed_knowledge_set(
@@ -263,7 +265,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
             graph_cache[key] = ddnnf_to_graph(assignment_graph(assignment), config.var_capacity)
         return graph_cache[key]
 
-    val_graphs = []  # (formula, sat, unsat) triples, flattened
+    val_graphs = []  # (formula, sat, unsat) triples, flattened; repeats share one object
     for fg, sat, unsat in usable:
         for _ in range(config.val_pairs):
             fg_sat = fg_of(sat[rng.integers(len(sat))])

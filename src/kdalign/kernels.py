@@ -71,25 +71,28 @@ def sinkhorn_scaling(M, mu, nu, max_iter, tol):
 
 
 # ---------------------------------------------------------------------------
-# Best Gini split over one sorted feature column.
+# Best Gini split over one sorted feature column of weighted rows.
 #
-# `values` ascending, `labels` in {0, 1} aligned with `values`.  Candidate
-# split positions i place samples [0..i] left and [i+1..] right; positions
-# where values[i] == values[i+1] are invalid, as are those violating
-# `min_leaf` on either side.  Returns (position, weighted Gini impurity) of
-# the best candidate, scanning ascending and keeping strict improvements so
-# ties resolve to the lowest threshold; (-1, inf) when no candidate exists.
+# `values` ascending; `labels` in {0, 1} and `weights` (positive integer row
+# counts) aligned with `values`.  Candidate split positions i place rows
+# [0..i] left and [i+1..] right; positions where values[i] == values[i+1] are
+# invalid, as are those leaving less than `min_leaf` weight on either side.
+# Returns (position, weighted Gini impurity) of the best candidate, scanning
+# ascending and keeping strict improvements so ties resolve to the lowest
+# threshold; (-1, inf) when no candidate exists.  Between distinct values the
+# cumulative weights (integers below 2**53) are the counts of the sample with
+# each row repeated by its weight, so the scan gives that sample's bits.
 # ---------------------------------------------------------------------------
 
 
-def best_split_scan(values, labels, min_leaf):
-    n = values.shape[0]
+def best_split_scan(values, labels, min_leaf, weights):
+    n_left = np.cumsum(weights, dtype=np.float64)
+    n = n_left[-1]
     if n < 2 * min_leaf:
         return -1, np.inf
-    pos = np.cumsum(labels).astype(np.float64)
+    pos = np.cumsum(weights * labels, dtype=np.float64)
     total_pos = pos[-1]
-    idx = np.arange(n - 1)
-    n_left = (idx + 1).astype(np.float64)
+    n_left = n_left[:-1]
     n_right = n - n_left
     valid = values[:-1] != values[1:]
     valid &= (n_left >= min_leaf) & (n_right >= min_leaf)

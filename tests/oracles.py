@@ -6,16 +6,18 @@ iteration.  None of it shares code with the implementations under test,
 except that the unrolled Sinkhorn and the finite-difference gradient check
 are built from the tape's primitives, ``check_determinism`` evaluates
 d-DNNF nodes with ``eval_ddnnf``, ``rec_at_k`` reads ``rec_at_k_detail``,
-``gcn_forward`` reads the GCN's parameter names and layer widths, and
-``fit_tree_argsort`` runs the Gini split kernel ``best_split_scan``.
+``gcn_forward`` reads the GCN's parameter names and layer widths,
+``fit_tree_argsort`` runs the Gini split kernel ``best_split_scan``, and
+``acquire_rules_argsort`` reads its trees' paths with
+``extract_anomaly_paths``.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from kdalign.acquisition import TreeNode
+from kdalign.acquisition import DecisionTree, TreeNode, extract_anomaly_paths
 from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.ddnnf import K_OR, eval_ddnnf
 from kdalign.errors import DataError, ShapeError
@@ -332,7 +334,7 @@ def fit_tree_argsort(X, y, config):
             order = np.argsort(X[idx, f], kind="stable")
             values = X[idx[order], f]
             pos, impurity = best_split_scan(
-                values, labels[order].astype(np.float64), config.min_leaf
+                values, labels[order].astype(np.float64), config.min_leaf, np.ones(len(idx))
             )
             if pos < 0:
                 continue
@@ -349,6 +351,23 @@ def fit_tree_argsort(X, y, config):
         return node
 
     return build(np.arange(X.shape[0]), 0)
+
+
+def acquire_rules_argsort(X, y, feature_names, config):
+    """``acquire_rules`` as it was before bootstrap weights: each tree is
+    ``fit_tree_argsort`` on a copy of its bootstrap sample ``X[sample]``."""
+    rng = np.random.default_rng(config.seed)
+    trees = []
+    for t in range(config.trees):
+        tree_seed = int(rng.integers(0, 2**31 - 1))
+        if t == 0:
+            sample = np.arange(X.shape[0])
+        else:
+            sample = np.random.default_rng(tree_seed).integers(0, X.shape[0], size=X.shape[0])
+        tree_config = replace(config, seed=tree_seed)
+        root = fit_tree_argsort(X[sample], y[sample], tree_config)
+        trees.append(DecisionTree(root, tree_config, ()))
+    return extract_anomaly_paths(trees, X, y, feature_names)
 
 
 def rec_at_k(scores, labels):

@@ -11,7 +11,13 @@ from kdalign.acquisition import (
 )
 from kdalign.rules import any_rule_mask, rule_match_mask
 from kdalign.config import RulesConfig
-from oracles import exhaustive_best_split, fit_tree_argsort, gini, tree_depth
+from oracles import (
+    acquire_rules_argsort,
+    exhaustive_best_split,
+    fit_tree_argsort,
+    gini,
+    tree_depth,
+)
 
 
 def separable_1d():
@@ -83,30 +89,38 @@ def _tree_signature(node):
     return here, _tree_signature(node.left), _tree_signature(node.right)
 
 
+def _tied_data(seed, n=300):
+    """Columns with long runs of ties, one constant column, noisy labels."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 4, n),  # few distinct values: long runs of ties
+        rng.integers(0, 12, n),
+        np.round(rng.normal(size=n), 1),
+        rng.normal(size=n),
+        np.zeros(n),  # one value only: never splits
+    ]).astype(np.float64)
+    y = (((X[:, 0] >= 2) & (X[:, 2] > -0.3)) | (rng.random(n) < 0.15)).astype(int)
+    return X, y, rng.integers(0, n, size=n)  # bootstrap sample: duplicated rows
+
+
+TREE_GRID = pytest.mark.parametrize(
+    "max_depth,min_leaf,feature_subsample,feature_indices",
+    [(1, 1, 0, ()), (3, 1, 0, ()), (4, 3, 2, ()), (6, 1, 3, ()), (8, 5, 0, ()),
+     (5, 2, 0, (1, 2, 4))],
+)
+
+
 class TestPresortedTrees:
     """Growing from presorted orders gives the trees of a fresh stable argsort
-    per node, node for node, also with tied values and bootstrap duplicates."""
+    per node, node for node, also with tied values and bootstrap duplicates,
+    whether the sample is copied out or given as row weights."""
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize(
-        "max_depth,min_leaf,feature_subsample,feature_indices",
-        [(1, 1, 0, ()), (3, 1, 0, ()), (4, 3, 2, ()), (6, 1, 3, ()), (8, 5, 0, ()),
-         (5, 2, 0, (1, 2, 4))],
-    )
+    @TREE_GRID
     def test_matches_argsort_per_node(
         self, seed, max_depth, min_leaf, feature_subsample, feature_indices
     ):
-        rng = np.random.default_rng(seed)
-        n = 300
-        X = np.column_stack([
-            rng.integers(0, 4, n),  # few distinct values: long runs of ties
-            rng.integers(0, 12, n),
-            np.round(rng.normal(size=n), 1),
-            rng.normal(size=n),
-            np.zeros(n),  # one value only: never splits
-        ]).astype(np.float64)
-        y = (((X[:, 0] >= 2) & (X[:, 2] > -0.3)) | (rng.random(n) < 0.15)).astype(int)
-        sample = rng.integers(0, n, size=n)  # bootstrap: duplicated rows
+        X, y, sample = _tied_data(seed)
         X, y = X[sample], y[sample]
         config = RulesConfig(
             max_depth=max_depth, min_leaf=min_leaf, feature_subsample=feature_subsample,
@@ -115,6 +129,48 @@ class TestPresortedTrees:
         tree = fit_tree(X, y, config)
         assert not tree.root.is_leaf
         assert _tree_signature(tree.root) == _tree_signature(fit_tree_argsort(X, y, config))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @TREE_GRID
+    def test_weights_over_shared_orders_match_the_copied_sample(
+        self, seed, max_depth, min_leaf, feature_subsample, feature_indices
+    ):
+        X, y, sample = _tied_data(seed)
+        config = RulesConfig(
+            max_depth=max_depth, min_leaf=min_leaf, feature_subsample=feature_subsample,
+            feature_indices=feature_indices, seed=seed,
+        )
+        orders = {f: np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])}
+        weights = np.bincount(sample, minlength=len(y))
+        tree = fit_tree(X, y, config, weights, orders)
+        assert not tree.root.is_leaf
+        want = fit_tree_argsort(X[sample], y[sample], config)
+        assert _tree_signature(tree.root) == _tree_signature(want)
+
+    def test_orders_are_filled_only_for_drawn_features(self):
+        X, y, _ = _tied_data(0)
+        orders = {}
+        tree = fit_tree(X, y, RulesConfig(feature_subsample=2, seed=3), orders=orders)
+        assert sorted(orders) == list(tree.features_used)
+        for f, order in orders.items():
+            assert (order == np.argsort(X[:, f], kind="stable")).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "feature_subsample,feature_indices", [(0, ()), (2, ()), (0, (1, 2, 4))]
+    )
+    def test_acquire_rules_matches_trees_on_copied_samples(
+        self, seed, feature_subsample, feature_indices
+    ):
+        X, y, _ = _tied_data(seed)
+        names = [f"x{i}" for i in range(X.shape[1])]
+        config = RulesConfig(
+            trees=6, max_depth=6, min_leaf=2, feature_subsample=feature_subsample,
+            feature_indices=feature_indices, seed=seed,
+        )
+        rules, provenance = acquire_rules(X, y, names, config)
+        assert rules
+        assert (rules, provenance) == acquire_rules_argsort(X, y, names, config)
 
 
 class TestExtractPaths:

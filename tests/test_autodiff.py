@@ -347,6 +347,24 @@ class TestConstants:
         with pytest.raises(ShapeError):
             t.constant(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize(
+        "value,want",
+        [([1, 2], [[1.0], [2.0]]), (np.arange(3.0), [[0.0], [1.0], [2.0]]), (2.5, [[2.5]]),
+         (np.array(7), [[7.0]]), (np.ones((1, 2), dtype=np.int64), [[1.0, 1.0]]),
+         (np.ones((2, 1), dtype=np.float32), [[1.0], [1.0]])],
+    )
+    def test_constant_converts_what_is_not_a_2d_float64_array(self, value, want):
+        t = Tape()
+        got = t.value(t.constant(value))
+        assert got.dtype == np.float64 and got.tolist() == want
+
+    @pytest.mark.parametrize("op", ["add", "sub", "hadamard"])
+    def test_elementwise_shape_errors_name_the_op_and_shapes(self, op):
+        t = Tape()
+        a, b = t.leaf(np.ones((2, 3))), t.constant(np.ones((3, 2)))
+        with pytest.raises(ShapeError, match=rf"^{op} \(2, 3\) vs \(3, 2\)$"):
+            getattr(t, op)(a, b)
+
 
 class TestBindParamsNoCopy:
     """``bind_params`` records the parameter arrays themselves, so the updates

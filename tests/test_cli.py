@@ -202,6 +202,11 @@ MALFORMED_FILES = {
         lambda t, csv: _infer_bad_csv(t, csv, "-inf"),
         "row 7, column 'f3': non-finite value -inf",
     ),
+    "acquire-allowlist-out-of-range": (
+        lambda t, csv: ["acquire-rules", "--data.path", csv, "--out", t / "r.rules",
+                        "--rules.feature_indices", "9"],
+        "data error: feature allowlist (9,) out of range for d=4",
+    ),
 }
 
 

@@ -191,6 +191,17 @@ class TestForward:
         e = embed_knowledge_set([g1, g2], spec, params)
         np.testing.assert_array_equal(e[0], e[1])
 
+    def test_repeated_graphs_embed_like_each_graph_alone(self):
+        rng = np.random.default_rng(8)
+        spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
+        params = init_know_encoder(spec, rng)
+        graphs = [ddnnf_to_graph(compile_ddnnf(cnf_of(c, 3)), 8)
+                  for c in ([[1, 2]], [[1], [-2, 3]], [[-3]])]
+        listed = [graphs[i] for i in (0, 1, 0, 2, 2, 1, 0)]
+        got = embed_formulae(listed, spec, params)
+        for row, fg in zip(got, listed):
+            assert row.tobytes() == embed_formulae([fg], spec, params)[0].tobytes()
+
 
 class TestEmbedKnowledgeSet:
     def test_shapes_and_duplicates(self):

@@ -163,7 +163,7 @@ class TestSplitScan:
         values = np.sort(np.round(rng.normal(size=n), 2))
         labels = rng.integers(0, 2, size=n).astype(np.float64)
         min_leaf = int(rng.integers(1, 4))
-        idx, imp = kernels.best_split_scan(values, labels, min_leaf)
+        idx, imp = kernels.best_split_scan(values, labels, min_leaf, np.ones(n))
         threshold, expected_imp = exhaustive_best_split(values, labels, min_leaf)
         if threshold is None:
             assert idx == -1
@@ -174,5 +174,41 @@ class TestSplitScan:
     def test_no_valid_split(self):
         values = np.array([1.0, 1.0, 1.0])
         labels = np.array([0.0, 1.0, 0.0])
-        idx, imp = kernels.best_split_scan(values, labels, 1)
+        idx, imp = kernels.best_split_scan(values, labels, 1, np.ones(3))
         assert idx == -1 and imp == np.inf
+
+    @staticmethod
+    def _weighted_and_expanded(values, labels, weights, min_leaf):
+        """(impurity bits, threshold bits) of the weighted scan and of the
+        unweighted scan of the rows repeated by their weights; None for no split."""
+        out = []
+        for v, lab, w in ((values, labels, weights),
+                          (values.repeat(weights), labels.repeat(weights), np.ones(weights.sum()))):
+            idx, imp = kernels.best_split_scan(v, lab, min_leaf, w)
+            out.append(None if idx < 0 else (imp.hex(), ((v[idx] + v[idx + 1]) / 2.0).hex()))
+        return out
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_weighted_rows_scan_like_their_expansion(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        values = np.sort(rng.integers(0, 6, size=n)).astype(np.float64)  # runs of ties
+        labels = rng.integers(0, 2, size=n).astype(np.float64)
+        weights = rng.integers(1, 5, size=n)
+        min_leaf = int(rng.integers(1, weights.sum() // 2 + 2))  # up to no valid split
+        weighted, expanded = self._weighted_and_expanded(values, labels, weights, min_leaf)
+        assert weighted == expanded
+
+    @pytest.mark.parametrize(
+        "values,weights,min_leaf,splits",
+        [([0, 1, 2], [3, 2, 3], 3, True),  # both sides exactly min_leaf
+         ([0, 0, 1, 1, 2], [2, 1, 1, 3, 1], 4, False),  # the only min_leaf split is in a tie
+         ([0, 1], [1, 1], 2, False),  # total weight below 2 * min_leaf
+         ([1, 1, 1], [2, 2, 2], 1, False)],  # one value only
+    )
+    def test_weighted_edges(self, values, weights, min_leaf, splits):
+        values, weights = np.array(values, dtype=np.float64), np.array(weights)
+        labels = (np.arange(len(values)) % 2).astype(np.float64)
+        weighted, expanded = self._weighted_and_expanded(values, labels, weights, min_leaf)
+        assert weighted == expanded
+        assert (weighted is not None) == splits
