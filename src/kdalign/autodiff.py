@@ -9,11 +9,18 @@ reach, and returns None there.  Every value is a 2-D float64 array (scalars
 are 1x1); there is no implicit broadcasting beyond the explicit
 broadcast_row / broadcast_col primitives.  The only saturating primitive is
 the eps-shifted log.
+
+A network's parameters live in a ``ParamSet``: one contiguous float64 vector
+with a named 2-D view per tensor, and a gradient vector beside it, so that an
+optimizer step is a few whole-vector operations.  ``bind_params`` records the
+views as leaves without copying them; an update replaces the vector, never
+writes into it, so every tape bound before the update stays valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,12 +41,11 @@ def as_matrix(value) -> np.ndarray:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so that
+    exp never overflows; exp(-|x|) is the exp of either branch."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class Tape:
@@ -70,7 +76,8 @@ class Tape:
     def leaf(self, value, copy: bool = True) -> int:
         """A differentiable input.  ``copy=False`` records the array itself,
         which then must not be written to while the tape is in use."""
-        value = as_matrix(value)
+        if type(value) is not np.ndarray or value.ndim != 2 or value.dtype != np.float64:
+            value = as_matrix(value)
         return self._push(value.copy() if copy else value, "leaf", (), True)
 
     def constant(self, value) -> int:
@@ -114,7 +121,7 @@ class Tape:
 
     def log(self, a: int) -> int:
         v = self._values[a]
-        if np.any(v < 0.0):
+        if v.size and v.min() < 0.0:
             raise NumericError("log of negative value")
         return self._push(np.log(v + LOG_SHIFT), "log", (a,), self._grad[a])
 
@@ -149,7 +156,8 @@ class Tape:
         return self._push(self._values[a] ** 2, "square", (a,), self._grad[a])
 
     def reduce_mean(self, a: int) -> int:
-        return self._push(np.array([[self._values[a].mean()]]), "reduce_mean", (a,), self._grad[a])
+        v = self._values[a]
+        return self._push(np.array([[v.sum() / v.size]]), "reduce_mean", (a,), self._grad[a])
 
     # -- composites ---------------------------------------------------------
 
@@ -268,36 +276,59 @@ _BACKWARD = {
 }
 
 
-@dataclass
 class ParamSet:
-    """Named parameter matrices with a parallel gradient map.
+    """Named parameter matrices held in one contiguous float64 vector.
 
-    ``bind_params`` records the value arrays on a tape without copying them,
-    so an update must replace ``values[name]`` with a new array, as Adam and
-    the pretraining step do, and never write into it.
+    ``values`` maps each name to a 2-D view into ``vector``, and ``grads`` to
+    one into ``grad_vector``, in the order the parameters were given.  Both
+    mappings refuse item assignment: gradients are written into their views.
+    ``bind_params`` records the value views on a tape without copying them,
+    so an update assigns a new ``vector``, which rebinds ``values``, as Adam
+    and the pretraining step do, and never writes into the old one.
     """
 
-    values: dict[str, np.ndarray]
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
+    def __init__(self, values: Mapping[str, np.ndarray]):
+        arrays = {k: as_matrix(v) for k, v in values.items()}
+        self._layout, self._size = [], 0
+        for name, arr in arrays.items():
+            self._layout.append((name, self._size, self._size + arr.size, arr.shape))
+            self._size += arr.size
+        self.vector = np.concatenate([a.ravel() for a in arrays.values()]) if arrays else np.zeros(0)
+        self.grad_vector = np.zeros(self._size)
+        self.grads = self._views(self.grad_vector)
 
-    def __post_init__(self):
-        self.values = {k: as_matrix(v) for k, v in self.values.items()}
-        if not self.grads:
-            self.zero_grads()
+    def _views(self, vector: np.ndarray) -> MappingProxyType:
+        return MappingProxyType({n: vector[a:b].reshape(shape) for n, a, b, shape in self._layout})
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self._vector
+
+    @vector.setter
+    def vector(self, new: np.ndarray) -> None:
+        if new.shape != (self._size,):
+            raise ShapeError(f"parameter vector of shape {new.shape}, expected ({self._size},)")
+        self._vector = new
+        self.values = self._views(new)
 
     def zero_grads(self) -> None:
-        self.grads = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self.grad_vector.fill(0.0)
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self.values.items()})
+        """The same values in a new vector, with zero gradients."""
+        return ParamSet(self.values)
 
 
 def bind_params(tape: Tape, params: ParamSet) -> dict[str, int]:
+    """Record each ``params.values`` view as a leaf, without a copy: the
+    tape stays valid because updates replace ``params.vector``."""
     return {name: tape.leaf(value, copy=False) for name, value in params.values.items()}
 
 
 def accumulate_grads(params: ParamSet, ids: dict[str, int], adjoints) -> None:
+    grads = params.grads
     for name, nid in ids.items():
         g = adjoints[nid]
         if g is not None:
-            params.grads[name] += g
+            view = grads[name]
+            view += g  # in place: the mapping refuses item assignment

@@ -235,6 +235,8 @@ def cmd_eval(args) -> int:
         )
     if set(np.unique(labels).tolist()) - {0, 1}:
         raise DataError("labels must be 0/1")
+    if not labels.any():
+        raise DataError("labels hold no 1; AUPRC and Rec@K need at least one positive label")
     value, k, tie = rec_at_k_detail(scores, labels)
     print(f"auprc={auprc(scores, labels):.6f} rec@k={value:.6f} k={k} tie_at_cut={tie}")
     return 0

@@ -169,14 +169,19 @@ def split_dataset(
 
     A ``split`` column on the dataset bypasses the random 7:1:2 assignment;
     the rule-matched-anomaly deletion and k-anomaly labeling always apply to
-    the training portion.  Raises when fewer than k unmatched training
-    anomalies remain.
+    the training portion.  Raises when the val or the test split holds no
+    anomaly, or when fewer than k unmatched training anomalies remain.
     """
     rng = np.random.default_rng((seed, 0x51))
     if data.split is not None:
         tags = {tag: np.flatnonzero(data.split == tag) for tag in SPLIT_TAGS}
     else:
         tags = _stratified_split(data.y, seed)
+    for tag in ("val", "test"):
+        if not data.y[tags[tag]].any():
+            raise DataError(
+                f"the {tag} split has no anomaly; its AUPRC and Rec@K need at least one"
+            )
     train_idx = tags["train"]
     matched = np.zeros(data.n_samples, dtype=bool)
     if rules:
@@ -213,7 +218,10 @@ def split_dataset(
 
 
 def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Average precision over a descending-score sweep with grouped ties."""
+    """Average precision over a descending-score sweep with grouped ties.
+
+    Returns an ``np.float64``: the sum, in group order, of each tie group's
+    recall gain times its precision (``np.cumsum`` adds in that order)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     total_pos = int(labels.sum())
@@ -221,19 +229,10 @@ def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("auprc undefined without positive labels")
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
-    y_sorted = labels[order]
-    boundaries = np.flatnonzero(np.diff(s_sorted)) if s_sorted.size > 1 else np.array([], dtype=int)
-    group_ends = np.append(boundaries, s_sorted.size - 1)
-    tp_cum = np.cumsum(y_sorted)
-    ap = 0.0
-    prev_recall = 0.0
-    for end in group_ends:
-        tp = int(tp_cum[end])
-        precision = tp / (end + 1)
-        recall = tp / total_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
+    group_ends = np.append(np.flatnonzero(np.diff(s_sorted)), s_sorted.size - 1)
+    tp = np.cumsum(labels[order])[group_ends]
+    gains = np.diff(tp / total_pos, prepend=0.0)
+    return np.cumsum(gains * (tp / (group_ends + 1)))[-1]
 
 
 def rec_at_k_detail(scores: np.ndarray, labels: np.ndarray) -> tuple[float, int, bool]:

@@ -320,8 +320,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
         result.loss_history.append(float(tape.value(loss)[0, 0]))
         params.zero_grads()
         accumulate_grads(params, ids, tape.backward(loss))
-        for name in params.values:
-            params.values[name] = params.values[name] - config.learning_rate * params.grads[name]
+        params.vector = params.vector - config.learning_rate * params.grad_vector
 
         if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
             acc = val_accuracy(params)

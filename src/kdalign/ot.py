@@ -68,28 +68,32 @@ def sinkhorn(
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2:
         raise ShapeError(f"cost matrix must be 2-D, got shape {C.shape}")
-    if np.isnan(C).any():
-        raise NumericError("cost matrix contains NaN")
     if not np.isfinite(C).all():
-        raise NumericError("cost matrix contains non-finite entries")
+        what = "NaN" if np.isnan(C).any() else "non-finite entries"
+        raise NumericError(f"cost matrix contains {what}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     s, m = C.shape
     mu = _validate_marginal(mu, s, "mu")
     nu = _validate_marginal(nu, m, "nu")
 
-    rows = np.flatnonzero(mu > 0)
-    cols = np.flatnonzero(nu > 0)
-    sub_mu = mu[rows]
-    sub_nu = nu[cols]
-    M = -C[np.ix_(rows, cols)] / epsilon
+    full = mu.min() > 0 and nu.min() > 0
+    if full:
+        sub_mu, sub_nu, M = mu, nu, -C / epsilon
+    else:
+        rows = np.flatnonzero(mu > 0)
+        cols = np.flatnonzero(nu > 0)
+        sub_mu, sub_nu, M = mu[rows], nu[cols], -C[np.ix_(rows, cols)] / epsilon
     if M.max() - M.min() <= SCALING_RANGE:
         out = kernels.sinkhorn_scaling(M, sub_mu, sub_nu, max_iter, tol)
     else:
         out = kernels.sinkhorn_log(M, np.log(sub_mu), np.log(sub_nu), sub_mu, sub_nu, max_iter, tol)
     plan_sub, iters, res_row, res_col = out
-    plan = np.zeros((s, m))
-    plan[np.ix_(rows, cols)] = plan_sub
+    if full:
+        plan = plan_sub
+    else:
+        plan = np.zeros((s, m))
+        plan[np.ix_(rows, cols)] = plan_sub
     converged = bool(res_row <= tol and res_col <= tol)
     return TransportPlan(plan, float(res_row), float(res_col), int(iters), float(epsilon), converged)
 

@@ -1,11 +1,12 @@
 """Joint training: prediction loss plus weighted OT distance, then inference.
 
-Every batch contains all labeled anomalies with unlabeled rows filled in by
-the seeded sampler.  The OT term aligns the batch's embeddings against the
-frozen knowledge embeddings E_F; its gradient reaches the encoder through
-the cost matrix while the plan stays detached.  With rule weight 0 (or no
-E_F) the step reduces bit-exactly to the prediction loss.  The
-best-validation-AUPRC checkpoint is returned.
+Every batch holds all labeled anomalies followed by the same number of
+unlabeled rows, drawn by the seeded sampler, so the batch labels and the
+Sinkhorn marginals are built once per run.  The OT term aligns the batch's
+embeddings against the frozen knowledge embeddings E_F; its gradient reaches
+the encoder through the cost matrix while the plan stays detached.  With
+rule weight 0 (or no E_F) the step reduces bit-exactly to the prediction
+loss.  The best-validation-AUPRC checkpoint is returned.
 
 Checkpoint container layout (little-endian): magic "KDAL", version u32,
 metadata length u64 + JSON metadata, then one entry per tensor:
@@ -75,7 +76,8 @@ class EpochRecord:
 
 
 class Adam:
-    """Gradient descent with Adam-style moment estimates and constant rate."""
+    """Gradient descent with Adam-style moment estimates and constant rate,
+    elementwise over the whole parameter vector."""
 
     def __init__(self, params: ParamSet, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -83,18 +85,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.values.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.values.items()}
+        self.m = np.zeros_like(params.vector)
+        self.v = np.zeros_like(params.vector)
 
     def step(self, params: ParamSet) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, g in params.grads.items():
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
-            params.values[name] = params.values[name] - self.lr * update
+        g = params.grad_vector
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        update = (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        params.vector = params.vector - self.lr * update
 
 
 @dataclass
@@ -323,6 +325,13 @@ def train(
             "labeled anomalies would fill every batch and leave no unlabeled rows"
         )
     steps_per_epoch = max(1, math.ceil(n_train / batch_size))
+    need = batch_size - anom_pos.size
+    yb = np.zeros(anom_pos.size + min(need, pool.size))
+    yb[: anom_pos.size] = 1.0
+    if use_ot:
+        mu = np.full(e_f.shape[0], 1.0 / e_f.shape[0])
+        nu = np.where(yb == 1, ot.anomaly_mass_boost, 1.0)
+        nu /= nu.sum()
 
     best_val = -np.inf
     best_params = params.copy()
@@ -334,14 +343,8 @@ def train(
         lp_sum = lot_sum = 0.0
         failures = 0
         for _ in range(steps_per_epoch):
-            need = batch_size - anom_pos.size
-            if pool.size <= need:
-                batch_idx = np.concatenate([anom_pos, pool])
-            else:
-                fill = rng.choice(pool, size=need, replace=False)
-                batch_idx = np.concatenate([anom_pos, fill])
-            xb = X_train[batch_idx]
-            yb = y_train[batch_idx]
+            fill = pool if pool.size <= need else rng.choice(pool, size=need, replace=False)
+            xb = X_train[np.concatenate([anom_pos, fill])]
 
             tape = Tape()
             ids = bind_params(tape, params)
@@ -363,9 +366,6 @@ def train(
                 epsilon = ot.epsilon_scale * float(c_value.mean())
                 if epsilon <= 0.0:
                     epsilon = ot.epsilon_scale
-                mu = np.full(e_f.shape[0], 1.0 / e_f.shape[0])
-                nu = np.where(yb == 1, ot.anomaly_mass_boost, 1.0).astype(np.float64)
-                nu /= nu.sum()
                 plan = sinkhorn(c_value, mu, nu, epsilon, max_iter=ot.max_iter, tol=ot.tol)
                 if not plan.converged:
                     failures += 1
@@ -376,7 +376,7 @@ def train(
                 total = l_p
 
             total_value = float(tape.value(total)[0, 0])
-            if not np.isfinite(total_value):
+            if not math.isfinite(total_value):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             lp_sum += float(tape.value(l_p)[0, 0])
             lot_sum += l_ot_value

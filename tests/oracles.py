@@ -106,6 +106,29 @@ def average_precision(scores, labels):
     return ap
 
 
+def auprc_group_loop(scores, labels):
+    """``evaluate.auprc`` as a Python loop over the tie groups, adding each
+    group's recall gain times its precision in turn."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    total_pos = int(labels.sum())
+    assert total_pos > 0
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    boundaries = np.flatnonzero(np.diff(s_sorted)) if s_sorted.size > 1 else np.array([], dtype=int)
+    group_ends = np.append(boundaries, s_sorted.size - 1)
+    tp_cum = np.cumsum(labels[order])
+    ap = 0.0
+    prev_recall = 0.0
+    for end in group_ends:
+        tp = int(tp_cum[end])
+        precision = tp / (end + 1)
+        recall = tp / total_pos
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+    return ap
+
+
 def recall_at_k(scores, labels):
     """Recall among the top-k samples, k = number of positives, stable ties."""
     scores = np.asarray(scores, dtype=float)
@@ -394,6 +417,23 @@ def check_determinism(graph, exhaustive_max_vars=16):
                 raise AssertionError(
                     f"OR node {i}: children {sat} jointly satisfied by {assignment}"
                 )
+
+
+def adam_per_tensor(values, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with one moment pair per tensor, stepped tensor by tensor: the
+    elementwise formula that ``train.Adam`` runs once over the flat vector."""
+    values = {k: np.array(x, dtype=np.float64) for k, x in values.items()}
+    m = {k: np.zeros_like(x) for k, x in values.items()}
+    v = {k: np.zeros_like(x) for k, x in values.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        b1c = 1.0 - beta1**t
+        b2c = 1.0 - beta2**t
+        for name, g in grads.items():
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            update = (m[name] / b1c) / (np.sqrt(v[name] / b2c) + eps)
+            values[name] = values[name] - lr * update
+    return values
 
 
 @dataclass

@@ -366,9 +366,62 @@ class TestConstants:
             getattr(t, op)(a, b)
 
 
+class TestParamSet:
+    def test_views_into_one_vector_in_the_given_order(self):
+        params = ParamSet({"w": np.arange(6.0).reshape(3, 2), "b": [[6.0, 7.0]]})
+        np.testing.assert_array_equal(params.vector, np.arange(8.0))
+        assert list(params.values) == list(params.grads) == ["w", "b"]
+        assert all(v.base is params.vector for v in params.values.values())
+        assert all(g.base is params.grad_vector for g in params.grads.values())
+        params.grads["b"][...] = 1.0
+        np.testing.assert_array_equal(params.grad_vector, [0, 0, 0, 0, 0, 0, 1, 1])
+        params.zero_grads()
+        assert not params.grad_vector.any()
+
+    def test_mappings_refuse_item_assignment(self):
+        params = ParamSet({"w": np.ones((2, 2))})
+        with pytest.raises(TypeError):
+            params.values["w"] = np.zeros((2, 2))
+        with pytest.raises(TypeError):
+            params.grads["w"] = np.zeros((2, 2))
+
+    def test_a_new_vector_rebinds_the_views(self):
+        params = ParamSet({"w": np.ones((2, 2)), "b": np.ones((1, 2))})
+        old = params.values["w"]
+        params.vector = params.vector * 3.0
+        np.testing.assert_array_equal(params.values["w"], np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(old, np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            params.vector = np.zeros(5)
+
+    def test_copy_is_independent(self):
+        rng = np.random.default_rng(1)
+        params = ParamSet({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(1, 2))})
+        params.grads["w"][...] = 1.0
+        twin = params.copy()
+        assert twin.vector is not params.vector
+        assert twin.vector.tobytes() == params.vector.tobytes()
+        assert not twin.grad_vector.any()
+        before = params.vector.copy()
+        twin.values["w"][...] = 0.0
+        np.testing.assert_array_equal(params.vector, before)
+        params.vector = params.vector + 1.0
+        assert not twin.values["w"].any()
+
+    def test_empty(self):
+        params = ParamSet({})
+        assert params.vector.shape == params.grad_vector.shape == (0,)
+        assert not params.values and not params.grads
+        params.zero_grads()
+        Adam(params, lr=0.1).step(params)
+        assert params.copy().vector.shape == (0,)
+        tape = Tape()
+        assert bind_params(tape, params) == {} and len(tape) == 0
+
+
 class TestBindParamsNoCopy:
-    """``bind_params`` records the parameter arrays themselves, so the updates
-    must replace them rather than write into them."""
+    """``bind_params`` records the views into the parameter vector itself, so
+    the updates must replace the vector rather than write into it."""
 
     def test_adam_step_leaves_a_bound_tape_unchanged(self):
         rng = np.random.default_rng(0)
@@ -377,8 +430,8 @@ class TestBindParamsNoCopy:
         ids = bind_params(tape, params)
         before = {k: tape.value(nid).copy() for k, nid in ids.items()}
         opt = Adam(params, lr=0.1)
-        for k in params.grads:
-            params.grads[k] = np.ones_like(params.values[k])
+        for view in params.grads.values():
+            view[...] = 1.0
         opt.step(params)
         for k, nid in ids.items():
             assert not np.array_equal(params.values[k], before[k])

@@ -127,6 +127,29 @@ def _with_cell(tmp_path, small_csv, row, col, text):
     return path
 
 
+def _split_without_anomaly(tmp_path, small_csv, empty):
+    """experiment on the CSV with a split column whose ``empty`` split holds
+    no anomaly."""
+    lines = small_csv.read_text().splitlines()
+    tags = ["train"] * 7 + ["val", "test", "test"]
+    out = [lines[0] + ",split"]
+    for i, line in enumerate(lines[1:]):
+        tag = tags[i % len(tags)]
+        out.append(f"{line},{'train' if tag == empty and line.endswith(',1') else tag}")
+    path = tmp_path / "split.csv"
+    path.write_text("\n".join(out) + "\n")
+    return ["experiment", "--data.path", path, "--out", tmp_path / "out", "--eval.seeds=0",
+            "--rules.max_depth=2", "--rules.min_leaf=5", "--rules.feature_indices=2",
+            "--know_encoder.steps=2", "--train.epochs=1"]
+
+
+def _eval_all_zero_labels(tmp_path):
+    scores, labels = tmp_path / "scores.txt", tmp_path / "labels.txt"
+    scores.write_text("0.1\n0.5\n0.3\n")
+    labels.write_text("0\n0\n0\n")
+    return ["eval", "--scores", scores, "--labels", labels]
+
+
 def _infer_bad_csv(tmp_path, small_csv, text):
     ck = tmp_path / "model.kdal"
     save_checkpoint(ModelCheckpoint(params={}, seed=0), ck)
@@ -206,6 +229,18 @@ MALFORMED_FILES = {
         lambda t, csv: ["acquire-rules", "--data.path", csv, "--out", t / "r.rules",
                         "--rules.feature_indices", "9"],
         "data error: feature allowlist (9,) out of range for d=4",
+    ),
+    "eval-all-zero-labels": (
+        lambda t, csv: _eval_all_zero_labels(t),
+        "labels hold no 1; AUPRC and Rec@K need at least one positive label",
+    ),
+    "experiment-val-without-anomaly": (
+        lambda t, csv: _split_without_anomaly(t, csv, "val"),
+        "the val split has no anomaly",
+    ),
+    "experiment-test-without-anomaly": (
+        lambda t, csv: _split_without_anomaly(t, csv, "test"),
+        "the test split has no anomaly",
     ),
 }
 

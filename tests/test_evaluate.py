@@ -13,7 +13,7 @@ from kdalign.evaluate import (
 )
 from kdalign.rules import parse_rule
 from kdalign.synthetic import make_synthetic
-from oracles import average_precision, rec_at_k, recall_at_k
+from oracles import auprc_group_loop, average_precision, rec_at_k, recall_at_k
 
 
 class TestCsv:
@@ -139,9 +139,10 @@ class TestSplit:
         X_norm = rng.normal(0, 1, size=(180, 1))
         X_anom_matched = rng.uniform(10, 11, size=(8, 1))
         X_anom_free = rng.uniform(5, 6, size=(12, 1))
-        X = np.vstack([X_norm, X_anom_matched, X_anom_free])
-        y = np.r_[np.zeros(180, dtype=int), np.ones(20, dtype=int)]
-        split_tags = np.array(["train"] * 200)
+        X_held_out = np.array([[0.0], [5.5], [0.0], [10.5]])  # one anomaly each in val and test
+        X = np.vstack([X_norm, X_anom_matched, X_anom_free, X_held_out])
+        y = np.r_[np.zeros(180, dtype=int), np.ones(20, dtype=int), [0, 1, 0, 1]]
+        split_tags = np.array(["train"] * 200 + ["val", "val", "test", "test"])
         data = Dataset(X, y, ["a"], split=split_tags)
         rules = [parse_rule("IF a > 9 THEN anomaly IS true")]
         split = split_dataset(data, rules, k_labeled=10, seed=3)
@@ -196,6 +197,17 @@ class TestAuprc:
         assert auprc(scores, labels) == pytest.approx(
             average_precision(scores, labels), abs=1e-12
         )
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_bytes_equal_the_group_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        scores = np.round(rng.random(n), int(rng.integers(0, 3)))  # many ties
+        labels = (rng.random(n) < rng.uniform(0.02, 0.9)).astype(np.int64)
+        labels[int(rng.integers(n))] = 1
+        got, want = auprc(scores, labels), auprc_group_loop(scores, labels)
+        assert type(got) is np.float64 and type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(123)

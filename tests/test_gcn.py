@@ -41,8 +41,8 @@ def homogeneous_params(spec, rng):
     for l in range(spec.layers):
         shared = params.values[param_name(l, "and")]
         for t in NODE_TYPES:
-            params.values[param_name(l, t)] = shared.copy()
-    return ParamSet(params.values)
+            params.values[param_name(l, t)][...] = shared
+    return params
 
 
 class TestGraphConversion:

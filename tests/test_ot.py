@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kdalign import kernels
 from kdalign.autodiff import ParamSet, Tape
 from kdalign.errors import NumericError, ShapeError
 from kdalign.ot import cost_matrix_tape, extract_alignment, ot_loss_tape, sinkhorn
@@ -139,6 +140,23 @@ class TestSinkhorn:
         plan = sinkhorn(C, mu, nu, epsilon=0.2)
         np.testing.assert_array_equal(plan.plan[1], np.zeros(4))
         assert plan.converged
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_support_runs_the_scaling_kernel_on_the_whole_cost(self, seed):
+        rng = np.random.default_rng(seed)
+        C = rng.uniform(0, 3, size=(3, 16))
+        mu = np.full(3, 1 / 3)
+        nu = rng.uniform(0.5, 2.0, size=16)
+        nu /= nu.sum()
+        eps = 0.1 * C.mean()
+        out = sinkhorn(C, mu, nu, eps, max_iter=500, tol=1e-6)
+        plan, iters, _, _ = kernels.sinkhorn_scaling(-C / eps, mu, nu, 500, 1e-6)
+        assert out.plan.tobytes() == plan.tobytes() and out.iterations == iters
+        C[1, 4] = np.nan
+        with pytest.raises(NumericError, match="NaN"):
+            sinkhorn(C, mu, nu, eps)
+        with pytest.raises(ValueError, match="sums to"):
+            sinkhorn(np.ones((3, 16)), mu * 1.01, nu, eps)
 
     def test_bad_marginals_rejected(self):
         C = np.ones((2, 2))

@@ -1,12 +1,14 @@
 import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kdalign import kernels
+from kdalign import train as train_module
 from kdalign.autodiff import ParamSet, Tape, bind_params
-from kdalign.config import KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig
+from kdalign.config import KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig, load_config
 from kdalign.encoders import (
     bce_loss_tape,
     embed_width,
@@ -29,7 +31,16 @@ from kdalign.train import (
     save_checkpoint,
     train,
 )
-from oracles import checkpoints_equal, cost_matrix, grad_check, sinkhorn_tape, uniform_marginals
+from oracles import (
+    adam_per_tensor,
+    checkpoints_equal,
+    cost_matrix,
+    grad_check,
+    sinkhorn_tape,
+    uniform_marginals,
+)
+
+REFERENCE_INI = Path(__file__).resolve().parent.parent / "configs" / "synthetic.ini"
 
 
 def toy_split(seed=0, n=400, with_rule_cluster=True):
@@ -166,7 +177,7 @@ class TestAdam:
         m = v = np.zeros((1, 2))
         w = np.array([[1.0, -2.0]])
         for t in range(1, 4):
-            params.grads["w"] = g.copy()
+            params.grads["w"][...] = g
             opt.step(params)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
@@ -174,6 +185,28 @@ class TestAdam:
             vh = v / (1 - 0.999**t)
             w = w - 0.1 * mh / (np.sqrt(vh) + 1e-8)
             np.testing.assert_allclose(params.values["w"], w, atol=1e-15)
+
+
+    def test_bytes_equal_the_per_tensor_loop(self):
+        rng = np.random.default_rng(5)
+        shapes = {"enc/w0": (4, 32), "enc/b0": (1, 32), "enc/w1": (32, 16), "enc/b1": (1, 16),
+                  "head/w0": (16, 1), "head/b0": (1, 1)}
+        init = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        steps = [
+            {k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2) for k, shape in shapes.items()}
+            for _ in range(6)
+        ]
+        steps[2]["enc/b1"][...] = 0.0  # a tensor the loss does not reach keeps a zero gradient
+        params = ParamSet(init)
+        opt = Adam(params, lr=0.01)
+        for grads in steps:
+            params.zero_grads()
+            for k, g in grads.items():
+                params.grads[k][...] = g
+            opt.step(params)
+        want = adam_per_tensor(init, steps, lr=0.01)
+        for k in shapes:
+            assert params.values[k].tobytes() == want[k].tobytes(), k
 
 
 class TestTrainLoop:
@@ -365,6 +398,29 @@ class TestComposedGradient:
 
         report = grad_check(build, params, h=1e-6, tol=1e-3)
         assert report.passed, report.max_rel_error
+
+
+class TestReferenceTapeShape:
+    """One training step of the reference [model]/[train]/[ot] (mlp 32,16,
+    sigmoid head, bce, sqeuclidean) records these many tape nodes; the
+    benchmark pins the same counts on its reference workload."""
+
+    @pytest.mark.parametrize("rule_weight, nodes", [(0.0, 29), (0.5, 47)])
+    def test_nodes_per_step(self, monkeypatch, rule_weight, nodes):
+        cfg = load_config(str(REFERENCE_INI))
+        model, ot = ModelConfig(**cfg["model"]), OtConfig(**cfg["ot"])
+        config = TrainConfig(**{**cfg["train"], "epochs": 1, "rule_weight": rule_weight})
+        counts = []
+
+        class CountingTape(Tape):
+            def backward(self, loss):
+                counts.append(len(self))
+                return super().backward(loss)
+
+        monkeypatch.setattr(train_module, "Tape", CountingTape)
+        e_f = np.random.default_rng(0).normal(size=(3, embed_width(model)))
+        train(toy_split(), model, e_f, config, ot)
+        assert counts and set(counts) == {nodes}
 
 
 class TestBatchComposition:
