@@ -1,5 +1,13 @@
 """Command-line surface: one binary, one subcommand per pipeline stage.
 
+``train`` runs one protocol seed, ``experiment.run_seed`` at [train] seed:
+split, train each [train] lambda_grid value (rule_weight when the grid is
+empty), keep the one with the best validation AUPRC and score the test
+split.  Its knowledge comes from the --encoder checkpoint or is pretrained
+on the [rules] path; with neither it trains once at lambda 0.  It writes
+checkpoint.kdal, training_log.jsonl (one JSON line per epoch) and
+effective_config.ini into --out.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.  All outputs are written atomically (temp file + rename); every
 config key is overridable with --section.key=value flags.
@@ -17,38 +25,24 @@ import numpy as np
 
 from .acquisition import acquire_rules
 from .atomic import write_atomic
-from .config import (
-    SCHEMA,
-    ModelConfig,
-    OtConfig,
-    RulesConfig,
-    TrainConfig,
-    load_config,
-    render_value,
-    write_effective_config,
-)
+from .autodiff import ParamSet
+from .config import SCHEMA, RulesConfig, load_config, render_value, write_effective_config
 from .ddnnf import model_count
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import auprc, load_csv, rec_at_k_detail, save_csv, split_dataset
+from .evaluate import auprc, load_csv, rec_at_k_detail, save_csv
 from .experiment import (
+    KnowledgeArtifacts,
     build_knowledge,
     compile_rules,
     load_dataset,
     noise_study,
-    pretrain_knowledge,
     run_experiment,
+    run_seed,
 )
+from .gcn import PretrainResult
 from .rules import load_rules, render_rule, save_rules
 from .synthetic import make_synthetic
-from .train import (
-    ModelCheckpoint,
-    infer,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    with_knowledge_encoder,
-    write_training_log,
-)
+from .train import ModelCheckpoint, infer, load_checkpoint, save_checkpoint, write_training_log
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,57 +157,53 @@ def cmd_compile_rules(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _collect_config(args)
-    path = cfg["rules"]["path"]
-    if not path:
+    if not cfg["rules"]["path"]:
         raise ConfigError("[rules] path is required")
-    rules = load_rules(path)
-    if not rules:
-        raise DataError(f"{path}: no rules to pretrain on")
-    table, graphs = compile_rules(rules)
-    result, e_f = pretrain_knowledge(graphs, len(table), cfg)
+    knowledge = build_knowledge(None, cfg)
+    pre = knowledge.pretrain
     ck = ModelCheckpoint(
-        dict(result.params.values), result.config.seed, know_encoder=result.config, e_f=e_f
+        dict(pre.params.values), pre.config.seed, know_encoder=pre.config, e_f=knowledge.e_f
     )
     save_checkpoint(ck, args.out)
     print(
-        f"pretrained knowledge encoder on {len(graphs)} formulae "
-        f"(best val accuracy {result.best_val_accuracy:.3f}) -> {args.out}"
+        f"pretrained knowledge encoder on {len(knowledge.rules)} formulae "
+        f"(best val accuracy {pre.best_val_accuracy:.3f}) -> {args.out}"
     )
     return 0
+
+
+def _encoder_knowledge(path: str, rules_path: str) -> KnowledgeArtifacts:
+    """The rules at ``rules_path`` with the E_F and knowledge encoder that the
+    checkpoint at ``path`` holds for them."""
+    if not rules_path:  # the split deletes the anomalies the rules cover
+        raise ConfigError("train --encoder needs the [rules] path of the encoder's rules")
+    pre = load_checkpoint(path)
+    if pre.e_f is None or pre.know_encoder is None:
+        raise DataError(f"{path}: not a knowledge-encoder checkpoint")
+    rules = load_rules(rules_path)
+    if len(rules) != pre.e_f.shape[0]:
+        raise ConfigError(f"{rules_path} has {len(rules)} rules but {path} embeds {pre.e_f.shape[0]}")
+    return KnowledgeArtifacts(rules, pre.e_f, PretrainResult(pre.know_encoder, ParamSet(pre.params)))
 
 
 def cmd_train(args) -> int:
     cfg = _collect_config(args)
     data = load_dataset(cfg)
-    rules_path = cfg["rules"]["path"]
-    rules, e_f, know = [], None, None
+    knowledge = None
     if args.encoder:
-        if not rules_path:  # the split deletes the anomalies the rules cover
-            raise ConfigError("train --encoder needs the [rules] path of the encoder's rules")
-        pre = load_checkpoint(args.encoder)
-        if pre.e_f is None or pre.know_encoder is None:
-            raise DataError(f"{args.encoder}: not a knowledge-encoder checkpoint")
-        rules = load_rules(rules_path)
-        if len(rules) != pre.e_f.shape[0]:
-            raise ConfigError(
-                f"{rules_path} has {len(rules)} rules but {args.encoder} embeds {pre.e_f.shape[0]}"
-            )
-        e_f, know, know_params = pre.e_f, pre.know_encoder, pre.params
-    elif rules_path:
+        knowledge = _encoder_knowledge(args.encoder, cfg["rules"]["path"])
+    elif cfg["rules"]["path"]:
         knowledge = build_knowledge(data, cfg)
-        rules, e_f = knowledge.rules, knowledge.e_f
-        know, know_params = knowledge.pretrain.config, knowledge.pretrain.params.values
-    split = split_dataset(data, rules, cfg["eval"]["k_labeled"], cfg["train"]["seed"])
+    seed = cfg["train"]["seed"]
+    outcome = run_seed(data, knowledge, cfg, seed, rule_weight=None if knowledge is not None else 0.0)
     os.makedirs(args.out, exist_ok=True)
-    tc, ot = TrainConfig(**cfg["train"]), OtConfig(**cfg["ot"])
-    ck, log = train(split, ModelConfig(**cfg["model"]), e_f, tc, ot)
-    if know is not None:
-        ck = with_knowledge_encoder(ck, know, know_params)
-    save_checkpoint(ck, os.path.join(args.out, "checkpoint.kdal"))
-    write_training_log(log, os.path.join(args.out, "training_log.jsonl"))
+    save_checkpoint(outcome.checkpoint, os.path.join(args.out, "checkpoint.kdal"))
+    write_training_log(outcome.log, os.path.join(args.out, "training_log.jsonl"))
     write_effective_config(cfg, args.out)
-    best = max(r.val_auprc for r in log)
-    print(f"trained {len(log)} epochs, best validation AUPRC {best:.4f} -> {args.out}")
+    print(
+        f"trained {len(outcome.log)} epochs at lambda {outcome.rule_weight}, "
+        f"best validation AUPRC {outcome.best_val_auprc:.4f} -> {args.out}"
+    )
     return 0
 
 

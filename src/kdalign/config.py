@@ -128,7 +128,9 @@ class OtConfig(Section):
     epsilon_scale: float = key(0.1, "epsilon as a fraction of mean batch cost", gt=0)
     max_iter: int = key(500, "Sinkhorn iteration cap", ge=1)
     tol: float = key(1e-6, "marginal residual tolerance", ge=0)
-    anomaly_mass_boost: float = key(1.0, "marginal mass multiplier for labeled anomalies", ge=0)
+    anomaly_mass_boost: float = key(
+        1.0, "marginal mass multiplier for labeled anomalies", ge=0, le=1e6
+    )
 
 
 @dataclass(frozen=True)

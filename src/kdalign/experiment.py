@@ -63,19 +63,12 @@ def compile_rules(rules: list[Rule]) -> tuple[PropositionTable, list[DdnnfGraph]
     return table, graphs
 
 
-def pretrain_knowledge(
-    graphs: list[DdnnfGraph], n_propositions: int, cfg: dict
-) -> tuple[PretrainResult, np.ndarray]:
-    """Pretrain the knowledge encoder per [know_encoder], its var_capacity
-    grown to fit the propositions, and embed the frozen E_F."""
-    ke = KnowEncoderConfig(**cfg["know_encoder"])
-    ke = replace(ke, var_capacity=max(ke.var_capacity, n_propositions))
-    result = pretrain_encoder(graphs, ke)
-    return result, embed_knowledge_set(graphs, result.config, result.params)
-
-
-def build_knowledge(data: Dataset, cfg: dict, rules: list[Rule] | None = None) -> KnowledgeArtifacts:
-    """Acquire/load rules and produce the frozen knowledge embedding set."""
+def build_knowledge(
+    data: Dataset | None, cfg: dict, rules: list[Rule] | None = None
+) -> KnowledgeArtifacts:
+    """Load the [rules] path or acquire rules from ``data``, pretrain the
+    knowledge encoder per [know_encoder], its var_capacity grown to fit the
+    propositions, and embed the frozen E_F."""
     rc = RulesConfig(**cfg["rules"])
     if rules is None:
         if rc.path:
@@ -83,9 +76,11 @@ def build_knowledge(data: Dataset, cfg: dict, rules: list[Rule] | None = None) -
         else:
             rules, _ = acquire_rules(data.X, data.y, data.feature_names, rc)
     if not rules:
-        raise DataError("no rules available: acquisition produced an empty set")
+        raise DataError(f"{rc.path or 'acquisition'}: no rules to pretrain on")
     table, graphs = compile_rules(rules)
-    result, e_f = pretrain_knowledge(graphs, len(table), cfg)
+    ke = KnowEncoderConfig(**cfg["know_encoder"])
+    result = pretrain_encoder(graphs, replace(ke, var_capacity=max(ke.var_capacity, len(table))))
+    e_f = embed_knowledge_set(graphs, result.config, result.params)
     return KnowledgeArtifacts(rules, e_f, result)
 
 

@@ -4,7 +4,7 @@
 log domain where the cost range would underflow the scaling kernel, and
 returns the plan with its marginal residuals.  ``cost_matrix_tape`` builds
 the cost between E_F and a batch's embeddings on the tape; the loss holds
-the plan constant.  The alignment maps every sample to its argmax rule.
+the plan constant.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ def _validate_marginal(w: np.ndarray, n: int, name: str) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ShapeError(f"{name} has shape {w.shape}, expected ({n},)")
-    if (w < 0).any():
-        raise ValueError(f"{name} has negative entries")
+    if not (w >= 0).all():
+        raise ValueError(f"{name} has negative or NaN entries")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"{name} sums to {w.sum()!r}, expected 1 within 1e-12")
     return w
@@ -96,20 +96,6 @@ def sinkhorn(
         plan[np.ix_(rows, cols)] = plan_sub
     converged = bool(res_row <= tol and res_col <= tol)
     return TransportPlan(plan, float(res_row), float(res_col), int(iters), float(epsilon), converged)
-
-
-@dataclass
-class Alignment:
-    pairs: list[tuple[int, int]]
-    scores: list[float]
-
-
-def extract_alignment(S: np.ndarray) -> Alignment:
-    """Pair each sample with its argmax rule (ties break to the lowest id)."""
-    picks = np.argmax(S, axis=0)
-    pairs = [(int(picks[j]), j) for j in range(S.shape[1])]
-    scores = [float(S[i, j]) for i, j in pairs]
-    return Alignment(pairs, scores)
 
 
 # ---------------------------------------------------------------------------

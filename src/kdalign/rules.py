@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -241,7 +241,7 @@ def parse_rules_text(text: str) -> list[Rule]:
             continue
         try:
             rules.append(parse_rule(line, rule_id=f"rule_{len(rules):03d}"))
-        except RuleSyntaxError as exc:
+        except ValueError as exc:  # a RuleSyntaxError, or a rule its checks reject
             raise DataError(f"line {lineno}: {exc}") from exc
     return rules
 
@@ -333,35 +333,3 @@ def any_rule_mask(rules: Iterable[Rule], X: np.ndarray, name_to_index: Mapping[s
     for rule in rules:
         mask |= rule_match_mask(rule, X, name_to_index)
     return mask
-
-
-@dataclass
-class RuleMatchStats:
-    per_rule: dict[str, int] = field(default_factory=dict)
-    n_rule_detect: int = 0
-    n_anomalies: int = 0
-    rate: float = 0.0
-
-
-def rule_match_stats(
-    rules: Sequence[Rule],
-    X: np.ndarray,
-    y: np.ndarray,
-    name_to_index: Mapping[str, int],
-) -> RuleMatchStats:
-    """Per-rule match counts plus the anomaly detection rate.
-
-    ``n_rule_detect`` counts labeled anomalies matched by at least one rule;
-    ``rate`` divides by the anomaly count (0.0 when there are no rules or no
-    anomalies).
-    """
-    stats = RuleMatchStats(n_anomalies=int((y == 1).sum()))
-    detected = np.zeros(X.shape[0], dtype=bool)
-    for rule in rules:
-        mask = rule_match_mask(rule, X, name_to_index)
-        stats.per_rule[rule.rule_id] = int(mask.sum())
-        detected |= mask
-    stats.n_rule_detect = int((detected & (y == 1)).sum())
-    if stats.n_anomalies > 0 and rules:
-        stats.rate = stats.n_rule_detect / stats.n_anomalies
-    return stats

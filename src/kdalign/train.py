@@ -12,15 +12,15 @@ Checkpoint container layout (little-endian): magic "KDAL", version u32,
 metadata length u64 + JSON metadata, then one entry per tensor:
 name length u16 + name, rows u64, cols u64, row-major float64 data.
 
-The JSON metadata holds ``seed``, the ``tensors`` list and the objects
-``encoder`` and ``head`` (the detector's ``[model]``) and ``know_encoder``
-(the ``[know_encoder]`` architecture), each null when that network is
-absent.  ``METADATA_KEYS`` maps their keys to section fields; the derived
-``input_dim`` is the width of ``norm/mean`` and ``embed_dim`` is
-``encoders.embed_width``.  Only architecture keys are stored, so the other
-fields of a loaded ``[know_encoder]`` read their defaults.  A detector's
-``enc/*``, ``head/*`` and ``norm/*`` tensors must be the ones
-``init_encoder``/``init_head`` give its ``[model]``.
+Version 2 JSON metadata holds ``seed``, the ``tensors`` list and one object
+per section in ``SECTIONS``: ``model`` (the detector's ``[model]``) and
+``know_encoder`` (the ``[know_encoder]`` of its knowledge encoder), each the
+section's field dict, or null when that network is absent.  The loader reads
+each dict through ``config.load_config``: it needs exactly the section's
+fields, with values that pass the section's checks and re-serialise to the
+stored JSON.  A detector's ``enc/*``, ``head/*`` and ``norm/*`` tensors must
+be the ones ``init_encoder``/``init_head`` give its ``[model]``; version 1
+files are rejected.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -52,7 +52,8 @@ from .evaluate import SplitDataset, auprc
 from .ot import cost_matrix_tape, ot_loss_tape, sinkhorn
 
 MAGIC = b"KDAL"
-VERSION = 1
+VERSION = 2
+SECTIONS = ("model", "know_encoder")  # ModelCheckpoint fields stored as their section dicts
 
 
 @dataclass
@@ -116,43 +117,15 @@ def with_knowledge_encoder(
     return replace(ck, params={**ck.params, **know}, know_encoder=config)
 
 
-# Metadata object -> (section, {key: field}); a None field is a derived key.
-METADATA_KEYS = {
-    "encoder": ("model", {"kind": "kind", "input_dim": None, "hidden": "hidden",
-                          "blocks": "blocks", "main_dim": "main_dim",
-                          "dropout_first": "dropout_first", "dropout_second": "dropout_second"}),
-    "head": ("model", {"embed_dim": None, "hidden": "head_hidden", "transform": "transform"}),
-    "know_encoder": ("know_encoder", {"n_layers": "layers", "hidden_width": "hidden",
-                                      "embed_width": "embed", "var_capacity": "var_capacity"}),
-}
-
-
-def _architecture(ck: ModelCheckpoint) -> dict:
-    """The encoder/head/know_encoder metadata objects of a checkpoint."""
-    derived = {}
-    if ck.model is not None:
-        derived = {"input_dim": ck.params["norm/mean"].shape[1], "embed_dim": embed_width(ck.model)}
-    out = dict.fromkeys(METADATA_KEYS)
-    for obj, (section, keys) in METADATA_KEYS.items():
-        config = getattr(ck, section)
-        if config is not None:
-            values = {**asdict(config), **derived}
-            out[obj] = {k: _json(values[f or k]) for k, f in keys.items()}
-    return out
-
-
-def _json(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
 def save_checkpoint(ck: ModelCheckpoint, path) -> None:
     tensors: list[tuple[str, np.ndarray]] = [
         (name, np.asarray(v, dtype=np.float64)) for name, v in sorted(ck.params.items())
     ]
     if ck.e_f is not None:
         tensors.append(("E_F", np.asarray(ck.e_f, dtype=np.float64)))
+    sections = {name: getattr(ck, name) for name in SECTIONS}
     meta = {
-        **_architecture(ck),
+        **{name: None if c is None else asdict(c) for name, c in sections.items()},
         "seed": ck.seed,
         "tensors": [
             {"name": n, "rows": int(a.shape[0]), "cols": int(a.shape[1])} for n, a in tensors
@@ -200,34 +173,32 @@ def load_checkpoint(path) -> ModelCheckpoint:
             raise DataError("trailing bytes after tensor table")
 
     e_f = tensors.pop("E_F", None)
-    model, know = _section(meta, "model"), _section(meta, "know_encoder")
-    ck = ModelCheckpoint(tensors, meta["seed"], model, know, e_f)
-    if model is not None:
+    ck = ModelCheckpoint(tensors, meta["seed"], e_f=e_f, **{n: _section(meta, n) for n in SECTIONS})
+    if ck.model is not None:
         _check_detector(ck)
-    written = {obj: meta.get(obj) for obj in METADATA_KEYS}
-    if json.dumps(_architecture(ck), sort_keys=True) != json.dumps(written, sort_keys=True):
-        raise DataError(f"checkpoint metadata {written} does not fit its sections and tensors")
     return ck
 
 
-def _section(meta: dict, section: str):
-    """The section stored in the metadata, read through the config parser."""
-    objects = [obj for obj, (s, _) in METADATA_KEYS.items() if s == section]
-    if all(meta.get(obj) is None for obj in objects):
+def _section(meta: dict, name: str):
+    """The [name] section stored as its field dict, read through the config
+    parser; its values must re-serialise to the stored JSON."""
+    stored = meta.get(name)
+    if stored is None:
         return None
-    overrides = []
-    for obj in objects:
-        keys, stored = METADATA_KEYS[obj][1], meta.get(obj)
-        if not isinstance(stored, dict) or stored.keys() != keys.keys():
-            raise DataError(f"checkpoint {obj!r} metadata needs the keys {sorted(keys)}: {stored}")
-        for k, f in keys.items():
-            if f is not None:
-                value = tuple(stored[k]) if isinstance(stored[k], list) else stored[k]
-                overrides.append((f"{section}.{f}", render_value(value)))
+    keys = sorted(f.name for f in fields(SCHEMA[name]))
+    if not isinstance(stored, dict) or sorted(stored) != keys:
+        raise DataError(f"checkpoint {name!r} metadata needs the keys {keys}: {stored}")
+    overrides = [
+        (f"{name}.{k}", render_value(tuple(v) if isinstance(v, list) else v))
+        for k, v in stored.items()
+    ]
     try:
-        return SCHEMA[section](**load_config(None, overrides)[section])
+        section = SCHEMA[name](**load_config(None, overrides)[name])
     except ConfigError as exc:
-        raise DataError(f"checkpoint metadata does not fit [{section}]: {exc}") from None
+        raise DataError(f"checkpoint metadata does not fit [{name}]: {exc}") from None
+    if json.dumps(asdict(section), sort_keys=True) != json.dumps(stored, sort_keys=True):
+        raise DataError(f"checkpoint {name!r} metadata {stored} does not re-serialise as written")
+    return section
 
 
 def _check_detector(ck: ModelCheckpoint) -> None:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import struct
@@ -11,6 +12,7 @@ from kdalign import cli
 from kdalign.config import KnowEncoderConfig, ModelConfig, load_config
 from kdalign.encoders import init_encoder, init_head
 from kdalign.evaluate import load_csv
+from kdalign.experiment import build_knowledge, run_seed
 from kdalign.rules import Condition, Rule, load_rules, save_rules
 from kdalign.train import MAGIC, VERSION, ModelCheckpoint, infer, load_checkpoint, save_checkpoint
 
@@ -61,6 +63,7 @@ def run_one_line(argv, capsys) -> tuple[int, str]:
         ("--eval.k_labeled", "-1", "[eval] k_labeled"),
         ("--ot.anomaly_mass_boost", "-1", "[ot] anomaly_mass_boost"),
         ("--train.learning_rate", "nan", "[train] learning_rate"),
+        ("--ot.anomaly_mass_boost", "1e308", "[ot] anomaly_mass_boost"),
     ],
 )
 def test_bad_training_step_config_exits_1(small_csv, tmp_path, capsys, flag, value, key):
@@ -74,15 +77,15 @@ def test_bad_training_step_config_exits_1(small_csv, tmp_path, capsys, flag, val
     assert line.startswith("config error:") and key in line
 
 
-def _rule_json(tmp_path, text):
-    path = tmp_path / "rules.json"
+def _rule_file(tmp_path, text, name="rules.json"):
+    path = tmp_path / name
     path.write_text(text)
     return ["compile-rules", "--rules", path, "--out", tmp_path / "out.json"]
 
 
-def _checkpoint(tmp_path, meta: bytes, tensors=()):
+def _checkpoint(tmp_path, meta: bytes, tensors=(), version=VERSION):
     path = tmp_path / "model.kdal"
-    raw = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(meta)) + meta
+    raw = MAGIC + struct.pack("<I", version) + struct.pack("<Q", len(meta)) + meta
     for name, arr in tensors:
         raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<QQ", *arr.shape)
         raw += arr.astype("<f8").tobytes()
@@ -90,12 +93,12 @@ def _checkpoint(tmp_path, meta: bytes, tensors=()):
     return path
 
 
-def _infer_meta(tmp_path, small_csv, meta: bytes, tensors=()):
-    ck = _checkpoint(tmp_path, meta, tensors)
+def _infer_meta(tmp_path, small_csv, meta: bytes, tensors=(), version=VERSION):
+    ck = _checkpoint(tmp_path, meta, tensors, version)
     return ["infer", "--checkpoint", ck, "--data", small_csv, "--out", tmp_path / "s.txt"]
 
 
-def _detector(tmp_path, small_csv, encoder=None, drop=(), resize=None):
+def _detector(tmp_path, small_csv, stored=None, drop=(), resize=None):
     """infer on a default-[model] detector for the 4 CSV features, altered."""
     model = ModelConfig()
     rng = np.random.default_rng(0)
@@ -107,9 +110,7 @@ def _detector(tmp_path, small_csv, encoder=None, drop=(), resize=None):
         tensors[resize[0]] = np.zeros(resize[1])
     meta = {
         "seed": 0,
-        "encoder": {"kind": "mlp", "input_dim": 4, "hidden": [32, 16], "blocks": 2,
-                    "main_dim": 32, "dropout_first": 0.0, "dropout_second": 0.0, **(encoder or {})},
-        "head": {"embed_dim": 16, "hidden": [], "transform": "sigmoid"},
+        "model": {**dataclasses.asdict(model), **(stored or {})},
         "tensors": [
             {"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in tensors.items()
         ],
@@ -159,19 +160,27 @@ def _infer_bad_csv(tmp_path, small_csv, text):
 
 MALFORMED_FILES = {
     "rule-missing-key": (
-        lambda t, csv: _rule_json(t, '[{"id":"r1","consequent":true}]'),
+        lambda t, csv: _rule_file(t, '[{"id":"r1","consequent":true}]'),
         "rule entry 0: missing key 'conditions'",
     ),
     "rule-payload-not-list": (
-        lambda t, csv: _rule_json(t, '{"id":"r1"}'),
+        lambda t, csv: _rule_file(t, '{"id":"r1"}'),
         "must be a list of rules",
     ),
     "rule-bad-condition": (
-        lambda t, csv: _rule_json(
+        lambda t, csv: _rule_file(
             t,
             '[{"id":"r1","conditions":[{"attr":"a","op":"~","threshold":1}],"consequent":true}]',
         ),
         "rule entry 0: unknown predicate '~'",
+    ),
+    "rule-dsl-infinite-threshold": (
+        lambda t, csv: _rule_file(t, "IF f3 <= -1e999 THEN anomaly IS true\n", "r.rules"),
+        "line 1: condition threshold must be finite",
+    ),
+    "rule-dsl-contradiction": (
+        lambda t, csv: _rule_file(t, "IF f3 > 5 AND f3 < 3 THEN anomaly IS true\n", "r.rules"),
+        "line 1: rule 'rule_000': contradictory conditions on attribute 'f3'",
     ),
     "checkpoint-meta-not-json": (
         lambda t, csv: _infer_meta(t, csv, b"{not json"),
@@ -185,21 +194,21 @@ MALFORMED_FILES = {
         lambda t, csv: _infer_meta(t, csv, b'{"tensors": []}'),
         "'seed'",
     ),
+    "checkpoint-version-1": (
+        lambda t, csv: _infer_meta(t, csv, b'{"seed": 0, "tensors": []}', version=1),
+        "unsupported checkpoint version 1",
+    ),
     "checkpoint-meta-unknown-key": (
-        lambda t, csv: _detector(t, csv, encoder={"bogus": 1}),
-        "checkpoint 'encoder' metadata needs the keys",
+        lambda t, csv: _detector(t, csv, stored={"bogus": 1}),
+        "checkpoint 'model' metadata needs the keys",
     ),
     "checkpoint-meta-bad-value": (
-        lambda t, csv: _detector(t, csv, encoder={"kind": "foo"}),
+        lambda t, csv: _detector(t, csv, stored={"kind": "foo"}),
         "does not fit [model]",
     ),
     "checkpoint-meta-string-for-int": (
-        lambda t, csv: _detector(t, csv, encoder={"blocks": "2"}),
-        "does not fit its sections and tensors",
-    ),
-    "checkpoint-meta-input-dim": (
-        lambda t, csv: _detector(t, csv, encoder={"input_dim": 5}),
-        "does not fit its sections and tensors",
+        lambda t, csv: _detector(t, csv, stored={"blocks": "2"}),
+        "does not re-serialise as written",
     ),
     "checkpoint-no-norm": (
         lambda t, csv: _detector(t, csv, drop=("norm/mean", "norm/std")),
@@ -318,6 +327,32 @@ def test_train_echoes_the_data_path(small_csv, tmp_path):
     effective = load_config(str(out / "effective_config.ini"))
     assert effective["data"]["path"] == str(small_csv)
     assert f"[data]\npath = {small_csv}\n" in (out / "effective_config.ini").read_text()
+
+
+def test_train_tunes_the_lambda_grid_like_run_seed(small_csv, tmp_path, capsys):
+    rules, out, want = tmp_path / "rules.rules", tmp_path / "run", tmp_path / "want.kdal"
+    acquire = ["acquire-rules", "--data.path", small_csv, "--out", rules, "--rules.max_depth=2",
+               "--rules.min_leaf=5", "--rules.feature_indices=2"]
+    train = ["train", "--data.path", small_csv, "--rules.path", rules, "--out", out,
+             "--know_encoder.steps=5", "--train.epochs=3", "--train.seed=1",
+             "--train.lambda_grid=0.5,2.0"]
+    assert cli.main([str(a) for a in acquire]) == 0
+    capsys.readouterr()
+    assert cli.main([str(a) for a in train]) == 0
+    printed = capsys.readouterr().out
+
+    cfg = load_config(str(out / "effective_config.ini"))
+    data = load_csv(str(small_csv))
+    knowledge = build_knowledge(data, cfg)
+    outcome = run_seed(data, knowledge, cfg, 1)
+    save_checkpoint(outcome.checkpoint, want)
+    assert (out / "checkpoint.kdal").read_bytes() == want.read_bytes()
+    logged = (out / "training_log.jsonl").read_text().splitlines()
+    assert logged == [record.to_json() for record in outcome.log]
+    solo = {lam: run_seed(data, knowledge, cfg, 1, rule_weight=lam) for lam in (0.5, 2.0)}
+    best = max(solo, key=lambda lam: solo[lam].best_val_auprc)  # the first on a tie
+    assert outcome.rule_weight == best and f"at lambda {best}," in printed
+    assert outcome.best_val_auprc == solo[best].best_val_auprc
 
 
 def test_pipeline_smoke(small_csv, tmp_path, capsys):

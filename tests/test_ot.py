@@ -4,7 +4,7 @@ import pytest
 from kdalign import kernels
 from kdalign.autodiff import ParamSet, Tape
 from kdalign.errors import NumericError, ShapeError
-from kdalign.ot import cost_matrix_tape, extract_alignment, ot_loss_tape, sinkhorn
+from kdalign.ot import cost_matrix_tape, ot_loss_tape, sinkhorn
 from oracles import (
     cost_matrix,
     exact_ot_uniform,
@@ -167,8 +167,16 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="positive"):
             sinkhorn(C, *uniform_marginals(2, 2), epsilon=0.0)
 
+    @pytest.mark.parametrize("which", ["mu", "nu"])
+    def test_nan_marginal_rejected(self, which):
+        # NaN passes both the < 0 and the sum tests; the plan would be all NaN
+        marginals = {"mu": np.array([0.5, 0.5]), "nu": np.array([0.5, 0.5])}
+        marginals[which][0] = np.nan
+        with pytest.raises(ValueError, match=f"{which} has negative or NaN entries"):
+            sinkhorn(np.ones((2, 2)), marginals["mu"], marginals["nu"], epsilon=0.1)
 
-class TestDistanceAndAlignment:
+
+class TestDistance:
     def test_distance_examples(self):
         assert ot_distance(np.array([[7.0]]), np.array([[1.0]])) == 7.0
         assert ot_distance(np.zeros((3, 4)), np.random.default_rng(0).random((3, 4))) == 0.0
@@ -178,23 +186,6 @@ class TestDistanceAndAlignment:
         C, S = rng.random((4, 6)), rng.random((4, 6))
         expected = sum(C[i, j] * S[i, j] for i in range(4) for j in range(6))
         assert ot_distance(C, S) == pytest.approx(expected, rel=1e-12)
-
-    def test_alignment_single(self):
-        out = extract_alignment(np.array([[1.0]]))
-        assert out.pairs == [(0, 0)]
-
-    def test_alignment_argmax_and_tiebreak(self):
-        S = np.array([[0.7, 0.5], [0.3, 0.5]])
-        out = extract_alignment(S)
-        assert out.pairs == [(0, 0), (0, 1)]  # tie on column 1 -> lowest id
-
-    def test_every_sample_assigned_once_and_scale_invariant(self):
-        rng = np.random.default_rng(8)
-        S = rng.random((5, 17))
-        out = extract_alignment(S)
-        assert sorted(j for _, j in out.pairs) == list(range(17))
-        out2 = extract_alignment(S * 123.0)
-        assert out.pairs == out2.pairs
 
 
 class TestTapeSide:

@@ -11,7 +11,6 @@ from kdalign.rules import (
     parse_rules_text,
     render_rule,
     rule_match_mask,
-    rule_match_stats,
     rules_from_json,
     rules_to_json,
     rules_to_text,
@@ -130,27 +129,6 @@ def render_threshold(cond):
     from kdalign.rules import _format_threshold
 
     return _format_threshold(cond.threshold)
-
-
-class TestStats:
-    def test_zero_rules(self):
-        X = np.zeros((4, 2))
-        y = np.array([0, 1, 1, 0])
-        stats = rule_match_stats([], X, y, {"a": 0, "b": 1})
-        assert stats.rate == 0.0
-        assert stats.n_anomalies == 2
-
-    def test_three_of_five(self):
-        # five anomalies; rules catch exactly the three with a0 > 1
-        X = np.array([[2.0], [3.0], [1.5], [0.5], [0.9], [0.1], [0.2]])
-        y = np.array([1, 1, 1, 1, 1, 0, 0])
-        rules = [parse_rule("IF a > 1 THEN anomaly IS true")]
-        stats = rule_match_stats(rules, X, y, {"a": 0})
-        # exhaustive oracle
-        expected = sum(1 for i in range(7) if y[i] == 1 and X[i, 0] > 1)
-        assert stats.n_rule_detect == expected == 3
-        assert stats.rate == pytest.approx(0.6)
-        assert stats.per_rule["rule"] == 3
 
 
 class TestFiles:

@@ -87,8 +87,8 @@ class TestCheckpointIO:
             assert (again.params[name] == ck.params[name]).all()
         assert (again.e_f == ck.e_f).all()
 
-    def test_version_1_metadata_is_pinned(self, tmp_path):
-        # the on-disk names predate the [model]/[know_encoder] sections
+    def test_version_2_metadata_is_pinned(self, tmp_path):
+        # each section is stored as its whole field dict, under its section name
         params = {"enc/w0": np.zeros((1, 2)), "enc/b0": np.zeros((1, 2)),
                   "head/w0": np.zeros((2, 1)), "head/b0": np.zeros((1, 1)),
                   "norm/mean": np.zeros((1, 1)), "norm/std": np.ones((1, 1))}
@@ -97,13 +97,13 @@ class TestCheckpointIO:
             params=params,
             seed=3,
             model=ModelConfig(hidden=(2,), dropout_first=0.25),
-            know_encoder=KnowEncoderConfig(layers=1, embed=2, var_capacity=1),
+            know_encoder=KnowEncoderConfig(layers=1, embed=2, var_capacity=1, steps=7),
             e_f=np.zeros((1, 2)),
         )
         path = tmp_path / "model.kdal"
         save_checkpoint(ck, path)
         raw = path.read_bytes()
-        assert raw[:8] == MAGIC + struct.pack("<I", 1)
+        assert raw[:8] == MAGIC + struct.pack("<I", 2)
         (length,) = struct.unpack("<Q", raw[8:16])
         tensors = ", ".join(
             f'{{"cols": {c}, "name": "{n}", "rows": {r}}}'
@@ -115,11 +115,12 @@ class TestCheckpointIO:
             ]
         )
         assert raw[16 : 16 + length].decode() == (
-            '{"encoder": {"blocks": 2, "dropout_first": 0.25, "dropout_second": 0.0, '
-            '"hidden": [2], "input_dim": 1, "kind": "mlp", "main_dim": 32}, '
-            '"head": {"embed_dim": 2, "hidden": [], "transform": "sigmoid"}, '
-            '"know_encoder": {"embed_width": 2, "hidden_width": 16, "n_layers": 1, '
-            '"var_capacity": 1}, "seed": 3, "tensors": [' + tensors + "]}"
+            '{"know_encoder": {"and_reg": 0.1, "embed": 2, "eval_every": 20, "hidden": 16, '
+            '"layers": 1, "learning_rate": 0.05, "margin": 1.0, "or_reg": 0.1, "seed": 0, '
+            '"steps": 7, "val_pairs": 4, "var_capacity": 1}, '
+            '"model": {"blocks": 2, "dropout_first": 0.25, "dropout_second": 0.0, '
+            '"head_hidden": [], "hidden": [2], "kind": "mlp", "main_dim": 32, '
+            '"transform": "sigmoid"}, "seed": 3, "tensors": [' + tensors + "]}"
         )
         assert checkpoints_equal(load_checkpoint(path), ck)
 
