@@ -24,6 +24,9 @@ from .config import RulesConfig
 from .errors import DataError
 from .rules import Condition, Rule, rule_match_mask
 
+NOISE_DRAWS = 20  # perturbation draws per widening step of inject_noise
+NOISE_WIDENINGS = 5  # times inject_noise widens the offset range past 10-30
+
 
 @dataclass
 class TreeNode:
@@ -248,8 +251,6 @@ def inject_noise(
     X: np.ndarray,
     y: np.ndarray,
     feature_names: Sequence[str],
-    max_draws: int = 20,
-    max_widen: int = 5,
 ) -> list[Rule]:
     """Perturb ceil(ratio*s) rules so each misclassifies >= 1 normal sample.
 
@@ -272,9 +273,9 @@ def inject_noise(
         rule = rules[ridx]
         accepted = None
         last = None
-        for widen in range(max_widen + 1):
+        for widen in range(NOISE_WIDENINGS + 1):
             hi = 30.0 + 30.0 * widen
-            for _ in range(max_draws):
+            for _ in range(NOISE_DRAWS):
                 cond_i = int(rng.integers(len(rule.conditions)))
                 cond = rule.conditions[cond_i]
                 col = X[:, name_to_index[cond.attribute]]

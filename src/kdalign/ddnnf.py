@@ -11,9 +11,9 @@ are hash-consed: shared TRUE/FALSE sinks, one node per distinct
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .logic import CnfFormula
+from .errors import DataError
 
 K_AND, K_OR, K_LEAF, K_TRUE, K_FALSE = "and", "or", "leaf", "true", "false"
 
@@ -104,17 +104,19 @@ def _condition(clauses: frozenset[frozenset[int]], literal: int):
     return frozenset(out)
 
 
-def compile_ddnnf(cnf: CnfFormula, max_vars: int = MAX_COMPILE_VARS) -> DdnnfGraph:
-    """Compile a CNF into an equivalent d-DNNF graph.
+def compile_ddnnf(clauses: Sequence[tuple[int, ...]]) -> DdnnfGraph:
+    """Compile a CNF, given as clauses of signed variable ids, into an
+    equivalent d-DNNF graph.
 
     Unsatisfiable input compiles to the FALSE sink; an empty clause list to
-    TRUE.  Raises on more than `max_vars` distinct variables (the recursion
-    is exponential in the worst case and meant for rule-sized formulae).
+    TRUE.  Raises DataError on more than MAX_COMPILE_VARS distinct variables
+    (the recursion is exponential in the worst case and meant for rule-sized
+    formulae).
     """
-    variables = sorted(cnf.variables())
-    if len(variables) > max_vars:
-        raise ValueError(
-            f"CNF has {len(variables)} variables, compile bound is {max_vars}"
+    n_vars = len({abs(lit) for clause in clauses for lit in clause})
+    if n_vars > MAX_COMPILE_VARS:
+        raise DataError(
+            f"formula {list(clauses)} has {n_vars} variables, compile bound is {MAX_COMPILE_VARS}"
         )
     b = _Builder()
     memo: dict[frozenset[frozenset[int]], int] = {}
@@ -140,7 +142,7 @@ def compile_ddnnf(cnf: CnfFormula, max_vars: int = MAX_COMPILE_VARS) -> DdnnfGra
         memo[clauses] = nid
         return nid
 
-    start = frozenset(frozenset(clause) for clause in cnf.clauses)
+    start = frozenset(frozenset(clause) for clause in clauses)
     if frozenset() in start:
         root = b.false_id
     else:

@@ -154,15 +154,10 @@ def deviation_prior(seed: int, step: int, size: int = DEVIATION_PRIOR_SIZE) -> t
 
 
 def deviation_loss_tape(
-    tape: Tape,
-    scores_id: int,
-    labels: np.ndarray,
-    prior_mean: float,
-    prior_std: float,
-    margin: float = DEVIATION_MARGIN,
+    tape: Tape, scores_id: int, labels: np.ndarray, prior_mean: float, prior_std: float
 ) -> int:
     """Deviation loss on raw scores: inliers shrink |dev|, outliers are pushed
-    past the margin: mean[(1-y)|dev| + y max(0, margin - dev)]."""
+    past the margin m = DEVIATION_MARGIN: mean[(1-y)|dev| + y max(0, m - dev)]."""
     y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     m = tape.value(scores_id).shape[0]
     if y.shape[0] != m:
@@ -170,7 +165,7 @@ def deviation_loss_tape(
     mean_const = tape.constant(np.full((m, 1), prior_mean))
     dev = tape.smul(tape.sub(scores_id, mean_const), 1.0 / prior_std)
     abs_dev = tape.add(tape.relu(dev), tape.relu(tape.smul(dev, -1.0)))
-    margin_term = tape.relu(tape.sub(tape.constant(np.full((m, 1), margin)), dev))
+    margin_term = tape.relu(tape.sub(tape.constant(np.full((m, 1), DEVIATION_MARGIN)), dev))
     y_id = tape.constant(y)
     one = tape.constant(np.ones((m, 1)))
     inlier = tape.hadamard(tape.sub(one, y_id), abs_dev)

@@ -295,11 +295,11 @@ class MetricReport:
             "  ".join(cell.ljust(w) for cell, w in zip(line, widths)) + "\n" for line in lines
         )
 
-    def to_delimited(self, delimiter: str = ",") -> str:
+    def to_delimited(self) -> str:
         cols = self.columns()
-        out = [delimiter.join(cols)]
+        out = [",".join(cols)]
         for row in self.rows:
-            out.append(delimiter.join(_fmt(row.get(c, "")) for c in cols))
+            out.append(",".join(_fmt(row.get(c, "")) for c in cols))
         return "\n".join(out) + "\n"
 
 

@@ -1,10 +1,11 @@
 """End-to-end experiment orchestration.
 
-One experiment: acquire (or load) rules, compile them to d-DNNF, pretrain
-the knowledge encoder, freeze E_F, then per seed split / train / infer /
-score.  The lambda grid, when given, is tuned per seed on validation AUPRC;
-the lambda=0 baseline can run alongside for paired ablation rows.  The noise
-study repeats the whole pipeline per noisy-rule ratio.
+One experiment: acquire (or load) rules, compile each rule's clause to
+d-DNNF, pretrain the knowledge encoder, freeze E_F, then per seed split /
+train / infer / score.  The lambda grid, when given, is tuned per seed on
+validation AUPRC; the lambda=0 baseline can run alongside for paired
+ablation rows.  The noise study repeats the whole pipeline per noisy-rule
+ratio.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .ddnnf import DdnnfGraph, compile_ddnnf
 from .errors import ConfigError, DataError
 from .evaluate import Dataset, MetricReport, auprc, load_csv, rec_at_k_detail, split_dataset
 from .gcn import PretrainResult, embed_knowledge_set, pretrain_encoder
-from .logic import PropositionTable, formula_to_cnf, rule_to_formula
+from .logic import PropositionTable, rule_to_clause
 from .rules import Rule, load_rules
 from .train import (
     EpochRecord,
@@ -55,12 +56,9 @@ def load_dataset(cfg: dict) -> Dataset:
 
 
 def compile_rules(rules: list[Rule]) -> tuple[PropositionTable, list[DdnnfGraph]]:
+    """One shared proposition table, and each rule's clause compiled to d-DNNF."""
     table = PropositionTable()
-    graphs = []
-    for rule in rules:
-        formula = rule_to_formula(rule, table)
-        graphs.append(compile_ddnnf(formula_to_cnf(formula)))
-    return table, graphs
+    return table, [compile_ddnnf([rule_to_clause(rule, table)]) for rule in rules]
 
 
 def build_knowledge(

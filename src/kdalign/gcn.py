@@ -17,7 +17,6 @@ embedding set E_F is frozen.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,13 +209,14 @@ class PretrainResult:
     loss_history: list[float] = field(default_factory=list)
     val_history: list[tuple[int, float]] = field(default_factory=list)
     best_val_accuracy: float = 0.0
-    skipped: list[int] = field(default_factory=list)
 
 
-def _sat_unsat_assignments(graph: DdnnfGraph):
+def _sat_unsat_assignments(graph: DdnnfGraph, index: int):
     variables = sorted(graph.varsets[graph.root])
     if len(variables) > MAX_ENUM_VARS:
-        raise ValueError(f"formula has {len(variables)} variables; enumeration bound is {MAX_ENUM_VARS}")
+        raise DataError(
+            f"formula {index} has {len(variables)} variables; enumeration bound is {MAX_ENUM_VARS}"
+        )
     sat, unsat = [], []
     for assignment in assignments(variables):
         (sat if eval_ddnnf(graph, assignment) else unsat).append(assignment)
@@ -227,35 +227,21 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
     """Train the knowledge encoder on (formula, sat, unsat) triplets.
 
     The triplet loss max(0, d(e_f, e_sat) - d(e_f, e_unsat) + margin) is
-    averaged over one sampled triple per usable formula per step; AND nodes
-    are pulled toward the mean of their children, OR children toward unit
-    mean squared spread.  Plain gradient descent with a fixed step; the
-    returned parameters are the snapshot with the best held-out triplet
-    accuracy.  Formulae with no satisfying or no falsifying assignment are
-    skipped with a warning.
+    averaged over one sampled triple per formula per step; AND nodes are
+    pulled toward the mean of their children, OR children toward unit mean
+    squared spread.  Plain gradient descent with a fixed step; the returned
+    parameters are the snapshot with the best held-out triplet accuracy.
+    Every formula must have a satisfying and a falsifying assignment, as a
+    rule's clause (at least two literals) always does.
     """
+    if len(graphs) < 2:
+        raise DataError(f"pretraining needs at least 2 formulae, got {len(graphs)}")
     rng = np.random.default_rng(config.seed)
     params = init_know_encoder(config, rng)
-
-    usable = []
-    skipped = []
-    for idx, g in enumerate(graphs):
-        vars_ = g.varsets[g.root]
-        if not vars_:
-            warnings.warn(f"formula {idx} is constant; skipped in pretraining")
-            skipped.append(idx)
-            continue
-        sat, unsat = _sat_unsat_assignments(g)
-        if not sat or not unsat:
-            warnings.warn(
-                f"formula {idx} is {'unsatisfiable' if not sat else 'tautological'}; skipped"
-            )
-            skipped.append(idx)
-            continue
-        fg = ddnnf_to_graph(g, config.var_capacity)
-        usable.append((fg, sat, unsat))
-    if len(usable) < 2:
-        raise DataError(f"pretraining needs at least 2 usable formulae, got {len(usable)}")
+    corpus = [
+        (ddnnf_to_graph(g, config.var_capacity), *_sat_unsat_assignments(g, idx))
+        for idx, g in enumerate(graphs)
+    ]
 
     graph_cache: dict[frozenset, FormulaGraph] = {}
 
@@ -266,7 +252,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
         return graph_cache[key]
 
     val_graphs = []  # (formula, sat, unsat) triples, flattened; repeats share one object
-    for fg, sat, unsat in usable:
+    for fg, sat, unsat in corpus:
         for _ in range(config.val_pairs):
             fg_sat = fg_of(sat[rng.integers(len(sat))])
             val_graphs += [fg, fg_sat, fg_of(unsat[rng.integers(len(unsat))])]
@@ -277,7 +263,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
         hits = ((e_f - e_s) ** 2).sum(axis=1) < ((e_f - e_u) ** 2).sum(axis=1)
         return int(hits.sum()) / len(hits)
 
-    result = PretrainResult(config, params.copy(), skipped=skipped)
+    result = PretrainResult(config, params.copy())
     best_acc = val_accuracy(params)
     result.best_val_accuracy = best_acc
     result.val_history.append((0, best_acc))
@@ -289,7 +275,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
         triplet_total = None
         and_total, or_total = None, None
         n_and, n_or = 0, 0
-        for fg, sat, unsat in usable:
+        for fg, sat, unsat in corpus:
             z_id = gcn_forward_tape(tape, fg, config, ids)
             e_f = formula_embedding_tape(tape, z_id, fg)
             fg_sat = fg_of(sat[rng.integers(len(sat))])
@@ -311,7 +297,7 @@ def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> Pre
                 or_total = o_pen if or_total is None else tape.add(or_total, o_pen)
                 n_or += o_n
 
-        loss = tape.smul(triplet_total, 1.0 / len(usable))
+        loss = tape.smul(triplet_total, 1.0 / len(corpus))
         if and_total is not None and config.and_reg > 0:
             loss = tape.add(loss, tape.smul(and_total, config.and_reg / n_and))
         if or_total is not None and config.or_reg > 0:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -141,7 +142,10 @@ def save_checkpoint(ck: ModelCheckpoint, path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
+    """``n`` bytes, checked against the bytes left in the file before reading,
+    so that a corrupt length cannot ask for more memory than the file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(n) if n <= left else b""
     if len(data) != n:
         raise DataError(f"truncated checkpoint while reading {what}")
     return data

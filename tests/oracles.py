@@ -1,8 +1,7 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is deliberately naive: recursive tree evaluation, exhaustive
-enumeration, scalar loops, a Sinkhorn loop that re-measures its plan every
-iteration.  None of it shares code with the implementations under test,
+Everything here is deliberately naive: exhaustive enumeration, scalar
+loops, a Sinkhorn loop that re-measures its plan every iteration.  None of it shares code with the implementations under test,
 except that the unrolled Sinkhorn and the finite-difference gradient check
 are built from the tape's primitives, ``check_determinism`` evaluates
 d-DNNF nodes with ``eval_ddnnf``, ``rec_at_k`` reads ``rec_at_k_detail``,
@@ -24,22 +23,6 @@ from kdalign.errors import DataError, ShapeError
 from kdalign.evaluate import rec_at_k_detail
 from kdalign.gcn import NODE_TYPES, layer_dims, param_name
 from kdalign.kernels import best_split_scan
-
-
-def eval_tree(node, assignment):
-    """Recursive truth evaluation of an FNode tree."""
-    if node.kind == "leaf":
-        return assignment[node.pid]
-    if node.kind == "not":
-        return not eval_tree(node.children[0], assignment)
-    if node.kind == "and":
-        return all(eval_tree(c, assignment) for c in node.children)
-    if node.kind == "or":
-        return any(eval_tree(c, assignment) for c in node.children)
-    if node.kind == "implies":
-        a, b = node.children
-        return (not eval_tree(a, assignment)) or eval_tree(b, assignment)
-    raise ValueError(node.kind)
 
 
 def eval_clauses(clauses, assignment):

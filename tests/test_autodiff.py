@@ -6,7 +6,6 @@ from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.config import KnowEncoderConfig
 from kdalign.ddnnf import compile_ddnnf
 from kdalign.errors import NumericError, ShapeError
-from kdalign.logic import CnfFormula, PropositionTable
 from kdalign.train import Adam
 from oracles import grad_check
 
@@ -438,11 +437,8 @@ class TestBindParamsNoCopy:
             np.testing.assert_array_equal(tape.value(nid), before[k])
 
     def test_pretraining_update_leaves_bound_tapes_unchanged(self, monkeypatch):
-        table = PropositionTable()
-        for i in range(3):
-            table.intern(f"p{i}", "is", "True")
         clauses = ([[1, 2]], [[-1, 2]], [[1], [2]], [[-1, -2, 3]])
-        graphs = [compile_ddnnf(CnfFormula([tuple(c) for c in cl], table)) for cl in clauses]
+        graphs = [compile_ddnnf(cl) for cl in clauses]
         bound = []
 
         def recording_bind(tape, params):

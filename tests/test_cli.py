@@ -158,6 +158,41 @@ def _infer_bad_csv(tmp_path, small_csv, text):
     return ["infer", "--checkpoint", ck, "--data", data, "--out", tmp_path / "s.txt"]
 
 
+def _wide_rule(tmp_path, n_conditions, command):
+    """A rule of ``n_conditions`` distinct conditions, plus a one-condition
+    rule, through ``compile-rules`` or ``pretrain``."""
+    conditions = " AND ".join(f"f1 > {i}" for i in range(n_conditions))
+    text = f"IF {conditions} THEN anomaly IS true\nIF f2 > 0 THEN anomaly IS true\n"
+    argv = _rule_file(tmp_path, text, "wide.rules")
+    if command == "compile-rules":
+        return argv
+    return ["pretrain", "--rules.path", argv[2], "--out", tmp_path / "enc.kdal"]
+
+
+def _infer_corrupt_meta_length(tmp_path, small_csv):
+    """infer on a checkpoint whose metadata length has byte 14 of the file
+    set to 109, a length far past the end of the file."""
+    ck = tmp_path / "model.kdal"
+    save_checkpoint(ModelCheckpoint(params={}, seed=0), ck)
+    raw = bytearray(ck.read_bytes())
+    raw[14] = 109
+    ck.write_bytes(bytes(raw))
+    return ["infer", "--checkpoint", ck, "--data", small_csv, "--out", tmp_path / "s.txt"]
+
+
+def _infer_tensor_past_end(tmp_path, small_csv):
+    """infer on a checkpoint whose tensor header and metadata agree on a
+    10^6 x 10^6 shape that the file does not hold."""
+    n = 10**6
+    meta = json.dumps({"seed": 0, "tensors": [{"name": "w", "rows": n, "cols": n}]}).encode()
+    ck = tmp_path / "model.kdal"
+    ck.write_bytes(
+        MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(meta)) + meta
+        + struct.pack("<H", 1) + b"w" + struct.pack("<QQ", n, n) + bytes(8)
+    )
+    return ["infer", "--checkpoint", ck, "--data", small_csv, "--out", tmp_path / "s.txt"]
+
+
 MALFORMED_FILES = {
     "rule-missing-key": (
         lambda t, csv: _rule_file(t, '[{"id":"r1","consequent":true}]'),
@@ -181,6 +216,22 @@ MALFORMED_FILES = {
     "rule-dsl-contradiction": (
         lambda t, csv: _rule_file(t, "IF f3 > 5 AND f3 < 3 THEN anomaly IS true\n", "r.rules"),
         "line 1: rule 'rule_000': contradictory conditions on attribute 'f3'",
+    ),
+    "rule-past-compile-bound": (
+        lambda t, csv: _wide_rule(t, 21, "compile-rules"),
+        "has 22 variables, compile bound is 20",
+    ),
+    "rule-past-enumeration-bound": (
+        lambda t, csv: _wide_rule(t, 16, "pretrain"),
+        "formula 0 has 17 variables; enumeration bound is 16",
+    ),
+    "checkpoint-meta-length-past-end": (
+        _infer_corrupt_meta_length,
+        "truncated checkpoint while reading metadata",
+    ),
+    "checkpoint-tensor-past-end": (
+        _infer_tensor_past_end,
+        "truncated checkpoint while reading tensor 'w' data",
     ),
     "checkpoint-meta-not-json": (
         lambda t, csv: _infer_meta(t, csv, b"{not json"),
@@ -432,6 +483,16 @@ def test_failed_write_keeps_the_old_file(small_csv, tmp_path, monkeypatch, capsy
 # ---------------------------------------------------------------------------
 # Help text
 # ---------------------------------------------------------------------------
+
+
+def test_compile_rules_matches_golden(tmp_path):
+    """The compile-rules JSON of a 3-rule file (a shared condition, a
+    repeated one, ``anomaly IS false``), recorded from the general
+    formula-to-CNF path that ``rule_to_clause`` replaced."""
+    out = tmp_path / "compiled.json"
+    assert cli.main(["compile-rules", "--rules", str(GOLDEN / "compile_rules_three.rules"),
+                     "--out", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / "compile_rules_three.json").read_text()
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("help_*.txt")), ids=lambda p: p.stem)

@@ -9,15 +9,7 @@ from kdalign.ddnnf import (
     eval_ddnnf,
     model_count,
 )
-from kdalign.logic import CnfFormula, PropositionTable
 from oracles import all_assignments, check_determinism, count_models, eval_clauses
-
-
-def cnf_of(clauses, n_vars):
-    table = PropositionTable()
-    for i in range(n_vars):
-        table.intern(f"p{i}", "is", "True")
-    return CnfFormula([tuple(c) for c in clauses], table)
 
 
 def random_cnf(rng, max_vars=8, max_clauses=12):
@@ -29,36 +21,36 @@ def random_cnf(rng, max_vars=8, max_clauses=12):
         vs = rng.choice(np.arange(1, n_vars + 1), size=width, replace=False)
         clause = tuple(int(v) if rng.random() < 0.5 else -int(v) for v in vs)
         clauses.append(clause)
-    return cnf_of(clauses, n_vars), n_vars
+    return clauses, n_vars
 
 
 class TestCompile:
     def test_unit_clause(self):
-        g = compile_ddnnf(cnf_of([[1]], 1))
+        g = compile_ddnnf([[1]])
         assert g.kinds[g.root] == K_LEAF
         assert g.literals[g.root] == 1
 
     def test_implication_clause_counts_seven(self):
-        g = compile_ddnnf(cnf_of([[-1, -2, 3]], 3))
+        g = compile_ddnnf([[-1, -2, 3]])
         assert model_count(g, 3) == 7
         assert count_models([(-1, -2, 3)], [1, 2, 3]) == 7
 
     def test_contradiction_compiles_to_false(self):
-        g = compile_ddnnf(cnf_of([[1], [-1]], 1))
+        g = compile_ddnnf([[1], [-1]])
         assert g.kinds[g.root] == K_FALSE
         assert model_count(g, 1) == 0
 
     def test_empty_cnf_is_true(self):
-        g = compile_ddnnf(cnf_of([], 0))
+        g = compile_ddnnf([])
         assert model_count(g, 3) == 8
 
     def test_variable_bound(self):
         clauses = [[i] for i in range(1, 22)]
         with pytest.raises(ValueError, match="compile bound"):
-            compile_ddnnf(cnf_of(clauses, 21))
+            compile_ddnnf(clauses)
 
     def test_leaf_count_with_extra_vars(self):
-        g = compile_ddnnf(cnf_of([[2]], 2))
+        g = compile_ddnnf([[2]])
         assert model_count(g, 1) == 1
         assert model_count(g, 2) == 2
 
@@ -67,17 +59,17 @@ class TestRandomized:
     @pytest.mark.parametrize("seed", range(200))
     def test_model_count_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        cnf, n_vars = random_cnf(rng)
-        g = compile_ddnnf(cnf)
-        expected = count_models(cnf.clauses, range(1, n_vars + 1))
+        clauses, n_vars = random_cnf(rng)
+        g = compile_ddnnf(clauses)
+        expected = count_models(clauses, range(1, n_vars + 1))
         assert model_count(g, n_vars) == expected
 
     @pytest.mark.parametrize("seed", range(0, 200, 7))
     def test_structural_checks_and_equivalence(self, seed):
         rng = np.random.default_rng(seed + 1000)
-        cnf, n_vars = random_cnf(rng)
-        g = compile_ddnnf(cnf)
+        clauses, n_vars = random_cnf(rng)
+        g = compile_ddnnf(clauses)
         check_decomposability(g)
         check_determinism(g)
         for assignment in all_assignments(range(1, n_vars + 1)):
-            assert eval_ddnnf(g, assignment) == eval_clauses(cnf.clauses, assignment)
+            assert eval_ddnnf(g, assignment) == eval_clauses(clauses, assignment)

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -19,15 +17,8 @@ from kdalign.gcn import (
 )
 from kdalign.gcn import FormulaGraph, TYPE_INDEX
 from kdalign.config import KnowEncoderConfig
-from kdalign.logic import CnfFormula, PropositionTable
+from kdalign.errors import DataError
 from oracles import gcn_forward
-
-
-def cnf_of(clauses, n_vars):
-    table = PropositionTable()
-    for i in range(n_vars):
-        table.intern(f"p{i}", "is", "True")
-    return CnfFormula([tuple(c) for c in clauses], table)
 
 
 def forward(fg, spec, params):
@@ -47,7 +38,7 @@ def homogeneous_params(spec, rng):
 
 class TestGraphConversion:
     def test_single_leaf(self):
-        g = compile_ddnnf(cnf_of([[1]], 1))
+        g = compile_ddnnf([[1]])
         fg = ddnnf_to_graph(g, var_capacity=4)
         assert fg.node_types.shape[0] == 2
         np.testing.assert_array_equal(fg.adj, [[1.0, 1.0], [1.0, 1.0]])
@@ -60,7 +51,7 @@ class TestGraphConversion:
         assert fg.features[0, 4 + 1] == -1.0
 
     def test_global_connected_to_all(self):
-        g = compile_ddnnf(cnf_of([[-1, -2, 3]], 3))
+        g = compile_ddnnf([[-1, -2, 3]])
         fg = ddnnf_to_graph(g, var_capacity=4)
         n = fg.adj.shape[0]
         gi = fg.global_index
@@ -77,7 +68,7 @@ class TestGraphConversion:
         assert n == len(reachable) + 1
 
     def test_adjacency_symmetric_with_self_loops(self):
-        g = compile_ddnnf(cnf_of([[1, 2], [-2, 3]], 3))
+        g = compile_ddnnf([[1, 2], [-2, 3]])
         fg = ddnnf_to_graph(g, var_capacity=8)
         np.testing.assert_array_equal(fg.adj, fg.adj.T)
         np.testing.assert_array_equal(np.diag(fg.adj), np.ones(fg.adj.shape[0]))
@@ -152,7 +143,7 @@ class TestForward:
 
     def test_tape_matches_numpy_forward(self):
         rng = np.random.default_rng(3)
-        g = compile_ddnnf(cnf_of([[-1, -2, 3]], 3))
+        g = compile_ddnnf([[-1, -2, 3]])
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         fg = ddnnf_to_graph(g, spec.var_capacity)
         params = init_know_encoder(spec, rng)
@@ -163,7 +154,7 @@ class TestForward:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        g = compile_ddnnf(cnf_of([[1, 2], [-1, 3]], 3))
+        g = compile_ddnnf([[1, 2], [-1, 3]])
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         fg = ddnnf_to_graph(g, spec.var_capacity)
         params = init_know_encoder(spec, rng)
@@ -186,8 +177,8 @@ class TestForward:
         rng = np.random.default_rng(6)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        g1 = compile_ddnnf(cnf_of([[1, 2]], 2))
-        g2 = compile_ddnnf(cnf_of([[1, 2]], 2))
+        g1 = compile_ddnnf([[1, 2]])
+        g2 = compile_ddnnf([[1, 2]])
         e = embed_knowledge_set([g1, g2], spec, params)
         np.testing.assert_array_equal(e[0], e[1])
 
@@ -195,7 +186,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        graphs = [ddnnf_to_graph(compile_ddnnf(cnf_of(c, 3)), 8)
+        graphs = [ddnnf_to_graph(compile_ddnnf(c), 8)
                   for c in ([[1, 2]], [[1], [-2, 3]], [[-3]])]
         listed = [graphs[i] for i in (0, 1, 0, 2, 2, 1, 0)]
         got = embed_formulae(listed, spec, params)
@@ -208,10 +199,10 @@ class TestEmbedKnowledgeSet:
         rng = np.random.default_rng(0)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=5, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        g = compile_ddnnf(cnf_of([[1]], 1))
+        g = compile_ddnnf([[1]])
         e1 = embed_knowledge_set([g], spec, params)
         assert e1.shape == (1, 5)
-        corpus = [compile_ddnnf(cnf_of([[v]], v)) for v in range(1, 8)] * 2
+        corpus = [compile_ddnnf([[v]]) for v in range(1, 8)] * 2
         e = embed_knowledge_set(corpus, spec, params)
         assert e.shape == (14, 5)
         assert np.isfinite(e).all()
@@ -221,7 +212,7 @@ class TestEmbedKnowledgeSet:
         rng = np.random.default_rng(1)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=5, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        corpus = [compile_ddnnf(cnf_of([[1, -2], [2, 3]], 3))]
+        corpus = [compile_ddnnf([[1, -2], [2, 3]])]
         a = embed_knowledge_set(corpus, spec, params)
         b = embed_knowledge_set(corpus, spec, params)
         assert (a == b).all()
@@ -240,7 +231,7 @@ def toy_corpus():
         [[-2, 3]],
         [[1, 2, 3]],
     ]
-    return [compile_ddnnf(cnf_of(c, 3)) for c in specs]
+    return [compile_ddnnf(c) for c in specs]
 
 
 class TestPretrain:
@@ -253,27 +244,15 @@ class TestPretrain:
         for name in fresh.values:
             np.testing.assert_array_equal(result.params.values[name], fresh.values[name])
 
-    def test_constant_and_unsat_formulae_skipped(self):
-        # unsatisfiable input compiles to the FALSE sink, i.e. a constant
-        graphs = toy_corpus() + [compile_ddnnf(cnf_of([[1], [-1]], 1))]
-        cfg = KnowEncoderConfig(steps=0, seed=0, var_capacity=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = pretrain_encoder(graphs, cfg)
-        assert result.skipped == [len(graphs) - 1]
-        assert any("constant" in str(w.message) for w in caught)
+    def test_needs_two_formulae(self):
+        with pytest.raises(DataError, match="at least 2 formulae, got 1"):
+            pretrain_encoder(toy_corpus()[:1], KnowEncoderConfig(steps=0, var_capacity=4))
 
-    def test_hand_built_unsat_graph_skipped(self):
-        from kdalign.ddnnf import DdnnfGraph, K_AND, K_LEAF
-
-        # AND(p, not p) is not a valid d-DNNF but exercises the no-sat branch
-        bad = DdnnfGraph([K_LEAF, K_LEAF, K_AND], [1, -1, 0], [(), (), (0, 1)], root=2)
-        graphs = toy_corpus() + [bad]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = pretrain_encoder(graphs, KnowEncoderConfig(steps=0, seed=0, var_capacity=4))
-        assert result.skipped == [len(graphs) - 1]
-        assert any("unsatisfiable" in str(w.message) for w in caught)
+    def test_enumeration_bound_names_the_formula(self):
+        wide = compile_ddnnf([[-v for v in range(1, 17)] + [17]])
+        cfg = KnowEncoderConfig(steps=0, var_capacity=17)
+        with pytest.raises(DataError, match="formula 1 has 17 variables; enumeration bound is 16"):
+            pretrain_encoder([toy_corpus()[0], wide], cfg)
 
     def test_loss_decreases_on_toy_corpus(self):
         graphs = toy_corpus()
@@ -285,7 +264,7 @@ class TestPretrain:
         assert all(b <= a + 0.05 * abs(a) + 1e-9 for a, b in zip(smooth, smooth[1:]))
 
     def test_separates_p_from_not_p(self):
-        graphs = [compile_ddnnf(cnf_of([[1]], 1)), compile_ddnnf(cnf_of([[-1]], 1))]
+        graphs = [compile_ddnnf([[1]]), compile_ddnnf([[-1]])]
         cfg = KnowEncoderConfig(
             steps=120, seed=2, margin=1.0, var_capacity=2, hidden=8, embed=8
         )

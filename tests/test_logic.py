@@ -1,141 +1,125 @@
 import numpy as np
 import pytest
 
-from kdalign.logic import (
-    PropositionTable,
-    formula_to_cnf,
-    implies,
-    land,
-    leaf,
-    lnot,
-    lor,
-    PropFormula,
-    rule_to_formula,
-)
-from kdalign.rules import parse_rule
-from oracles import all_assignments, eval_clauses, eval_tree
+from kdalign.experiment import compile_rules
+from kdalign.logic import PropositionTable, assignments, rule_to_clause
+from kdalign.rules import PREDICATES, Condition, Rule, _format_threshold, parse_rule
+from oracles import eval_clauses
 
 
-def random_formula(rng, pids, depth=3):
-    if depth == 0 or rng.random() < 0.3:
-        return leaf(int(rng.choice(pids)))
-    kind = rng.choice(["not", "and", "or", "implies"])
-    if kind == "not":
-        return lnot(random_formula(rng, pids, depth - 1))
-    if kind == "implies":
-        return implies(
-            random_formula(rng, pids, depth - 1), random_formula(rng, pids, depth - 1)
-        )
-    n = int(rng.integers(2, 4))
-    children = tuple(random_formula(rng, pids, depth - 1) for _ in range(n))
-    return land(children) if kind == "and" else lor(children)
+def triples(table):
+    return [(p.pid, p.subject, p.predicate, p.obj) for p in table.propositions()]
 
 
-def table_with(n):
-    table = PropositionTable()
-    for i in range(n):
-        table.intern(f"p{i}", "is", "True")
-    return table
-
-
-class TestRuleToFormula:
+class TestRuleToClause:
     def test_worked_example(self):
         table = PropositionTable()
         rule = parse_rule("IF attr_1 > 5 AND attr_2 = 0 THEN anomaly IS true")
-        f = rule_to_formula(rule, table)
-        assert f.root.kind == "implies"
-        antecedent, consequent = f.root.children
-        assert antecedent.kind == "and"
-        assert [c.pid for c in antecedent.children] == [1, 2]
-        assert consequent.pid == 3
-        assert [(p.pid, p.subject, p.predicate, p.obj) for p in table.propositions()] == [
+        assert rule_to_clause(rule, table) == (-1, -2, 3)
+        assert triples(table) == [
             (1, "attr_1", ">", "5"),
             (2, "attr_2", "=", "0"),
             (3, "anomaly", "is", "True"),
         ]
 
-    def test_single_condition_degenerate(self):
+    def test_single_condition(self):
         table = PropositionTable()
-        f = rule_to_formula(parse_rule("IF x >= 0 THEN anomaly IS true"), table)
-        antecedent, _ = f.root.children
-        assert antecedent.kind == "leaf"
+        assert rule_to_clause(parse_rule("IF x >= 0 THEN anomaly IS true"), table) == (-1, 2)
+        assert len(table) == 2
 
     def test_shared_condition_reuses_proposition_id(self):
         table = PropositionTable()
-        f1 = rule_to_formula(parse_rule("IF attr_1 > 5 THEN anomaly IS true"), table)
-        f2 = rule_to_formula(
-            parse_rule("IF attr_1 > 5 AND attr_2 < 1 THEN anomaly IS true"), table
-        )
-        # same triple -> same id in both formulae
-        assert f1.root.children[0].pid == f2.root.children[0].children[0].pid
-        # consequent (anomaly, is, True) also deduplicated
-        assert f1.root.children[1].pid == f2.root.children[1].pid
+        c1 = rule_to_clause(parse_rule("IF attr_1 > 5 THEN anomaly IS true"), table)
+        c2 = rule_to_clause(parse_rule("IF attr_1 > 5 AND attr_2 < 1 THEN anomaly IS true"), table)
+        # the condition and the consequent (anomaly, is, True) keep their ids
+        assert c1 == (-1, 2)
+        assert c2 == (-1, 2, -3)
         assert len(table) == 3
 
+    def test_repeated_condition_gives_one_literal(self):
+        table = PropositionTable()
+        rule = parse_rule("IF a > 1 AND b = 0 AND a > 1 THEN anomaly IS true")
+        assert rule_to_clause(rule, table) == (-1, -2, 3)
+        assert len(table) == 3
 
-class TestCnf:
-    def test_implication_single_clause(self):
-        table = table_with(3)
-        f = PropFormula(implies(land((leaf(1), leaf(2))), leaf(3)), table)
-        cnf = formula_to_cnf(f)
-        assert cnf.clauses == [(-1, -2, 3)]
-
-    def test_single_leaf(self):
-        cnf = formula_to_cnf(PropFormula(leaf(1), table_with(1)))
-        assert cnf.clauses == [(1,)]
-
-    def test_tautology_clause_dropped(self):
-        table = table_with(2)
-        f = PropFormula(lor((leaf(1), lnot(leaf(1)))), table)
-        assert formula_to_cnf(f).clauses == []
-
-    def test_no_duplicate_literals(self):
-        table = table_with(2)
-        f = PropFormula(lor((leaf(1), leaf(1), leaf(2))), table)
-        assert formula_to_cnf(f).clauses == [(1, 2)]
-
-    def test_blowup_bound(self):
-        table = table_with(26)
-        terms = tuple(land((leaf(2 * i + 1), leaf(2 * i + 2))) for i in range(13))
-        f = PropFormula(lor(terms), table)
-        with pytest.raises(ValueError, match="exceeds"):
-            formula_to_cnf(f)
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_equivalence_random_4var(self, seed):
-        rng = np.random.default_rng(seed)
-        table = table_with(4)
-        f = PropFormula(random_formula(rng, [1, 2, 3, 4]), table)
-        cnf = formula_to_cnf(f)
-        for assignment in all_assignments([1, 2, 3, 4]):
-            assert eval_tree(f.root, assignment) == eval_clauses(cnf.clauses, assignment)
-
-    def test_equivalence_up_to_8_vars(self):
-        rng = np.random.default_rng(99)
-        pids = list(range(1, 9))
-        table = table_with(8)
-        for _ in range(15):
-            f = PropFormula(random_formula(rng, pids, depth=4), table)
-            cnf = formula_to_cnf(f)
-            for assignment in all_assignments(pids):
-                assert eval_tree(f.root, assignment) == eval_clauses(cnf.clauses, assignment)
+    def test_anomaly_is_false(self):
+        table = PropositionTable()
+        rule_to_clause(parse_rule("IF a > 1 THEN anomaly IS true"), table)
+        assert rule_to_clause(parse_rule("IF a > 1 AND b <= 2 THEN anomaly IS false"), table) == (
+            -1, -3, 4,
+        )
+        assert triples(table)[1:] == [
+            (2, "anomaly", "is", "True"),
+            (3, "b", "<=", "2"),
+            (4, "anomaly", "is", "False"),
+        ]
 
 
-class TestNodeInvariants:
-    def test_implies_binary(self):
-        with pytest.raises(ValueError):
-            from kdalign.logic import FNode
+def random_rules(rng, n):
+    """``n`` satisfiable rules over six attributes: every predicate, repeated
+    conditions, both verdicts."""
+    rules = []
+    while len(rules) < n:
+        conds = []
+        for _ in range(int(rng.integers(1, 6))):
+            if conds and rng.random() < 0.25:
+                conds.append(conds[int(rng.integers(len(conds)))])
+            else:
+                threshold = float(rng.integers(-3, 4)) / 2
+                conds.append(Condition(f"a{rng.integers(6)}", str(rng.choice(PREDICATES)), threshold))
+        try:
+            rules.append(Rule(f"r{len(rules)}", conds, bool(rng.random() < 0.7)))
+        except ValueError:
+            continue  # contradictory antecedent
+    return rules
 
-            FNode("implies", (leaf(1),))
 
-    def test_and_or_arity(self):
-        from kdalign.logic import FNode
+@pytest.mark.parametrize("seed", range(10))
+def test_clause_holds_unless_the_antecedent_holds_without_the_consequent(seed):
+    rng = np.random.default_rng(seed)
+    table = PropositionTable()
+    for rule in random_rules(rng, 20):
+        clause = rule_to_clause(rule, table)
+        n_props = len(table)
+        # looking the triples up again finds ids that are already interned
+        conds = {table.intern(c.attribute, c.predicate, _format_threshold(c.threshold))
+                 for c in rule.conditions}
+        consequent = table.intern("anomaly", "is", str(rule.consequent))
+        assert len(table) == n_props
+        assert sorted({abs(lit) for lit in clause}) == sorted(conds | {consequent})
+        for assignment in assignments(conds | {consequent}):
+            expected = not all(assignment[p] for p in conds) or assignment[consequent]
+            assert eval_clauses([clause], assignment) == expected
 
-        with pytest.raises(ValueError):
-            FNode("and", (leaf(1),))
-        with pytest.raises(ValueError):
-            FNode("or", (leaf(1),))
 
-    def test_leaf_resolves_in_table(self):
-        with pytest.raises(ValueError, match="missing from table"):
-            PropFormula(leaf(5), table_with(1))
+def test_three_rule_graphs_are_pinned():
+    """d-DNNF graphs (kinds, literals, children, root) recorded from the
+    general formula-to-CNF path that ``rule_to_clause`` replaced."""
+    rules = [
+        parse_rule("IF f1 > 0.5 AND f2 <= 1 THEN anomaly IS true"),
+        parse_rule("IF f2 <= 1 AND f3 != 2 AND f1 > 0.5 THEN anomaly IS true"),
+        parse_rule("IF f4 = 0 AND f4 = 0 THEN anomaly IS false"),
+    ]
+    _, graphs = compile_rules(rules)
+    T, F, L, A, O = "true", "false", "leaf", "and", "or"
+    assert [(g.kinds, g.literals, g.children, g.root) for g in graphs] == [
+        (
+            [T, F, L, L, A, L, O, L, A, L, O],
+            [0, 0, 3, 2, 0, -2, 0, 1, 0, -1, 0],
+            [(), (), (), (), (3, 2), (), (4, 5), (), (7, 6), (), (8, 9)],
+            10,
+        ),
+        (
+            [T, F, L, L, L, A, O, L, A, L, O, L, A, L, O],
+            [0, 0, 3, -4, -3, 0, 0, 2, 0, -2, 0, 1, 0, -1, 0],
+            [(), (), (), (), (), (4, 3), (2, 5), (), (7, 6), (), (8, 9), (), (11, 10), (),
+             (12, 13)],
+            14,
+        ),
+        (
+            [T, F, L, L, A, L, O],
+            [0, 0, 6, 5, 0, -5, 0],
+            [(), (), (), (), (3, 2), (), (4, 5)],
+            6,
+        ),
+    ]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kdalign.errors import DataError, RuleSyntaxError
-from kdalign.logic import PropositionTable, rule_to_formula
+from kdalign.logic import PropositionTable, rule_to_clause
 from kdalign.rules import (
     Condition,
     Rule,
@@ -16,7 +16,7 @@ from kdalign.rules import (
     rules_to_text,
     save_rules,
 )
-from oracles import condition_holds, eval_tree, match_rule
+from oracles import condition_holds, match_rule
 
 
 class TestParse:
@@ -105,13 +105,13 @@ class TestMatch:
 
     def test_match_agrees_with_formula_evaluation(self):
         # match_rule(rule, x) iff the induced assignment satisfies the
-        # antecedent conjunction of the rule's formula.
+        # antecedent conjunction: the negative literals of the rule's clause.
         rng = np.random.default_rng(3)
         rule = parse_rule("IF a > 1 AND b <= 0.5 AND c != 2 THEN anomaly IS true")
         names = {"a": 0, "b": 1, "c": 2}
         table = PropositionTable()
-        formula = rule_to_formula(rule, table)
-        antecedent = formula.root.children[0]
+        antecedent = [-lit for lit in rule_to_clause(rule, table) if lit < 0]
+        assert len(antecedent) == 3
         for _ in range(200):
             x = rng.normal(size=3) * 2
             if rng.random() < 0.2:
@@ -122,7 +122,7 @@ class TestMatch:
                 )
                 for c in rule.conditions
             }
-            assert match_rule(rule, x, names) == eval_tree(antecedent, assignment)
+            assert match_rule(rule, x, names) == all(assignment[p] for p in antecedent)
 
 
 def render_threshold(cond):
