@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from kdalign.ddnnf import check_decomposability, eval_ddnnf, model_count
 from kdalign.experiment import compile_rules
 from kdalign.logic import PropositionTable, assignments, rule_to_clause
 from kdalign.rules import PREDICATES, Condition, Rule, _format_threshold, parse_rule
-from oracles import eval_clauses
+from oracles import check_determinism, eval_clauses
 
 
 def triples(table):
@@ -90,6 +91,32 @@ def test_clause_holds_unless_the_antecedent_holds_without_the_consequent(seed):
         for assignment in assignments(conds | {consequent}):
             expected = not all(assignment[p] for p in conds) or assignment[consequent]
             assert eval_clauses([clause], assignment) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compiled_rule_is_a_d_dnnf_of_its_implication(seed):
+    """Each rule compiles to a decomposable, deterministic graph that holds
+    exactly when the rule's implication does: one counter-model over the
+    rule's propositions, the case pretraining relies on."""
+    rng = np.random.default_rng(seed + 100)
+    rules = random_rules(rng, 3)
+    table, graphs = compile_rules(rules)
+    n_props = len(table)
+    for rule, g in zip(rules, graphs):
+        check_decomposability(g)
+        check_determinism(g)
+        conds = {table.intern(c.attribute, c.predicate, _format_threshold(c.threshold))
+                 for c in rule.conditions}
+        consequent = table.intern("anomaly", "is", str(rule.consequent))
+        variables = conds | {consequent}
+        counter_models = 0
+        for assignment in assignments(variables):
+            expected = not all(assignment[p] for p in conds) or assignment[consequent]
+            assert eval_ddnnf(g, assignment) == expected
+            counter_models += not expected
+        assert counter_models == 1
+        assert model_count(g, n_props) == 2**n_props - 2 ** (n_props - len(variables))
+    assert len(table) == n_props
 
 
 def test_three_rule_graphs_are_pinned():
