@@ -1,14 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 A Tape records primitive applications append-only; ``backward`` runs one
-reverse topological sweep and returns exact adjoints for every node that a
-differentiable ``leaf`` reaches.  Data, graphs and other fixed inputs are
-recorded with ``constant``: they take no gradient, so backward neither
-computes nor stores an adjoint for them or for any node that only constants
-reach, and returns None there.  Every value is a 2-D float64 array (scalars
-are 1x1); there is no implicit broadcasting beyond the explicit
-broadcast_row / broadcast_col primitives.  The only saturating primitive is
-the eps-shifted log.
+reverse topological sweep and returns exact adjoints for the differentiable
+``leaf`` inputs.  Data, graphs and other fixed inputs are recorded with
+``constant``: they take no gradient, so backward neither computes nor stores
+an adjoint for them or for any node that only constants reach.  Every value
+is a 2-D float64 array (scalars are 1x1); there is no implicit broadcasting
+beyond the explicit broadcast_row / broadcast_col primitives.  The only
+saturating primitive is the eps-shifted log.
 
 A network's parameters live in a ``ParamSet``: one contiguous float64 vector
 with a named 2-D view per tensor, and a gradient vector beside it, so that an
@@ -170,12 +169,13 @@ class Tape:
     # -- reverse sweep ------------------------------------------------------
 
     def backward(self, loss: int) -> list[np.ndarray | None]:
-        """Adjoints of every node with respect to a scalar loss node.
+        """Adjoints of the leaves with respect to a scalar loss node.
 
-        Returns a list indexed by node id.  The loss always gets its own
-        adjoint (ones); every other entry is None for nodes the loss does not
-        depend on, for constants and for nodes that only constants reach, none
-        of which backward computes.  The adjoints may share memory: a node's
+        Returns a list indexed by node id that holds the adjoint of every
+        leaf the loss depends on and None everywhere else, the loss and every
+        other interior node included: an interior adjoint is dropped once it
+        has reached the node's inputs, so the sweep holds only the adjoints
+        still to be propagated.  The adjoints may share memory: a node's
         first gradient contribution is stored as is (``add`` hands its own
         adjoint to both inputs, ``transpose`` hands a view of it), and later
         contributions are added out of place.  Treat every returned array as
@@ -185,9 +185,9 @@ class Tape:
             raise ShapeError(f"loss node must be 1x1, got {self._values[loss].shape}")
         values, records, grad = self._values, self._records, self._grad
         adj: list[np.ndarray | None] = [None] * len(values)
-        adj[loss] = np.ones((1, 1))
         if not grad[loss]:
             return adj
+        adj[loss] = np.ones((1, 1))
         for nid in range(loss, -1, -1):
             g = adj[nid]
             if g is None:
@@ -195,6 +195,7 @@ class Tape:
             op, inputs, aux = records[nid]
             if op == "leaf":
                 continue
+            adj[nid] = None
             for target, contrib in _BACKWARD[op](values, grad, inputs, aux, nid, g):
                 prev = adj[target]
                 adj[target] = contrib if prev is None else prev + contrib

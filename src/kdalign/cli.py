@@ -8,6 +8,11 @@ on the [rules] path; with neither it trains once at lambda 0.  It writes
 checkpoint.kdal, training_log.jsonl (one JSON line per epoch) and
 effective_config.ini into --out.
 
+``infer`` writes one score per line, one line per CSV row.  Scores are
+row-local: with one BLAS thread, a row's score does not depend on the other
+rows in the file.  A score that is not finite (weights whose products
+overflow) fails the run with exit 3 and writes nothing.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.  All outputs are written atomically (temp file + rename); every
 config key is overridable with --section.key=value flags.

@@ -24,7 +24,8 @@ DEVIATION_PRIOR_SIZE = 5000
 ENCODER_KINDS = ("mlp", "resnet")
 HEAD_TRANSFORMS = ("sigmoid", "raw")  # probabilities | raw scores
 LOSSES = ("bce", "deviation")  # bce needs the sigmoid head, deviation the raw one
-SCORE_CHUNK = 4096  # rows per scoring tape
+SCORE_CHUNK = 1024  # rows per scoring tape; fits L2 (1.6 MB: default [model], 16 features)
+ROW_ALIGN = 8  # scoring blocks are padded to a multiple of the BLAS gemm row tile
 
 
 def embed_width(model: ModelConfig) -> int:
@@ -173,19 +174,29 @@ def deviation_loss_tape(
     return tape.reduce_mean(tape.add(inlier, outlier))
 
 
-def forward_scores(X: np.ndarray, model: ModelConfig, params: ParamSet) -> np.ndarray:
-    """Eval-mode scores as a plain array, one tape per block of SCORE_CHUNK
-    rows so that memory stays bounded however many rows come.
+def forward_scores(
+    X: np.ndarray, model: ModelConfig, params: ParamSet, mean: np.ndarray, std: np.ndarray
+) -> np.ndarray:
+    """Eval-mode scores of raw rows, standardized as ``(X - mean) / std``.
 
-    A 1-row remainder joins the block before it: numpy sends a 1-row matmul
-    to BLAS gemv, which rounds differently from the gemm that one tape over
-    all rows would use.
+    The rows stream through in independent blocks of SCORE_CHUNK rows, so
+    memory stays bounded however many rows come.  Each block is standardized
+    on its own, padded with zero rows to a multiple of ROW_ALIGN and scored
+    on its own tape; the padded scores are dropped.  The padding makes every
+    row go through the same BLAS gemm kernel: numpy sends a 1-row matmul to
+    gemv, and gemm rounds the rows of a partial tile differently from a full
+    one.  So, with one BLAS thread, a row's score does not depend on which
+    other rows are scored with it.
     """
-    X = np.asarray(X, dtype=np.float64)
-    scores = []
-    for block in np.split(X, range(SCORE_CHUNK, X.shape[0] - 1, SCORE_CHUNK)):
+    scores = np.empty(len(X))
+    buf = np.empty((-(-min(len(X), SCORE_CHUNK) // ROW_ALIGN) * ROW_ALIGN, X.shape[1]))
+    for start in range(0, len(X), SCORE_CHUNK):
+        rows = min(SCORE_CHUNK, len(X) - start)
+        x = buf[: -(-rows // ROW_ALIGN) * ROW_ALIGN]
+        np.divide(np.subtract(X[start : start + rows], mean, out=x[:rows]), std, out=x[:rows])
+        x[rows:] = 0.0
         tape = Tape()
         ids = bind_params(tape, params)
-        e_id = encode_tape(tape, tape.constant(block), model, ids)
-        scores.append(tape.value(score_tape(tape, e_id, model, ids)).reshape(-1))
-    return np.concatenate(scores)
+        e_id = encode_tape(tape, tape.constant(x), model, ids)
+        scores[start : start + rows] = tape.value(score_tape(tape, e_id, model, ids))[:rows, 0]
+    return scores

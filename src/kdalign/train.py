@@ -173,6 +173,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 )
             data = _read_exact(fh, rows * cols * 8, f"tensor {name!r} data")
             tensors[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+            if not np.isfinite(tensors[name]).all():
+                raise DataError(f"checkpoint tensor {name!r} holds a non-finite value")
         if fh.read(1):
             raise DataError("trailing bytes after tensor table")
 
@@ -287,7 +289,7 @@ def train(
     mean, std = _standardizer(X_train, config.standardize)
     X_train = (X_train - mean) / std
     y_train = split.train_labels
-    X_val = (split.data.X[split.val_idx] - mean) / std
+    X_val = split.data.X[split.val_idx]
     y_val = split.data.y[split.val_idx]
 
     anom_pos = np.flatnonzero(y_train == 1)
@@ -366,7 +368,7 @@ def train(
                 f"Sinkhorn failed to converge in {failures}/{steps_per_epoch} batches"
             )
 
-        val_auprc = auprc(forward_scores(X_val, model, params), y_val)
+        val_auprc = auprc(forward_scores(X_val, model, params, mean, std), y_val)
         record = EpochRecord(
             epoch,
             lp_sum / steps_per_epoch,
@@ -392,7 +394,10 @@ def train(
 
 
 def infer(ck: ModelCheckpoint, X: np.ndarray) -> np.ndarray:
-    """Scores for a test matrix: the trained encoder and head only."""
+    """Scores of raw rows: ``forward_scores`` standardizes each block of rows
+    with the checkpoint's norm/* tensors and scores it on its own, so, with
+    one BLAS thread, the scores are row-local.  A score that is not finite
+    raises NumericError."""
     if ck.model is None:
         raise DataError("checkpoint has no detector (knowledge-encoder-only container)")
     X = np.asarray(X, dtype=np.float64)
@@ -401,12 +406,13 @@ def infer(ck: ModelCheckpoint, X: np.ndarray) -> np.ndarray:
         raise DataError(
             f"input width {X.shape[1] if X.ndim == 2 else X.shape} != encoder width {width}"
         )
-    if X.shape[0] == 0:
-        return np.zeros(0)
-    mean = ck.params["norm/mean"]
-    std = ck.params["norm/std"]
     detector = ParamSet({k: v for k, v in ck.params.items() if k.startswith(("enc/", "head/"))})
-    return forward_scores((X - mean) / std, ck.model, detector)
+    with np.errstate(all="ignore"):  # overflow shows as the non-finite scores checked below
+        scores = forward_scores(X, ck.model, detector, ck.params["norm/mean"], ck.params["norm/std"])
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise NumericError(f"{bad} of {scores.size} scores are not finite")
+    return scores
 
 
 def write_training_log(log: list[EpochRecord], path) -> None:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +99,9 @@ def _infer_meta(tmp_path, small_csv, meta: bytes, tensors=(), version=VERSION):
     return ["infer", "--checkpoint", ck, "--data", small_csv, "--out", tmp_path / "s.txt"]
 
 
-def _detector(tmp_path, small_csv, stored=None, drop=(), resize=None):
-    """infer on a default-[model] detector for the 4 CSV features, altered."""
+def _detector(tmp_path, small_csv, stored=None, drop=(), resize=None, first=None):
+    """infer on a default-[model] detector for the 4 CSV features, altered;
+    ``first`` maps tensor names to the value of their [0, 0] entry."""
     model = ModelConfig()
     rng = np.random.default_rng(0)
     tensors = {**init_encoder(model, 4, rng), **init_head(model, rng)}
@@ -108,6 +110,8 @@ def _detector(tmp_path, small_csv, stored=None, drop=(), resize=None):
         del tensors[name]
     if resize:
         tensors[resize[0]] = np.zeros(resize[1])
+    for name, value in (first or {}).items():
+        tensors[name][0, 0] = value
     meta = {
         "seed": 0,
         "model": {**dataclasses.asdict(model), **(stored or {})},
@@ -269,6 +273,10 @@ MALFORMED_FILES = {
         lambda t, csv: _detector(t, csv, drop=("enc/w1",)),
         "tensor 'enc/w1': absent in the file, 32x16 for its [model]",
     ),
+    "checkpoint-nan-weight": (
+        lambda t, csv: _detector(t, csv, first={"enc/w0": np.nan}),
+        "checkpoint tensor 'enc/w0' holds a non-finite value",
+    ),
     "checkpoint-enc-w0-shape": (
         lambda t, csv: _detector(t, csv, resize=("enc/w0", (4, 7))),
         "tensor 'enc/w0': 4x7 in the file, 4x32 for its [model]",
@@ -311,6 +319,17 @@ def test_malformed_file_exits_2(small_csv, tmp_path, capsys, case):
     code, line = run_one_line(make_argv(tmp_path, small_csv), capsys)
     assert code == 2
     assert line.startswith("data error:") and message in line, line
+
+
+def test_infer_with_non_finite_scores_exits_3(small_csv, tmp_path, capsys):
+    # finite weights whose products overflow: scores of inf - inf, and no numpy warning
+    argv = _detector(tmp_path, small_csv, first={"enc/w0": 1e308, "enc/w1": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, line = run_one_line(argv, capsys)
+    assert code == 3
+    assert line.startswith("numeric failure:") and "scores are not finite" in line, line
+    assert not (tmp_path / "s.txt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ def make_params(model, input_dim, seed=0):
     return ParamSet(values)
 
 
+def identity_scores(x, model, params):
+    """forward_scores with the identity standardizer."""
+    return forward_scores(x, model, params, np.zeros((1, x.shape[1])), np.ones((1, x.shape[1])))
+
+
 def embed(x, model, params, **mode):
     """E_X of one tape; ``mode`` passes train/dropout_seed to encode_tape."""
     t = Tape()
@@ -53,8 +58,8 @@ class TestEncode:
                            dropout_first=0.5, dropout_second=0.3)
         params = make_params(spec, 4, seed=1)
         x = np.random.default_rng(0).normal(size=(5, 4))
-        e1, s1 = embed(x, spec, params), forward_scores(x, spec, params)
-        e2, s2 = embed(x, spec, params), forward_scores(x, spec, params)
+        e1, s1 = embed(x, spec, params), identity_scores(x, spec, params)
+        e2, s2 = embed(x, spec, params), identity_scores(x, spec, params)
         assert (e1 == e2).all() and (s1 == s2).all()
 
     def test_resnet_zeroed_blocks_equal_stem(self):
@@ -91,22 +96,50 @@ class TestEncode:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(9, 4))
         perm = rng.permutation(9)
-        e, s = embed(x, spec, params), forward_scores(x, spec, params)
-        ep, sp = embed(x[perm], spec, params), forward_scores(x[perm], spec, params)
+        e, s = embed(x, spec, params), identity_scores(x, spec, params)
+        ep, sp = embed(x[perm], spec, params), identity_scores(x[perm], spec, params)
         np.testing.assert_allclose(ep, e[perm], atol=1e-12)
         np.testing.assert_allclose(sp, s[perm], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["mlp", "resnet"])
     def test_scoring_in_blocks_matches_one_tape(self, kind, monkeypatch):
-        # 3 full blocks and a 1-row remainder, which joins the last block
+        # 3 full blocks and a 1-row remainder, padded to a full row tile
         spec = ModelConfig(kind=kind, hidden=(8,), main_dim=16)
         params = make_params(spec, 4, seed=6)
         x = np.random.default_rng(7).normal(size=(3 * encoders.SCORE_CHUNK + 1, 4))
-        blocks = forward_scores(x, spec, params)
+        blocks = identity_scores(x, spec, params)
         monkeypatch.setattr(encoders, "SCORE_CHUNK", x.shape[0])
-        one_tape = forward_scores(x, spec, params)
+        one_tape = identity_scores(x, spec, params)
         assert blocks.shape == (x.shape[0],)
         assert blocks.tobytes() == one_tape.tobytes()
+
+
+class TestRowLocalScores:
+    """With one BLAS thread, a row's score is the one it gets when scored
+    alone, however many rows are scored with it."""
+
+    COUNTS = (1, 7, 8, 9, 1023, 1024, 1025, 4097, 8193)
+
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_each_row_alone_equals_one_call(self, kind):
+        spec = ModelConfig(kind=kind, head_hidden=(8,))
+        params = make_params(spec, 11, seed=8)
+        rng = np.random.default_rng(9)
+        x = rng.normal(3.0, 2.0, size=(max(self.COUNTS), 11))
+        mean, std = rng.normal(3.0, 1.0, size=(1, 11)), rng.uniform(0.5, 3.0, size=(1, 11))
+        alone = np.array([forward_scores(row[None], spec, params, mean, std)[0] for row in x])
+        for n in self.COUNTS:
+            together = forward_scores(x[:n], spec, params, mean, std)
+            assert together.tobytes() == alone[:n].tobytes(), n
+
+    def test_standardizes_each_row_as_the_whole_matrix_would(self):
+        spec = ModelConfig()
+        params = make_params(spec, 4, seed=10)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2 * encoders.SCORE_CHUNK + 3, 4))
+        mean, std = rng.normal(size=(1, 4)), rng.uniform(0.5, 2.0, size=(1, 4))
+        want = identity_scores((x - mean) / std, spec, params)
+        assert forward_scores(x, spec, params, mean, std).tobytes() == want.tobytes()
 
 
 class TestScore:

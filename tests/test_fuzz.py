@@ -1,0 +1,103 @@
+"""Seeded fuzz of ``kdalign infer``: mutated checkpoints and CSV cells.
+
+Every run must keep the exit-code contract (0 ok, 1 config, 2 data, 3
+numeric) with at most one stderr line and no traceback.  A mutation that
+breaks it becomes a named row of ``test_cli.MALFORMED_FILES`` once mended.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from kdalign import cli
+
+CELL_TOKENS = ("", " ", "nan", "-inf", "1e999", "-1e308", "1e308", "abc", "0x1p3", "1,2",
+               '"', "1e", "--1", "\t", "\x00", "é", "9" * 400)
+CELL_CHARS = "0123456789.eE+-, \"'naif\t\x00é"
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small CSV and a one-epoch detector checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    csv, run = root / "synth.csv", root / "run"
+    assert cli.main(["synth-data", "--out", str(csv), "--seed", "1", "--n-normal", "200",
+                     "--n-direct", "20", "--n-rule", "20"]) == 0
+    assert cli.main(["train", "--data.path", str(csv), "--out", str(run), "--train.epochs=1"]) == 0
+    return csv, run / "checkpoint.kdal"
+
+
+def contract_breach(argv, capsys) -> str | None:
+    """What of the contract one in-process CLI run breaks, if anything."""
+    capsys.readouterr()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([str(a) for a in argv])
+    except Exception as exc:  # the installed CLI would print a traceback
+        return f"{type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code not in (0, 1, 2, 3):
+        return f"exit {code}"
+    if len(err.splitlines()) > 1 or "Traceback" in err:
+        return f"exit {code} with stderr {err!r}"
+    return None
+
+
+def mutate_bytes(raw: bytes, rng: np.random.Generator) -> bytes:
+    """The file truncated, or 1-4 of its bytes set to random values."""
+    if rng.random() < 0.2:
+        return raw[: rng.integers(0, len(raw))]
+    out = bytearray(raw)
+    for pos in rng.integers(0, len(out), size=rng.integers(1, 5)):
+        out[pos] = rng.integers(0, 256)
+    return bytes(out)
+
+
+def mutate_cell(text: str, rng: np.random.Generator) -> str:
+    """One cell, header included, replaced by a hostile token or with 1-3
+    of its characters changed."""
+    lines = text.splitlines()
+    row = rng.integers(0, len(lines))
+    cells = lines[row].split(",")
+    col = rng.integers(0, len(cells))
+    if rng.random() < 0.5:
+        cells[col] = CELL_TOKENS[rng.integers(0, len(CELL_TOKENS))]
+    else:
+        chars = list(cells[col] or " ")
+        for _ in range(rng.integers(1, 4)):
+            chars[rng.integers(0, len(chars))] = CELL_CHARS[rng.integers(0, len(CELL_CHARS))]
+        cells[col] = "".join(chars)
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_checkpoints_keep_the_exit_contract(trained, tmp_path, capsys):
+    csv, checkpoint = trained
+    raw = checkpoint.read_bytes()
+    rng = np.random.default_rng(20240205)
+    path = tmp_path / "mutated.kdal"
+    breaches = []
+    for case in range(300):
+        path.write_bytes(mutate_bytes(raw, rng))
+        argv = ["infer", "--checkpoint", path, "--data", csv, "--out", tmp_path / "s.txt"]
+        breach = contract_breach(argv, capsys)
+        if breach:
+            breaches.append((case, breach))
+    assert breaches == []
+
+
+def test_mutated_csv_cells_keep_the_exit_contract(trained, tmp_path, capsys):
+    csv, checkpoint = trained
+    text = csv.read_text()
+    rng = np.random.default_rng(20240206)
+    path = tmp_path / "mutated.csv"
+    breaches = []
+    for case in range(200):
+        path.write_text(mutate_cell(text, rng), encoding="utf-8")
+        argv = ["infer", "--checkpoint", checkpoint, "--data", path, "--out", tmp_path / "s.txt"]
+        breach = contract_breach(argv, capsys)
+        if breach:
+            breaches.append((case, breach))
+    assert breaches == []

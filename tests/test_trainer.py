@@ -350,8 +350,7 @@ class TestInfer:
         detector = ParamSet(
             {k: v for k, v in ck.params.items() if k.startswith(("enc/", "head/"))}
         )
-        Xn = (X - ck.params["norm/mean"]) / ck.params["norm/std"]
-        expected = forward_scores(Xn, model, detector)
+        expected = forward_scores(X, model, detector, ck.params["norm/mean"], ck.params["norm/std"])
         np.testing.assert_array_equal(scores, expected)
 
     def test_width_mismatch(self):
