@@ -9,6 +9,14 @@ is a 2-D float64 array (scalars are 1x1); there is no implicit broadcasting
 beyond the explicit broadcast_row / broadcast_col primitives.  The only
 saturating primitive is the eps-shifted log.
 
+A ``Forward`` runs the same network code without recording it, for passes
+that never call ``backward``: scoring, E_F and the pretraining validation.
+It has the Tape's forward primitives, but a node id is the value itself, so
+each temporary is freed once the next op has read it.  Its broadcast_row and
+broadcast_col return their input, and the add or hadamard that follows
+broadcasts it; an elementwise op gives the same bits either way.  Use a Tape
+whenever a gradient is needed, a Forward otherwise.
+
 A network's parameters live in a ``ParamSet``: one contiguous float64 vector
 with a named 2-D view per tensor, and a gradient vector beside it, so that an
 optimizer step is a few whole-vector operations.  ``bind_params`` records the
@@ -202,6 +210,42 @@ class Tape:
         return adj
 
 
+class Forward:
+    """The Tape's forward primitives for a pass that records nothing: a node
+    id is its value, and a broadcast is left to the elementwise op after it."""
+
+    @staticmethod
+    def value(nid: np.ndarray) -> np.ndarray:
+        return nid
+
+    @staticmethod
+    def leaf(value, copy: bool = True) -> np.ndarray:
+        value = as_matrix(value)
+        return value.copy() if copy else value
+
+    constant = staticmethod(as_matrix)
+
+    @staticmethod
+    def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.shape[1] != b.shape[0]:
+            raise ShapeError(f"matmul {a.shape} @ {b.shape}")
+        return a @ b
+
+    add = staticmethod(np.add)
+    hadamard = staticmethod(np.multiply)
+    sigmoid = staticmethod(stable_sigmoid)
+
+    @staticmethod
+    def relu(a: np.ndarray) -> np.ndarray:
+        return np.maximum(a, 0.0)
+
+    @staticmethod
+    def broadcast_row(a: np.ndarray, count: int) -> np.ndarray:
+        return a
+
+    broadcast_col = broadcast_row
+
+
 # ---------------------------------------------------------------------------
 # Backward rules: (values, needs-gradient flags, inputs, aux, node id, node
 # adjoint) -> (input id, contribution) pairs, in input order, for the inputs
@@ -320,7 +364,7 @@ class ParamSet:
         return ParamSet(self.values)
 
 
-def bind_params(tape: Tape, params: ParamSet) -> dict[str, int]:
+def bind_params(tape: Tape | Forward, params: ParamSet) -> dict[str, int]:
     """Record each ``params.values`` view as a leaf, without a copy: the
     tape stays valid because updates replace ``params.vector``."""
     return {name: tape.leaf(value, copy=False) for name, value in params.values.items()}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -251,6 +252,7 @@ def cmd_noise_study(args) -> int:
     return 0
 
 
+@functools.cache  # one argparse tree per process, shared by every main call
 def build_parser() -> _Parser:
     parser = _Parser(prog="kdalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,6 +329,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # a rule, CSV or score file
+        print(f"data error: not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
 

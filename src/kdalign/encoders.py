@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import ParamSet, Tape, bind_params
+from .autodiff import Forward, ParamSet, Tape, bind_params
 from .errors import NumericError, ShapeError
 
 if TYPE_CHECKING:  # config imports this module for the accepted strings
@@ -24,7 +24,9 @@ DEVIATION_PRIOR_SIZE = 5000
 ENCODER_KINDS = ("mlp", "resnet")
 HEAD_TRANSFORMS = ("sigmoid", "raw")  # probabilities | raw scores
 LOSSES = ("bce", "deviation")  # bce needs the sigmoid head, deviation the raw one
-SCORE_CHUNK = 1024  # rows per scoring tape; fits L2 (1.6 MB: default [model], 16 features)
+# Rows per scoring block: a larger block makes fewer numpy calls per row, a
+# smaller one keeps its few live temporaries in cache.
+SCORE_CHUNK = 1024
 ROW_ALIGN = 8  # scoring blocks are padded to a multiple of the BLAS gemm row tile
 
 
@@ -67,7 +69,7 @@ def init_head(model: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
     return values
 
 
-def _linear_named(tape: Tape, x: int, ids, w_name: str, b_name: str, rows: int) -> int:
+def _linear_named(tape: Tape | Forward, x: int, ids, w_name: str, b_name: str, rows: int) -> int:
     return tape.add(tape.matmul(x, ids[w_name]), tape.broadcast_row(ids[b_name], rows))
 
 
@@ -81,7 +83,7 @@ def _dropout(tape: Tape, x: int, rate: float, seed_parts: tuple[int, ...]) -> in
 
 
 def encode_tape(
-    tape: Tape,
+    tape: Tape | Forward,
     x_id: int,
     model: ModelConfig,
     ids: dict[str, int],
@@ -115,7 +117,7 @@ def encode_tape(
     return z
 
 
-def score_tape(tape: Tape, e_id: int, model: ModelConfig, ids: dict[str, int]) -> int:
+def score_tape(tape: Tape | Forward, e_id: int, model: ModelConfig, ids: dict[str, int]) -> int:
     """One score per row of E_X."""
     rows, cols = tape.value(e_id).shape
     if cols != embed_width(model):
@@ -181,22 +183,22 @@ def forward_scores(
 
     The rows stream through in independent blocks of SCORE_CHUNK rows, so
     memory stays bounded however many rows come.  Each block is standardized
-    on its own, padded with zero rows to a multiple of ROW_ALIGN and scored
-    on its own tape; the padded scores are dropped.  The padding makes every
-    row go through the same BLAS gemm kernel: numpy sends a 1-row matmul to
-    gemv, and gemm rounds the rows of a partial tile differently from a full
-    one.  So, with one BLAS thread, a row's score does not depend on which
-    other rows are scored with it.
+    on its own, padded with zero rows to a multiple of ROW_ALIGN and run
+    through the encoder and head on a non-recording ``Forward``; the padded
+    scores are dropped.  The padding makes every row go through the same BLAS
+    gemm kernel: numpy sends a 1-row matmul to gemv, and gemm rounds the rows
+    of a partial tile differently from a full one.  So, with one BLAS thread,
+    a row's score does not depend on which other rows are scored with it.
     """
     scores = np.empty(len(X))
+    fwd = Forward()
+    ids = bind_params(fwd, params)
     buf = np.empty((-(-min(len(X), SCORE_CHUNK) // ROW_ALIGN) * ROW_ALIGN, X.shape[1]))
     for start in range(0, len(X), SCORE_CHUNK):
         rows = min(SCORE_CHUNK, len(X) - start)
         x = buf[: -(-rows // ROW_ALIGN) * ROW_ALIGN]
         np.divide(np.subtract(X[start : start + rows], mean, out=x[:rows]), std, out=x[:rows])
         x[rows:] = 0.0
-        tape = Tape()
-        ids = bind_params(tape, params)
-        e_id = encode_tape(tape, tape.constant(x), model, ids)
-        scores[start : start + rows] = tape.value(score_tape(tape, e_id, model, ids))[:rows, 0]
+        e = encode_tape(fwd, fwd.constant(x), model, ids)
+        scores[start : start + rows] = score_tape(fwd, e, model, ids)[:rows, 0]
     return scores

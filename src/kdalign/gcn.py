@@ -5,9 +5,9 @@ plus a global node linked to everything, self-loops added) and is encoded
 with a multi-layer GCN using the symmetric-normalized propagation rule.
 Node heterogeneity is realized by routing each node's row through the weight
 matrix of its node type before aggregation.  The formula embedding is the
-global node's output row.  The GCN runs only on the tape: pretraining
-differentiates through it, and E_F and the validation triples are read from
-forward-only tapes (``embed_formulae``).
+global node's output row.  One GCN forward serves both passes: pretraining
+records it on a Tape and differentiates through it, and E_F and the
+validation triples run it on a non-recording Forward (``embed_formulae``).
 
 Pretraining separates formula embeddings from the embeddings of their
 unsatisfying assignments with a triplet objective plus structural
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ParamSet, Tape, accumulate_grads, bind_params
+from .autodiff import Forward, ParamSet, Tape, accumulate_grads, bind_params
 from .config import KnowEncoderConfig
 from .ddnnf import DdnnfGraph, K_AND, K_FALSE, K_LEAF, K_OR, K_TRUE, eval_ddnnf
 from .encoders import glorot
@@ -134,7 +134,7 @@ def init_know_encoder(config: KnowEncoderConfig, rng: np.random.Generator) -> Pa
 
 
 def gcn_forward_tape(
-    tape: Tape, fg: FormulaGraph, config: KnowEncoderConfig, ids: dict[str, int]
+    tape: Tape | Forward, fg: FormulaGraph, config: KnowEncoderConfig, ids: dict[str, int]
 ) -> int:
     """Node embeddings after all layers, as one N x embed tape node."""
     norm = tape.constant(fg.norm)
@@ -151,26 +151,25 @@ def gcn_forward_tape(
     return z
 
 
-def formula_embedding_tape(tape: Tape, z_id: int, fg: FormulaGraph) -> int:
+def formula_embedding_tape(tape: Tape | Forward, z_id: int, fg: FormulaGraph) -> int:
     return _node_row(tape, fg, fg.global_index, z_id)
 
 
-def _node_row(tape: Tape, fg: FormulaGraph, i: int, z_id: int) -> int:
+def _node_row(tape: Tape | Forward, fg: FormulaGraph, i: int, z_id: int) -> int:
     return tape.matmul(tape.constant(fg.selectors[i : i + 1]), z_id)
 
 
 def embed_formulae(
     graphs: list[FormulaGraph], config: KnowEncoderConfig, params: ParamSet
 ) -> np.ndarray:
-    """One formula-embedding row per graph, read from one forward-only tape;
-    a graph object listed again is embedded once, on its own tape nodes."""
-    tape = Tape()
-    ids = bind_params(tape, params)
+    """One formula-embedding row per graph, from the GCN forward run on a
+    non-recording Forward; a graph object listed again is embedded once."""
+    fwd = Forward()
+    ids = bind_params(fwd, params)
     rows: dict[int, np.ndarray] = {}
     for fg in graphs:
         if id(fg) not in rows:
-            z_id = gcn_forward_tape(tape, fg, config, ids)
-            rows[id(fg)] = tape.value(formula_embedding_tape(tape, z_id, fg))
+            rows[id(fg)] = formula_embedding_tape(fwd, gcn_forward_tape(fwd, fg, config, ids), fg)
     return np.vstack([rows[id(fg)] for fg in graphs]) if graphs else np.zeros((0, config.embed))
 
 

@@ -10,25 +10,28 @@ loss.  The best-validation-AUPRC checkpoint is returned.
 
 Checkpoint container layout (little-endian): magic "KDAL", version u32,
 metadata length u64 + JSON metadata, then one entry per tensor:
-name length u16 + name, rows u64, cols u64, row-major float64 data.
+name length u16 + name, rows u64, cols u64, row-major float64 data, and last
+a u32 ``zlib.crc32`` of every byte before it, checked before the metadata
+is read.
 
-Version 2 JSON metadata holds ``seed``, the ``tensors`` list and one object
+Version 3 JSON metadata holds ``seed``, the ``tensors`` list and one object
 per section in ``SECTIONS``: ``model`` (the detector's ``[model]``) and
 ``know_encoder`` (the ``[know_encoder]`` of its knowledge encoder), each the
 section's field dict, or null when that network is absent.  The loader reads
 each dict through ``config.load_config``: it needs exactly the section's
 fields, with values that pass the section's checks and re-serialise to the
 stored JSON.  A detector's ``enc/*``, ``head/*`` and ``norm/*`` tensors must
-be the ones ``init_encoder``/``init_head`` give its ``[model]``; version 1
-files are rejected.
+be the ones ``init_encoder``/``init_head`` give its ``[model]``.  Version 2
+is version 3 without the checksum; it and version 1 are rejected.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -53,7 +56,7 @@ from .evaluate import SplitDataset, auprc
 from .ot import cost_matrix_tape, ot_loss_tape, sinkhorn
 
 MAGIC = b"KDAL"
-VERSION = 2
+VERSION = 3
 SECTIONS = ("model", "know_encoder")  # ModelCheckpoint fields stored as their section dicts
 
 
@@ -138,14 +141,14 @@ def save_checkpoint(ck: ModelCheckpoint, path) -> None:
         encoded = name.encode("utf-8")
         parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<QQ", *arr.shape)]
         parts.append(arr.astype("<f8").tobytes(order="C"))
-    write_atomic(path, b"".join(parts))
+    body = b"".join(parts)
+    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """``n`` bytes, checked against the bytes left in the file before reading,
-    so that a corrupt length cannot ask for more memory than the file holds."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(n) if n <= left else b""
+def _read_exact(fh: io.BytesIO, n: int, what: str) -> bytes:
+    """``n`` bytes, checked against the bytes left before reading, so that a
+    corrupt length cannot ask for more memory than the file holds."""
+    data = fh.read(n) if n <= len(fh.getbuffer()) - fh.tell() else b""
     if len(data) != n:
         raise DataError(f"truncated checkpoint while reading {what}")
     return data
@@ -153,11 +156,16 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def load_checkpoint(path) -> ModelCheckpoint:
     with open(path, "rb") as fh:
+        raw = fh.read()
+    body = raw[:-4]
+    with io.BytesIO(body) as fh:
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise DataError("not a KDAL checkpoint: bad magic")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
+        if zlib.crc32(body) != int.from_bytes(raw[-4:], "little"):
+            raise DataError("checkpoint checksum mismatch")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
         meta = _metadata(_read_exact(fh, meta_len, "metadata"))
         tensors: dict[str, np.ndarray] = {}

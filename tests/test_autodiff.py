@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kdalign import gcn
-from kdalign.autodiff import ParamSet, Tape, bind_params
+from kdalign.autodiff import Forward, ParamSet, Tape, bind_params
 from kdalign.config import KnowEncoderConfig
 from kdalign.ddnnf import compile_ddnnf
 from kdalign.errors import NumericError, ShapeError
@@ -56,6 +56,57 @@ class TestForward:
 
         a, b = run(), run()
         assert (a == b).all()
+
+
+class TestForwardExecutor:
+    """A Forward gives the bytes of the Tape primitive it stands for, on the
+    shapes of the encoders (blocks of 1,024 rows) and of the GCN."""
+
+    SHAPES = ((1024, 11, 32), (8, 16, 1), (1, 4, 32), (7, 13, 5))  # rows, fan-in, fan-out
+
+    @staticmethod
+    def both(fn, *arrays):
+        """``fn`` run on a Tape, with the arrays as leaves, and on a Forward."""
+        t = Tape()
+        tape_out = t.value(fn(t, *(t.leaf(a) for a in arrays)))
+        f = Forward()
+        return tape_out, f.value(fn(f, *(f.leaf(a) for a in arrays)))
+
+    @pytest.mark.parametrize("rows, fan_in, fan_out", SHAPES)
+    def test_primitives_give_the_tape_bytes(self, rows, fan_in, fan_out):
+        rng = np.random.default_rng(rows * fan_in)
+        x, w = rng.normal(size=(rows, fan_in)), rng.normal(size=(fan_in, fan_out))
+        bias, z = rng.normal(size=(1, fan_out)), rng.normal(size=(rows, fan_out))
+        mask = (rng.random((rows, 1)) < 0.5).astype(np.float64)
+        cases = [
+            (lambda e, x, w: e.matmul(x, w), x, w),
+            (lambda e, z, b: e.add(z, e.broadcast_row(b, rows)), z, bias),
+            (lambda e, m, z: e.hadamard(e.broadcast_col(m, fan_out), z), mask, z),
+            (lambda e, z, y: e.add(z, y), z, 2.0 * z[::-1]),
+            (lambda e, z, y: e.hadamard(z, y), z, z[::-1]),
+            (lambda e, z: e.relu(z), z),
+            (lambda e, z: e.sigmoid(e.add(z, z)), 400.0 * z),
+            (lambda e, x, w, b: e.relu(e.add(e.matmul(x, w), e.broadcast_row(b, rows))),
+             x, w, bias),
+        ]
+        for i, (fn, *arrays) in enumerate(cases):
+            tape_out, fwd_out = self.both(fn, *arrays)
+            assert fwd_out.shape == tape_out.shape, i
+            assert fwd_out.tobytes() == tape_out.tobytes(), i
+
+    def test_inputs_become_float64_matrices(self):
+        f = Forward()
+        assert f.constant(3).shape == (1, 1) and f.leaf([1, 2]).shape == (2, 1)
+        value = np.ones((2, 2))
+        assert f.constant(value) is value and f.leaf(value, copy=False) is value
+        copied = f.leaf(value)
+        value[0, 0] = 5.0
+        assert copied[0, 0] == 1.0
+
+    def test_matmul_shape_mismatch_raises_shape_error(self):
+        f = Forward()
+        with pytest.raises(ShapeError, match=r"matmul \(2, 3\) @ \(2, 2\)"):
+            f.matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestBackward:

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +85,18 @@ def _rule_file(tmp_path, text, name="rules.json"):
     return ["compile-rules", "--rules", path, "--out", tmp_path / "out.json"]
 
 
+def _with_crc(body: bytes) -> bytes:
+    """A checkpoint body followed by its valid checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _checkpoint(tmp_path, meta: bytes, tensors=(), version=VERSION):
     path = tmp_path / "model.kdal"
     raw = MAGIC + struct.pack("<I", version) + struct.pack("<Q", len(meta)) + meta
     for name, arr in tensors:
         raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<QQ", *arr.shape)
         raw += arr.astype("<f8").tobytes()
-    path.write_bytes(raw)
+    path.write_bytes(_with_crc(raw))
     return path
 
 
@@ -162,6 +168,14 @@ def _infer_bad_csv(tmp_path, small_csv, text):
     return ["infer", "--checkpoint", ck, "--data", data, "--out", tmp_path / "s.txt"]
 
 
+def _in_latin1(argv, index):
+    """``argv`` with the file at ``argv[index]`` re-encoded in Latin-1, so
+    that each 'é' in it is the byte 0xe9, which is not UTF-8."""
+    path = Path(argv[index])
+    path.write_bytes(path.read_text(encoding="utf-8").encode("latin-1"))
+    return argv
+
+
 def _wide_rule(tmp_path, n_conditions, command):
     """A rule of ``n_conditions`` distinct conditions, plus a one-condition
     rule, through ``compile-rules`` or ``pretrain``."""
@@ -173,14 +187,14 @@ def _wide_rule(tmp_path, n_conditions, command):
     return ["pretrain", "--rules.path", argv[2], "--out", tmp_path / "enc.kdal"]
 
 
-def _infer_corrupt_meta_length(tmp_path, small_csv):
-    """infer on a checkpoint whose metadata length has byte 14 of the file
-    set to 109, a length far past the end of the file."""
+def _infer_corrupt_byte(tmp_path, small_csv, pos, value, crc):
+    """infer on a saved checkpoint with byte ``pos`` set to ``value``; with
+    ``crc`` the checksum is rewritten to match the changed bytes."""
     ck = tmp_path / "model.kdal"
-    save_checkpoint(ModelCheckpoint(params={}, seed=0), ck)
+    save_checkpoint(ModelCheckpoint(params={"w": np.eye(2)}, seed=0), ck)
     raw = bytearray(ck.read_bytes())
-    raw[14] = 109
-    ck.write_bytes(bytes(raw))
+    raw[pos] = value
+    ck.write_bytes(_with_crc(bytes(raw[:-4])) if crc else bytes(raw))
     return ["infer", "--checkpoint", ck, "--data", small_csv, "--out", tmp_path / "s.txt"]
 
 
@@ -190,10 +204,10 @@ def _infer_tensor_past_end(tmp_path, small_csv):
     n = 10**6
     meta = json.dumps({"seed": 0, "tensors": [{"name": "w", "rows": n, "cols": n}]}).encode()
     ck = tmp_path / "model.kdal"
-    ck.write_bytes(
+    ck.write_bytes(_with_crc(
         MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(meta)) + meta
         + struct.pack("<H", 1) + b"w" + struct.pack("<QQ", n, n) + bytes(8)
-    )
+    ))
     return ["infer", "--checkpoint", ck, "--data", small_csv, "--out", tmp_path / "s.txt"]
 
 
@@ -221,6 +235,10 @@ MALFORMED_FILES = {
         lambda t, csv: _rule_file(t, "IF f3 > 5 AND f3 < 3 THEN anomaly IS true\n", "r.rules"),
         "line 1: rule 'rule_000': contradictory conditions on attribute 'f3'",
     ),
+    "rule-not-utf8": (
+        lambda t, csv: _in_latin1(_rule_file(t, "IF fé > 1 THEN anomaly IS true\n", "r.rules"), 2),
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
+    ),
     "rule-past-compile-bound": (
         lambda t, csv: _wide_rule(t, 21, "compile-rules"),
         "has 22 variables, compile bound is 20",
@@ -229,8 +247,8 @@ MALFORMED_FILES = {
         lambda t, csv: _wide_rule(t, 16, "pretrain"),
         "formula 0 has 17 variables; enumeration bound is 16",
     ),
-    "checkpoint-meta-length-past-end": (
-        _infer_corrupt_meta_length,
+    "checkpoint-meta-length-past-end": (  # byte 14: the metadata length
+        lambda t, csv: _infer_corrupt_byte(t, csv, 14, 109, crc=True),
         "truncated checkpoint while reading metadata",
     ),
     "checkpoint-tensor-past-end": (
@@ -252,6 +270,14 @@ MALFORMED_FILES = {
     "checkpoint-version-1": (
         lambda t, csv: _infer_meta(t, csv, b'{"seed": 0, "tensors": []}', version=1),
         "unsupported checkpoint version 1",
+    ),
+    "checkpoint-version-2": (  # version 3 without the checksum
+        lambda t, csv: _infer_meta(t, csv, b'{"seed": 0, "tensors": []}', version=2),
+        "unsupported checkpoint version 2",
+    ),
+    "checkpoint-flipped-byte": (  # a tensor value changed, still finite
+        lambda t, csv: _infer_corrupt_byte(t, csv, -6, 0xF1, crc=False),
+        "checkpoint checksum mismatch",
     ),
     "checkpoint-meta-unknown-key": (
         lambda t, csv: _detector(t, csv, stored={"bogus": 1}),
@@ -288,6 +314,10 @@ MALFORMED_FILES = {
     "infer-nan-cell": (
         lambda t, csv: _infer_bad_csv(t, csv, "nan"),
         "row 7, column 'f3': non-finite value nan",
+    ),
+    "infer-csv-not-utf8": (
+        lambda t, csv: _in_latin1(_infer_bad_csv(t, csv, "é"), 4),
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
     ),
     "infer-inf-cell": (
         lambda t, csv: _infer_bad_csv(t, csv, "-inf"),

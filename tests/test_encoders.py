@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdalign import encoders
-from kdalign.autodiff import ParamSet, Tape, bind_params
+from kdalign.autodiff import Forward, ParamSet, Tape, bind_params
 from kdalign.config import ModelConfig
 from kdalign.encoders import (
     bce_loss_tape,
@@ -112,6 +112,40 @@ class TestEncode:
         one_tape = identity_scores(x, spec, params)
         assert blocks.shape == (x.shape[0],)
         assert blocks.tobytes() == one_tape.tobytes()
+
+
+class TestForwardScoring:
+    """The encoder and head on a non-recording Forward give the bytes of a
+    Tape run of the same padded block."""
+
+    MODELS = [
+        ModelConfig(kind="mlp"),
+        ModelConfig(kind="mlp", transform="raw", head_hidden=(8,)),
+        ModelConfig(kind="resnet", main_dim=16),
+        ModelConfig(kind="resnet", main_dim=16, transform="raw", head_hidden=(8,)),
+    ]
+
+    @staticmethod
+    def scores(executor, x, model, params):
+        ids = bind_params(executor, params)
+        e = encode_tape(executor, executor.constant(x), model, ids)
+        return executor.value(score_tape(executor, e, model, ids))
+
+    @pytest.mark.parametrize(
+        "model", MODELS, ids=lambda m: f"{m.kind}-{m.transform}-{m.head_hidden}"
+    )
+    @pytest.mark.parametrize("rows", [1, 7, 8, 1025])
+    def test_forward_equals_tape_on_a_padded_block(self, model, rows):
+        params = make_params(model, 6, seed=rows)
+        padded = -(-rows // encoders.ROW_ALIGN) * encoders.ROW_ALIGN
+        x = np.zeros((padded, 6))
+        x[:rows] = np.random.default_rng(rows + 1).normal(size=(rows, 6))
+        on_tape = self.scores(Tape(), x, model, params)
+        on_forward = self.scores(Forward(), x, model, params)
+        assert on_forward.shape == (padded, 1)
+        assert on_forward.tobytes() == on_tape.tobytes()
+        if rows <= encoders.SCORE_CHUNK:  # forward_scores scores the block the same way
+            assert identity_scores(x[:rows], model, params).tobytes() == on_tape[:rows, 0].tobytes()
 
 
 class TestRowLocalScores:

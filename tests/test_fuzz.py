@@ -1,11 +1,14 @@
-"""Seeded fuzz of ``kdalign infer``: mutated checkpoints and CSV cells.
+"""Seeded fuzz of the CLI: mutated checkpoints and CSV cells through
+``kdalign infer``, and mutated rule files through ``kdalign compile-rules``.
 
 Every run must keep the exit-code contract (0 ok, 1 config, 2 data, 3
 numeric) with at most one stderr line and no traceback.  A mutation that
 breaks it becomes a named row of ``test_cli.MALFORMED_FILES`` once mended.
 """
 
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,12 @@ from kdalign import cli
 CELL_TOKENS = ("", " ", "nan", "-inf", "1e999", "-1e308", "1e308", "abc", "0x1p3", "1,2",
                '"', "1e", "--1", "\t", "\x00", "é", "9" * 400)
 CELL_CHARS = "0123456789.eE+-, \"'naif\t\x00é"
+RULES = Path(__file__).parent / "golden" / "compile_rules_three.rules"
+RULE_TOKENS = ("", " ", "nan", "inf", "-1e999", "1e308", "1e-400", "0x10", "1_0", "9" * 400,
+               "==", "=>", "<>", "!", "IF", "AND", "THEN", "anomaly", "true", "#", "(", "--1",
+               "1e", ".", "\t", "\x00", "é", "٣", "f1 f2", "\n", "\udcff")
+RULE_CHARS = "0123456789.eE+-<>=!# \tfaIFNDx_é\x00\n\udcff"  # \udcff: the byte 0xff
+CONDITION = re.compile(r"(?:IF|AND) (\S+) (\S+) (\S+)")
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +37,9 @@ def trained(tmp_path_factory):
     return csv, run / "checkpoint.kdal"
 
 
-def contract_breach(argv, capsys) -> str | None:
-    """What of the contract one in-process CLI run breaks, if anything."""
+def contract_breach(argv, capsys, exit_code=None) -> str | None:
+    """What of the contract one in-process CLI run breaks, if anything;
+    ``exit_code``, when given, is the one exit code the run may end with."""
     capsys.readouterr()
     try:
         with warnings.catch_warnings():
@@ -38,7 +48,7 @@ def contract_breach(argv, capsys) -> str | None:
     except Exception as exc:  # the installed CLI would print a traceback
         return f"{type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
-    if code not in (0, 1, 2, 3):
+    if code not in (0, 1, 2, 3) or exit_code not in (None, code):
         return f"exit {code}"
     if len(err.splitlines()) > 1 or "Traceback" in err:
         return f"exit {code} with stderr {err!r}"
@@ -73,16 +83,33 @@ def mutate_cell(text: str, rng: np.random.Generator) -> str:
     return "\n".join(lines) + "\n"
 
 
+def mutate_rules(text: str, rng: np.random.Generator) -> str:
+    """One attribute, predicate or threshold replaced by a hostile token, or
+    1-3 characters of the file changed."""
+    if rng.random() < 0.5:
+        conditions = list(CONDITION.finditer(text))
+        cond = conditions[rng.integers(0, len(conditions))]
+        group = rng.integers(1, 4)
+        token = RULE_TOKENS[rng.integers(0, len(RULE_TOKENS))]
+        return text[: cond.start(group)] + token + text[cond.end(group) :]
+    chars = list(text)
+    for _ in range(rng.integers(1, 4)):
+        chars[rng.integers(0, len(chars))] = RULE_CHARS[rng.integers(0, len(RULE_CHARS))]
+    return "".join(chars)
+
+
 def test_mutated_checkpoints_keep_the_exit_contract(trained, tmp_path, capsys):
+    """The checksum turns every changed checkpoint into a data error."""
     csv, checkpoint = trained
     raw = checkpoint.read_bytes()
     rng = np.random.default_rng(20240205)
     path = tmp_path / "mutated.kdal"
     breaches = []
     for case in range(300):
-        path.write_bytes(mutate_bytes(raw, rng))
+        mutated = mutate_bytes(raw, rng)
+        path.write_bytes(mutated)
         argv = ["infer", "--checkpoint", path, "--data", csv, "--out", tmp_path / "s.txt"]
-        breach = contract_breach(argv, capsys)
+        breach = contract_breach(argv, capsys, None if mutated == raw else 2)
         if breach:
             breaches.append((case, breach))
     assert breaches == []
@@ -97,6 +124,20 @@ def test_mutated_csv_cells_keep_the_exit_contract(trained, tmp_path, capsys):
     for case in range(200):
         path.write_text(mutate_cell(text, rng), encoding="utf-8")
         argv = ["infer", "--checkpoint", checkpoint, "--data", path, "--out", tmp_path / "s.txt"]
+        breach = contract_breach(argv, capsys)
+        if breach:
+            breaches.append((case, breach))
+    assert breaches == []
+
+
+def test_mutated_rule_files_keep_the_exit_contract(tmp_path, capsys):
+    text = RULES.read_text()
+    rng = np.random.default_rng(20240207)
+    path = tmp_path / "mutated.rules"
+    breaches = []
+    for case in range(300):
+        path.write_text(mutate_rules(text, rng), encoding="utf-8", errors="surrogateescape")
+        argv = ["compile-rules", "--rules", path, "--out", tmp_path / "c.json"]
         breach = contract_breach(argv, capsys)
         if breach:
             breaches.append((case, breach))

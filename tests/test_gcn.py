@@ -9,6 +9,7 @@ from kdalign.gcn import (
     ddnnf_to_graph,
     embed_formulae,
     embed_knowledge_set,
+    formula_embedding_tape,
     gcn_forward_tape,
     init_know_encoder,
     layer_dims,
@@ -192,6 +193,22 @@ class TestForward:
         got = embed_formulae(listed, spec, params)
         for row, fg in zip(got, listed):
             assert row.tobytes() == embed_formulae([fg], spec, params)[0].tobytes()
+
+
+    def test_embed_formulae_equals_a_tape_forward(self):
+        """The Forward pass gives the bytes of a Tape forward of each graph,
+        a graph object listed twice included."""
+        rng = np.random.default_rng(9)
+        spec = KnowEncoderConfig(layers=3, hidden=6, embed=4, var_capacity=8)
+        params = init_know_encoder(spec, rng)
+        graphs = [ddnnf_to_graph(compile_ddnnf(c), 8) for c in ([[1, -2, 3]], [[1], [2]], [[-3]])]
+        assignment = ddnnf_to_graph(assignment_graph({1: True, 2: False, 3: True}), 8)
+        listed = [graphs[0], assignment, graphs[1], graphs[0], graphs[2], assignment]
+        t = Tape()
+        ids = bind_params(t, params)
+        rows = [t.value(formula_embedding_tape(t, gcn_forward_tape(t, fg, spec, ids), fg))
+                for fg in listed]
+        assert embed_formulae(listed, spec, params).tobytes() == np.vstack(rows).tobytes()
 
 
 class TestEmbedKnowledgeSet:

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,11 @@ def fast_config(**kwargs):
     return TrainConfig(**defaults)
 
 
+def with_crc(body: bytes) -> bytes:
+    """A checkpoint body followed by its valid checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestCheckpointIO:
     def roundtrip(self, ck, tmp_path):
         path = tmp_path / "model.kdal"
@@ -87,7 +93,7 @@ class TestCheckpointIO:
             assert (again.params[name] == ck.params[name]).all()
         assert (again.e_f == ck.e_f).all()
 
-    def test_version_2_metadata_is_pinned(self, tmp_path):
+    def test_version_3_metadata_is_pinned(self, tmp_path):
         # each section is stored as its whole field dict, under its section name
         params = {"enc/w0": np.zeros((1, 2)), "enc/b0": np.zeros((1, 2)),
                   "head/w0": np.zeros((2, 1)), "head/b0": np.zeros((1, 1)),
@@ -103,7 +109,8 @@ class TestCheckpointIO:
         path = tmp_path / "model.kdal"
         save_checkpoint(ck, path)
         raw = path.read_bytes()
-        assert raw[:8] == MAGIC + struct.pack("<I", 2)
+        assert raw[:8] == MAGIC + struct.pack("<I", 3)
+        assert raw == with_crc(raw[:-4])
         (length,) = struct.unpack("<Q", raw[8:16])
         tensors = ", ".join(
             f'{{"cols": {c}, "name": "{n}", "rows": {r}}}'
@@ -146,28 +153,39 @@ class TestCheckpointIO:
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "model.kdal"
         save_checkpoint(ModelCheckpoint(params={"w": np.ones((4, 4))}, seed=0), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 10])
+        body = path.read_bytes()[:-4]
+        path.write_bytes(with_crc(body[: len(body) - 10]))
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
     def test_tensor_metadata_mismatch(self, tmp_path):
         path = tmp_path / "model.kdal"
         save_checkpoint(ModelCheckpoint(params={"w": np.ones((2, 3))}, seed=0), path)
-        raw = bytearray(path.read_bytes())
+        body = bytearray(path.read_bytes()[:-4])
         # flip the tensor-table name ("w" -> "v") so it disagrees with metadata
-        idx = raw.rindex(b"w")
-        raw[idx] = ord("v")
-        path.write_bytes(bytes(raw))
+        idx = body.rindex(b"w")
+        body[idx] = ord("v")
+        path.write_bytes(with_crc(bytes(body)))
         with pytest.raises(DataError, match="does not match metadata"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "model.kdal"
         save_checkpoint(ModelCheckpoint(params={"w": np.ones((2, 2))}, seed=0), path)
-        path.write_bytes(path.read_bytes() + b"x")
+        path.write_bytes(with_crc(path.read_bytes()[:-4] + b"x"))
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
+
+    def test_every_changed_byte_is_a_data_error(self, tmp_path):
+        path = tmp_path / "model.kdal"
+        save_checkpoint(ModelCheckpoint(params={"w": np.ones((2, 2))}, seed=0), path)
+        raw = path.read_bytes()
+        for pos in range(len(raw)):
+            changed = bytearray(raw)
+            changed[pos] ^= 0x01
+            path.write_bytes(bytes(changed))
+            with pytest.raises(DataError, match="magic|version|checksum"):
+                load_checkpoint(path)
 
 
 class TestAdam:
