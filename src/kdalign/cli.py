@@ -33,7 +33,7 @@ from .acquisition import acquire_rules
 from .atomic import write_atomic
 from .autodiff import ParamSet
 from .config import SCHEMA, RulesConfig, load_config, render_value, write_effective_config
-from .ddnnf import model_count
+from .ddnnf import compile_ddnnf
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import auprc, load_csv, rec_at_k_detail, save_csv
 from .experiment import (
@@ -139,7 +139,7 @@ def cmd_acquire_rules(args) -> int:
 
 def cmd_compile_rules(args) -> int:
     rules = load_rules(args.rules)
-    table, graphs = compile_rules(rules)
+    table, clauses = compile_rules(rules)
     payload = {
         "propositions": [
             {"id": p.pid, "subject": p.subject, "predicate": p.predicate, "object": p.obj}
@@ -149,11 +149,11 @@ def cmd_compile_rules(args) -> int:
             {
                 "id": rule.rule_id,
                 "text": render_rule(rule),
-                "ddnnf_nodes": graph.n_nodes(),
-                "variables": sorted(graph.varsets[graph.root]),
-                "model_count": model_count(graph, len(graph.varsets[graph.root])),
+                "ddnnf_nodes": compile_ddnnf(clause).n_nodes(),
+                "variables": sorted(abs(lit) for lit in clause),
+                "model_count": 2 ** len(clause) - 1,
             }
-            for rule, graph in zip(rules, graphs)
+            for rule, clause in zip(rules, clauses)
         ],
     }
     write_atomic(args.out, json.dumps(payload, indent=2) + "\n")

@@ -25,7 +25,7 @@ from .config import (
     TrainConfig,
     write_effective_config,
 )
-from .ddnnf import DdnnfGraph, compile_ddnnf
+from .ddnnf import compile_ddnnf
 from .errors import ConfigError, DataError
 from .evaluate import Dataset, MetricReport, auprc, load_csv, rec_at_k_detail, split_dataset
 from .gcn import PretrainResult, embed_knowledge_set, pretrain_encoder
@@ -55,10 +55,10 @@ def load_dataset(cfg: dict) -> Dataset:
     return load_csv(cfg["data"]["path"])
 
 
-def compile_rules(rules: list[Rule]) -> tuple[PropositionTable, list[DdnnfGraph]]:
-    """One shared proposition table, and each rule's clause compiled to d-DNNF."""
+def compile_rules(rules: list[Rule]) -> tuple[PropositionTable, list[tuple[int, ...]]]:
+    """One shared proposition table, and each rule's clause."""
     table = PropositionTable()
-    return table, [compile_ddnnf([rule_to_clause(rule, table)]) for rule in rules]
+    return table, [rule_to_clause(rule, table) for rule in rules]
 
 
 def build_knowledge(
@@ -75,10 +75,10 @@ def build_knowledge(
             rules, _ = acquire_rules(data.X, data.y, data.feature_names, rc)
     if not rules:
         raise DataError(f"{rc.path or 'acquisition'}: no rules to pretrain on")
-    table, graphs = compile_rules(rules)
+    table, clauses = compile_rules(rules)
     ke = KnowEncoderConfig(**cfg["know_encoder"])
-    result = pretrain_encoder(graphs, replace(ke, var_capacity=max(ke.var_capacity, len(table))))
-    e_f = embed_knowledge_set(graphs, result.config, result.params)
+    result = pretrain_encoder(clauses, replace(ke, var_capacity=max(ke.var_capacity, len(table))))
+    e_f = embed_knowledge_set([compile_ddnnf(c) for c in clauses], result.config, result.params)
     return KnowledgeArtifacts(rules, e_f, result)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Forward, ParamSet, Tape, accumulate_grads, bind_params
 from .config import KnowEncoderConfig
-from .ddnnf import DdnnfGraph, K_AND, K_FALSE, K_LEAF, K_OR, K_TRUE, eval_ddnnf
+from .ddnnf import DdnnfGraph, K_AND, K_LEAF, K_OR, compile_ddnnf
 from .encoders import glorot
 from .errors import DataError, ShapeError
 from .logic import assignments
@@ -210,36 +210,38 @@ class PretrainResult:
     best_val_accuracy: float = 0.0
 
 
-def _sat_unsat_assignments(graph: DdnnfGraph, index: int):
-    variables = sorted(graph.varsets[graph.root])
+def _sat_unsat_assignments(clause: tuple[int, ...], index: int):
+    """Every assignment over the clause's variables, split into its models,
+    in ``logic.assignments`` order, and its one counter-model: every literal
+    false."""
+    variables = sorted(abs(lit) for lit in clause)
     if len(variables) > MAX_ENUM_VARS:
         raise DataError(
             f"formula {index} has {len(variables)} variables; enumeration bound is {MAX_ENUM_VARS}"
         )
-    sat, unsat = [], []
-    for assignment in assignments(variables):
-        (sat if eval_ddnnf(graph, assignment) else unsat).append(assignment)
-    return sat, unsat
+    counter = {abs(lit): lit < 0 for lit in clause}
+    return [a for a in assignments(variables) if a != counter], [counter]
 
 
-def pretrain_encoder(graphs: list[DdnnfGraph], config: KnowEncoderConfig) -> PretrainResult:
+def pretrain_encoder(clauses: list[tuple[int, ...]], config: KnowEncoderConfig) -> PretrainResult:
     """Train the knowledge encoder on (formula, sat, unsat) triplets.
 
-    The triplet loss max(0, d(e_f, e_sat) - d(e_f, e_unsat) + margin) is
-    averaged over one sampled triple per formula per step; AND nodes are
-    pulled toward the mean of their children, OR children toward unit mean
-    squared spread.  Plain gradient descent with a fixed step; the returned
-    parameters are the snapshot with the best held-out triplet accuracy.
-    Every formula must have a satisfying and a falsifying assignment, as a
-    rule's clause (at least two literals) always does.
+    Each formula is a rule's clause, compiled to its d-DNNF chain for the
+    GCN; its satisfying assignments are all but one, and its one falsifying
+    assignment sets every literal false.  The triplet loss
+    max(0, d(e_f, e_sat) - d(e_f, e_unsat) + margin) is averaged over one
+    sampled triple per formula per step; AND nodes are pulled toward the
+    mean of their children, OR children toward unit mean squared spread.
+    Plain gradient descent with a fixed step; the returned parameters are
+    the snapshot with the best held-out triplet accuracy.
     """
-    if len(graphs) < 2:
-        raise DataError(f"pretraining needs at least 2 formulae, got {len(graphs)}")
+    if len(clauses) < 2:
+        raise DataError(f"pretraining needs at least 2 formulae, got {len(clauses)}")
     rng = np.random.default_rng(config.seed)
     params = init_know_encoder(config, rng)
     corpus = [
-        (ddnnf_to_graph(g, config.var_capacity), *_sat_unsat_assignments(g, idx))
-        for idx, g in enumerate(graphs)
+        (ddnnf_to_graph(compile_ddnnf(c), config.var_capacity), *_sat_unsat_assignments(c, idx))
+        for idx, c in enumerate(clauses)
     ]
 
     graph_cache: dict[frozenset, FormulaGraph] = {}

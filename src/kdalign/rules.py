@@ -265,25 +265,50 @@ def rules_to_json(rules: Sequence[Rule]) -> str:
     return json.dumps(payload, indent=2)
 
 
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _typed(value, kinds: tuple[type, ...], what: str):
+    """``value`` if it is a JSON value of one of the Python ``kinds`` (a
+    boolean only where ``bool`` is listed); else a DataError naming ``what``."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise DataError(f"{what} must be {_JSON_TYPES[kinds[0]]}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
 def rules_from_json(text: str) -> list[Rule]:
+    """Rules from the JSON form of ``rules_to_json``: a list of objects with
+    an ``id``, ``conditions`` (objects with a string ``attr`` and ``op`` and
+    a numeric ``threshold``) and a boolean ``consequent``."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid rule JSON: {exc}") from exc
     if not isinstance(payload, list):
-        raise DataError(f"rule JSON must be a list of rules, got {type(payload).__name__}")
+        raise DataError(f"rule JSON must be a list of rules, got {_JSON_TYPES[type(payload)]}")
     rules = []
     for index, obj in enumerate(payload):
+        where = f"rule entry {index}"
         try:
-            conds = [
-                Condition(c["attr"], c["op"], float(c["threshold"]))
-                for c in obj["conditions"]
-            ]
-            rules.append(Rule(str(obj["id"]), conds, bool(obj["consequent"])))
+            entry = _typed(obj, (dict,), where)
+            conds = []
+            for ci, c in enumerate(_typed(entry["conditions"], (list,), f"{where}: 'conditions'")):
+                at = f"{where}: condition {ci}"
+                c = _typed(c, (dict,), at)
+                conds.append(Condition(
+                    _typed(c["attr"], (str,), f"{at} 'attr'"),
+                    _typed(c["op"], (str,), f"{at} 'op'"),
+                    float(_typed(c["threshold"], (int, float), f"{at} 'threshold'")),
+                ))
+            consequent = _typed(entry["consequent"], (bool,), f"{where}: 'consequent'")
+            rules.append(Rule(str(entry["id"]), conds, consequent))
         except KeyError as exc:
-            raise DataError(f"rule entry {index}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"rule entry {index}: {exc}") from None
+            raise DataError(f"{where}: missing key {exc}") from None
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{where}: {exc}") from None
     return rules
 
 

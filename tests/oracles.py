@@ -1,24 +1,30 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive: exhaustive enumeration, scalar
-loops, a Sinkhorn loop that re-measures its plan every iteration.  None of it shares code with the implementations under test,
-except that the unrolled Sinkhorn and the finite-difference gradient check
-are built from the tape's primitives, ``check_determinism`` evaluates
-d-DNNF nodes with ``eval_ddnnf``, ``rec_at_k`` reads ``rec_at_k_detail``,
-``gcn_forward`` reads the GCN's parameter names and layer widths,
-``fit_tree_argsort`` runs the Gini split kernel ``best_split_scan``, and
-``acquire_rules_argsort`` reads its trees' paths with
-``extract_anomaly_paths``.
+loops, a Sinkhorn loop that re-measures its plan every iteration.  The
+general d-DNNF compiler the package once used for any CNF lives here too
+(``compile_cnf``: Shannon expansion with hash-consing and a memo over
+residual clause sets), with its evaluator, model counter and decomposability
+and determinism checks: it is the reference that a rule's directly built
+decision chain (``ddnnf.compile_ddnnf``) is checked against.  None of it
+shares code with the implementations under test, except that the unrolled
+Sinkhorn and the finite-difference gradient check are built from the tape's
+primitives, ``compile_cnf`` returns the package's ``DdnnfGraph``,
+``rec_at_k`` reads ``rec_at_k_detail``, ``gcn_forward`` reads the GCN's
+parameter names and layer widths, ``fit_tree_argsort`` runs the Gini split
+kernel ``best_split_scan``, and ``acquire_rules_argsort`` reads its trees'
+paths with ``extract_anomaly_paths``.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from kdalign.acquisition import DecisionTree, TreeNode, extract_anomaly_paths
 from kdalign.autodiff import ParamSet, Tape, bind_params
-from kdalign.ddnnf import K_OR, eval_ddnnf
+from kdalign.ddnnf import K_AND, K_FALSE, K_LEAF, K_OR, K_TRUE, DdnnfGraph
 from kdalign.errors import DataError, ShapeError
 from kdalign.evaluate import rec_at_k_detail
 from kdalign.gcn import NODE_TYPES, layer_dims, param_name
@@ -387,11 +393,12 @@ def check_determinism(graph, exhaustive_max_vars=16):
 
     Only practical for small variable counts; raises beyond the bound.
     """
+    vs = varsets(graph)
     for i, kind in enumerate(graph.kinds):
         if kind != K_OR:
             continue
         kids = graph.children[i]
-        union_vars = frozenset().union(*(graph.varsets[c] for c in kids))
+        union_vars = frozenset().union(*(vs[c] for c in kids))
         if len(union_vars) > exhaustive_max_vars:
             raise ValueError(f"OR node {i} spans {len(union_vars)} vars, too many to check")
         for assignment in all_assignments(union_vars):
@@ -400,6 +407,145 @@ def check_determinism(graph, exhaustive_max_vars=16):
                 raise AssertionError(
                     f"OR node {i}: children {sat} jointly satisfied by {assignment}"
                 )
+
+
+def varsets(graph):
+    """The set of variables below each node, by node id."""
+    out = []
+    for i, kind in enumerate(graph.kinds):
+        if kind == K_LEAF:
+            out.append(frozenset((abs(graph.literals[i]),)))
+        else:
+            out.append(frozenset().union(*(out[c] for c in graph.children[i])))
+    return out
+
+
+class _Builder:
+    """Graph under construction with hash-consing: shared TRUE/FALSE sinks,
+    one node per distinct (kind, literal, children)."""
+
+    def __init__(self):
+        self.kinds, self.literals, self.children = [], [], []
+        self._unique = {}
+        self.true_id = self._node(K_TRUE, 0, ())
+        self.false_id = self._node(K_FALSE, 0, ())
+
+    def _node(self, kind, literal, kids):
+        key = (kind, literal, kids)
+        if key not in self._unique:
+            self._unique[key] = len(self.kinds)
+            self.kinds.append(kind)
+            self.literals.append(literal)
+            self.children.append(kids)
+        return self._unique[key]
+
+    def leaf(self, literal):
+        return self._node(K_LEAF, literal, ())
+
+    def conj(self, kids):
+        return kids[0] if len(kids) == 1 else self._node(K_AND, 0, kids)
+
+    def disj(self, kids):
+        return kids[0] if len(kids) == 1 else self._node(K_OR, 0, kids)
+
+
+def _condition(clauses, literal):
+    """Residual clause set after asserting ``literal``; None encodes a conflict."""
+    out = set()
+    for clause in clauses:
+        if literal in clause:
+            continue
+        if -literal in clause:
+            reduced = clause - {-literal}
+            if not reduced:
+                return None
+            out.add(reduced)
+        else:
+            out.add(clause)
+    return frozenset(out)
+
+
+def compile_cnf(clauses):
+    """Any CNF, as clauses of signed variable ids, compiled to an equivalent
+    d-DNNF by Shannon expansion on the lowest-numbered variable left,
+    memoized on the residual clause set; the +v branch comes first.
+    Unsatisfiable input compiles to the FALSE sink, no clauses to TRUE.
+    The result is checked for decomposability."""
+    b = _Builder()
+    memo = {}
+
+    def build(residual):
+        if not residual:
+            return b.true_id
+        if residual in memo:
+            return memo[residual]
+        var = min(abs(lit) for clause in residual for lit in clause)
+        branches = []
+        for literal in (var, -var):
+            rest = _condition(residual, literal)
+            if rest is None:
+                continue
+            sub = build(rest)
+            if sub == b.false_id:
+                continue
+            lf = b.leaf(literal)
+            branches.append(lf if sub == b.true_id else b.conj((lf, sub)))
+        memo[residual] = b.false_id if not branches else b.disj(tuple(branches))
+        return memo[residual]
+
+    start = frozenset(frozenset(clause) for clause in clauses)
+    root = b.false_id if frozenset() in start else build(start)
+    graph = DdnnfGraph(b.kinds, b.literals, b.children, root)
+    check_decomposability(graph)
+    return graph
+
+
+def check_decomposability(graph):
+    """Raise if any AND node's children share variables."""
+    vs = varsets(graph)
+    for i, kind in enumerate(graph.kinds):
+        if kind != K_AND:
+            continue
+        seen = set()
+        for c in graph.children[i]:
+            if seen & vs[c]:
+                raise AssertionError(f"AND node {i} children share variables {seen & vs[c]}")
+            seen |= vs[c]
+
+
+def eval_ddnnf(graph, assignment, node=None):
+    """Truth value of ``node`` (default: the root) under a full assignment."""
+    nid = graph.root if node is None else node
+    kind = graph.kinds[nid]
+    if kind in (K_TRUE, K_FALSE):
+        return kind == K_TRUE
+    if kind == K_LEAF:
+        lit = graph.literals[nid]
+        return assignment[abs(lit)] == (lit > 0)
+    values = (eval_ddnnf(graph, assignment, c) for c in graph.children[nid])
+    return all(values) if kind == K_AND else any(values)
+
+
+def model_count(graph, n_vars):
+    """Exact model count over an n_vars-variable space: products at AND
+    nodes, sums at OR nodes with a smoothing factor 2^(missing vars) per
+    child, and a final factor for the variables absent from the graph."""
+    vs = varsets(graph)
+    counts = []
+    for nid, kind in enumerate(graph.kinds):
+        kids = graph.children[nid]
+        if kind in (K_TRUE, K_LEAF):
+            counts.append(1)
+        elif kind == K_FALSE:
+            counts.append(0)
+        elif kind == K_AND:
+            counts.append(math.prod(counts[c] for c in kids))
+        else:
+            counts.append(sum(counts[c] << (len(vs[nid]) - len(vs[c])) for c in kids))
+    root_vars = len(vs[graph.root])
+    if n_vars < root_vars:
+        raise ValueError(f"n_vars={n_vars} below the graph's own {root_vars} variables")
+    return counts[graph.root] << (n_vars - root_vars)
 
 
 def adam_per_tensor(values, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):

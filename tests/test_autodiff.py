@@ -4,7 +4,6 @@ import pytest
 from kdalign import gcn
 from kdalign.autodiff import Forward, ParamSet, Tape, bind_params
 from kdalign.config import KnowEncoderConfig
-from kdalign.ddnnf import compile_ddnnf
 from kdalign.errors import NumericError, ShapeError
 from kdalign.train import Adam
 from oracles import grad_check
@@ -491,8 +490,7 @@ class TestBindParamsNoCopy:
             np.testing.assert_array_equal(tape.value(nid), before[k])
 
     def test_pretraining_update_leaves_bound_tapes_unchanged(self, monkeypatch):
-        clauses = ([[1, 2]], [[-1, 2]], [[1], [2]], [[-1, -2, 3]])
-        graphs = [compile_ddnnf(cl) for cl in clauses]
+        clauses = [(1, 2), (-1, 2), (2,), (-1, -2, 3)]
         bound = []
 
         def recording_bind(tape, params):
@@ -502,7 +500,7 @@ class TestBindParamsNoCopy:
 
         monkeypatch.setattr(gcn, "bind_params", recording_bind)
         config = KnowEncoderConfig(steps=6, seed=3, var_capacity=4, hidden=8, embed=8, eval_every=2)
-        gcn.pretrain_encoder(graphs, config)
+        gcn.pretrain_encoder(clauses, config)
         assert len(bound) > config.steps
         for tape, ids, snapshot in bound:
             for k, nid in ids.items():

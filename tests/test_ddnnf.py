@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from kdalign.ddnnf import (
-    K_FALSE,
-    K_LEAF,
+from kdalign.ddnnf import K_FALSE, K_LEAF, K_OR, compile_ddnnf
+from oracles import (
+    all_assignments,
     check_decomposability,
-    compile_ddnnf,
+    check_determinism,
+    compile_cnf,
+    count_models,
+    eval_clauses,
     eval_ddnnf,
     model_count,
 )
-from oracles import all_assignments, check_determinism, count_models, eval_clauses
 
 
 def random_cnf(rng, max_vars=8, max_clauses=12):
@@ -24,33 +26,59 @@ def random_cnf(rng, max_vars=8, max_clauses=12):
     return clauses, n_vars
 
 
+def random_clause(rng, max_width=15, n_vars=30):
+    """A clause of 1 to ``max_width`` literals over distinct variables, in
+    random order and with random signs."""
+    width = int(rng.integers(1, max_width + 1))
+    vs = rng.choice(np.arange(1, n_vars + 1), size=width, replace=False)
+    return tuple(int(v) if rng.random() < 0.5 else -int(v) for v in vs)
+
+
+def as_tuple(g):
+    return g.kinds, g.literals, g.children, g.root
+
+
+class TestChain:
+    def test_matches_the_general_compiler_on_random_clauses(self):
+        rng = np.random.default_rng(2024)
+        clauses = [random_clause(rng) for _ in range(1200)]
+        assert sum(len(c) == 1 for c in clauses) > 50  # unit clauses included
+        for clause in clauses:
+            assert as_tuple(compile_ddnnf(clause)) == as_tuple(compile_cnf([clause])), clause
+
+    def test_size_is_linear_without_a_variable_bound(self):
+        clause = tuple(-v for v in range(1, 60)) + (60,)
+        g = compile_ddnnf(clause)
+        assert g.n_nodes() == 4 * 60 - 1
+        assert g.kinds[g.root] == K_OR
+        assert all(c < i for i, kids in enumerate(g.children) for c in kids)
+
+
 class TestCompile:
+    """The oracle compiler against brute force, so it can serve as the
+    chain's reference."""
+
     def test_unit_clause(self):
-        g = compile_ddnnf([[1]])
+        g = compile_cnf([[1]])
         assert g.kinds[g.root] == K_LEAF
         assert g.literals[g.root] == 1
 
     def test_implication_clause_counts_seven(self):
-        g = compile_ddnnf([[-1, -2, 3]])
+        g = compile_cnf([[-1, -2, 3]])
         assert model_count(g, 3) == 7
         assert count_models([(-1, -2, 3)], [1, 2, 3]) == 7
 
     def test_contradiction_compiles_to_false(self):
-        g = compile_ddnnf([[1], [-1]])
+        g = compile_cnf([[1], [-1]])
         assert g.kinds[g.root] == K_FALSE
         assert model_count(g, 1) == 0
 
     def test_empty_cnf_is_true(self):
-        g = compile_ddnnf([])
+        g = compile_cnf([])
         assert model_count(g, 3) == 8
 
-    def test_variable_bound(self):
-        clauses = [[i] for i in range(1, 22)]
-        with pytest.raises(ValueError, match="compile bound"):
-            compile_ddnnf(clauses)
-
     def test_leaf_count_with_extra_vars(self):
-        g = compile_ddnnf([[2]])
+        g = compile_cnf([[2]])
         assert model_count(g, 1) == 1
         assert model_count(g, 2) == 2
 
@@ -60,7 +88,7 @@ class TestRandomized:
     def test_model_count_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         clauses, n_vars = random_cnf(rng)
-        g = compile_ddnnf(clauses)
+        g = compile_cnf(clauses)
         expected = count_models(clauses, range(1, n_vars + 1))
         assert model_count(g, n_vars) == expected
 
@@ -68,7 +96,7 @@ class TestRandomized:
     def test_structural_checks_and_equivalence(self, seed):
         rng = np.random.default_rng(seed + 1000)
         clauses, n_vars = random_cnf(rng)
-        g = compile_ddnnf(clauses)
+        g = compile_cnf(clauses)
         check_decomposability(g)
         check_determinism(g)
         for assignment in all_assignments(range(1, n_vars + 1)):

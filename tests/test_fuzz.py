@@ -1,11 +1,13 @@
 """Seeded fuzz of the CLI: mutated checkpoints and CSV cells through
-``kdalign infer``, and mutated rule files through ``kdalign compile-rules``.
+``kdalign infer``, and mutated rule files, in the DSL and in JSON, through
+``kdalign compile-rules``.
 
 Every run must keep the exit-code contract (0 ok, 1 config, 2 data, 3
 numeric) with at most one stderr line and no traceback.  A mutation that
 breaks it becomes a named row of ``test_cli.MALFORMED_FILES`` once mended.
 """
 
+import json
 import re
 import warnings
 from pathlib import Path
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from kdalign import cli
+from kdalign.rules import load_rules, rules_to_json
 
 CELL_TOKENS = ("", " ", "nan", "-inf", "1e999", "-1e308", "1e308", "abc", "0x1p3", "1,2",
                '"', "1e", "--1", "\t", "\x00", "é", "9" * 400)
@@ -24,6 +27,9 @@ RULE_TOKENS = ("", " ", "nan", "inf", "-1e999", "1e308", "1e-400", "0x10", "1_0"
                "1e", ".", "\t", "\x00", "é", "٣", "f1 f2", "\n", "\udcff")
 RULE_CHARS = "0123456789.eE+-<>=!# \tfaIFNDx_é\x00\n\udcff"  # \udcff: the byte 0xff
 CONDITION = re.compile(r"(?:IF|AND) (\S+) (\S+) (\S+)")
+JSON_VALUES = (5, -1, 0, 1.5, 10**400, float("nan"), float("inf"), True, False, None, "", "false",
+               "1", "é", ">", [], [5], [{}], {}, {"attr": 5})
+JSON_CHARS = '{}[]:,"0123456789.eE+-truefalsn é\x00'
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,46 @@ def mutate_rules(text: str, rng: np.random.Generator) -> str:
     return "".join(chars)
 
 
+def json_paths(node, path=()):
+    """The path of every value in a JSON document, the document included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, (*path, key))
+
+
+def json_mutations(text: str, rng: np.random.Generator, n_edits: int):
+    """A JSON rule file with each of its values, the whole list included,
+    replaced by each hostile value in turn, then with each object key dropped
+    in turn, then ``n_edits`` seeded copies with 1-3 characters changed."""
+    paths = list(json_paths(json.loads(text)))
+    for path in paths:
+        for value in JSON_VALUES:
+            yield json.dumps(_replaced(json.loads(text), path, value))
+    for path in paths:
+        if path and isinstance(path[-1], str):
+            yield json.dumps(_replaced(json.loads(text), path, None, drop=True))
+    for _ in range(n_edits):
+        chars = list(text)
+        for _ in range(rng.integers(1, 4)):
+            chars[rng.integers(0, len(chars))] = JSON_CHARS[rng.integers(0, len(JSON_CHARS))]
+        yield "".join(chars)
+
+
+def _replaced(payload, path, value, drop=False):
+    """``payload`` with the value at ``path`` set to ``value``, or dropped."""
+    if not path:
+        return value
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return payload
+
+
 def test_mutated_checkpoints_keep_the_exit_contract(trained, tmp_path, capsys):
     """The checksum turns every changed checkpoint into a data error."""
     csv, checkpoint = trained
@@ -137,6 +183,20 @@ def test_mutated_rule_files_keep_the_exit_contract(tmp_path, capsys):
     breaches = []
     for case in range(300):
         path.write_text(mutate_rules(text, rng), encoding="utf-8", errors="surrogateescape")
+        argv = ["compile-rules", "--rules", path, "--out", tmp_path / "c.json"]
+        breach = contract_breach(argv, capsys)
+        if breach:
+            breaches.append((case, breach))
+    assert breaches == []
+
+
+def test_mutated_json_rule_files_keep_the_exit_contract(tmp_path, capsys):
+    text = rules_to_json(load_rules(RULES))
+    rng = np.random.default_rng(20240208)
+    path = tmp_path / "mutated.json"
+    breaches = []
+    for case, mutated in enumerate(json_mutations(text, rng, n_edits=200)):
+        path.write_text(mutated, encoding="utf-8")
         argv = ["compile-rules", "--rules", path, "--out", tmp_path / "c.json"]
         breach = contract_breach(argv, capsys)
         if breach:

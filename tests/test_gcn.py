@@ -19,7 +19,7 @@ from kdalign.gcn import (
 from kdalign.gcn import FormulaGraph, TYPE_INDEX
 from kdalign.config import KnowEncoderConfig
 from kdalign.errors import DataError
-from oracles import gcn_forward
+from oracles import compile_cnf, gcn_forward
 
 
 def forward(fg, spec, params):
@@ -39,7 +39,7 @@ def homogeneous_params(spec, rng):
 
 class TestGraphConversion:
     def test_single_leaf(self):
-        g = compile_ddnnf([[1]])
+        g = compile_ddnnf((1,))
         fg = ddnnf_to_graph(g, var_capacity=4)
         assert fg.node_types.shape[0] == 2
         np.testing.assert_array_equal(fg.adj, [[1.0, 1.0], [1.0, 1.0]])
@@ -52,7 +52,7 @@ class TestGraphConversion:
         assert fg.features[0, 4 + 1] == -1.0
 
     def test_global_connected_to_all(self):
-        g = compile_ddnnf([[-1, -2, 3]])
+        g = compile_ddnnf((-1, -2, 3))
         fg = ddnnf_to_graph(g, var_capacity=4)
         n = fg.adj.shape[0]
         gi = fg.global_index
@@ -69,7 +69,7 @@ class TestGraphConversion:
         assert n == len(reachable) + 1
 
     def test_adjacency_symmetric_with_self_loops(self):
-        g = compile_ddnnf([[1, 2], [-2, 3]])
+        g = compile_cnf([[1, 2], [-2, 3]])
         fg = ddnnf_to_graph(g, var_capacity=8)
         np.testing.assert_array_equal(fg.adj, fg.adj.T)
         np.testing.assert_array_equal(np.diag(fg.adj), np.ones(fg.adj.shape[0]))
@@ -144,7 +144,7 @@ class TestForward:
 
     def test_tape_matches_numpy_forward(self):
         rng = np.random.default_rng(3)
-        g = compile_ddnnf([[-1, -2, 3]])
+        g = compile_ddnnf((-1, -2, 3))
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         fg = ddnnf_to_graph(g, spec.var_capacity)
         params = init_know_encoder(spec, rng)
@@ -155,7 +155,7 @@ class TestForward:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        g = compile_ddnnf([[1, 2], [-1, 3]])
+        g = compile_cnf([[1, 2], [-1, 3]])
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         fg = ddnnf_to_graph(g, spec.var_capacity)
         params = init_know_encoder(spec, rng)
@@ -178,8 +178,8 @@ class TestForward:
         rng = np.random.default_rng(6)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        g1 = compile_ddnnf([[1, 2]])
-        g2 = compile_ddnnf([[1, 2]])
+        g1 = compile_ddnnf((1, 2))
+        g2 = compile_ddnnf((1, 2))
         e = embed_knowledge_set([g1, g2], spec, params)
         np.testing.assert_array_equal(e[0], e[1])
 
@@ -187,8 +187,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=4, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        graphs = [ddnnf_to_graph(compile_ddnnf(c), 8)
-                  for c in ([[1, 2]], [[1], [-2, 3]], [[-3]])]
+        graphs = [ddnnf_to_graph(compile_cnf(c), 8) for c in ([[1, 2]], [[1], [-2, 3]], [[-3]])]
         listed = [graphs[i] for i in (0, 1, 0, 2, 2, 1, 0)]
         got = embed_formulae(listed, spec, params)
         for row, fg in zip(got, listed):
@@ -201,7 +200,7 @@ class TestForward:
         rng = np.random.default_rng(9)
         spec = KnowEncoderConfig(layers=3, hidden=6, embed=4, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        graphs = [ddnnf_to_graph(compile_ddnnf(c), 8) for c in ([[1, -2, 3]], [[1], [2]], [[-3]])]
+        graphs = [ddnnf_to_graph(compile_cnf(c), 8) for c in ([[1, -2, 3]], [[1], [2]], [[-3]])]
         assignment = ddnnf_to_graph(assignment_graph({1: True, 2: False, 3: True}), 8)
         listed = [graphs[0], assignment, graphs[1], graphs[0], graphs[2], assignment]
         t = Tape()
@@ -216,10 +215,10 @@ class TestEmbedKnowledgeSet:
         rng = np.random.default_rng(0)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=5, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        g = compile_ddnnf([[1]])
+        g = compile_ddnnf((1,))
         e1 = embed_knowledge_set([g], spec, params)
         assert e1.shape == (1, 5)
-        corpus = [compile_ddnnf([[v]]) for v in range(1, 8)] * 2
+        corpus = [compile_ddnnf((v,)) for v in range(1, 8)] * 2
         e = embed_knowledge_set(corpus, spec, params)
         assert e.shape == (14, 5)
         assert np.isfinite(e).all()
@@ -229,33 +228,21 @@ class TestEmbedKnowledgeSet:
         rng = np.random.default_rng(1)
         spec = KnowEncoderConfig(layers=2, hidden=6, embed=5, var_capacity=8)
         params = init_know_encoder(spec, rng)
-        corpus = [compile_ddnnf([[1, -2], [2, 3]])]
+        corpus = [compile_cnf([[1, -2], [2, 3]])]
         a = embed_knowledge_set(corpus, spec, params)
         b = embed_knowledge_set(corpus, spec, params)
         assert (a == b).all()
 
 
 def toy_corpus():
-    specs = [
-        [[1]],
-        [[-1]],
-        [[1, 2]],
-        [[-1, 2]],
-        [[1], [2]],
-        [[-1, -2, 3]],
-        [[1, -3]],
-        [[2], [-3, 1]],
-        [[-2, 3]],
-        [[1, 2, 3]],
-    ]
-    return [compile_ddnnf(c) for c in specs]
+    return [(1,), (-1,), (1, 2), (-1, 2), (2,), (-1, -2, 3), (1, -3), (1, -3, 2), (-2, 3), (1, 2, 3)]
 
 
 class TestPretrain:
     def test_zero_steps_returns_initialization(self):
-        graphs = toy_corpus()
+        clauses = toy_corpus()
         cfg = KnowEncoderConfig(steps=0, seed=1, var_capacity=4, hidden=8, embed=8)
-        result = pretrain_encoder(graphs, cfg)
+        result = pretrain_encoder(clauses, cfg)
         assert result.config == cfg
         fresh = init_know_encoder(cfg, np.random.default_rng(1))
         for name in fresh.values:
@@ -266,35 +253,35 @@ class TestPretrain:
             pretrain_encoder(toy_corpus()[:1], KnowEncoderConfig(steps=0, var_capacity=4))
 
     def test_enumeration_bound_names_the_formula(self):
-        wide = compile_ddnnf([[-v for v in range(1, 17)] + [17]])
+        wide = (*(-v for v in range(1, 17)), 17)
         cfg = KnowEncoderConfig(steps=0, var_capacity=17)
         with pytest.raises(DataError, match="formula 1 has 17 variables; enumeration bound is 16"):
             pretrain_encoder([toy_corpus()[0], wide], cfg)
 
     def test_loss_decreases_on_toy_corpus(self):
-        graphs = toy_corpus()
+        clauses = toy_corpus()
         cfg = KnowEncoderConfig(steps=50, seed=3, var_capacity=4, hidden=8, embed=8)
-        result = pretrain_encoder(graphs, cfg)
+        result = pretrain_encoder(clauses, cfg)
         smooth = np.convolve(result.loss_history, np.ones(5) / 5, mode="valid")
         assert smooth[-1] < smooth[0]
         # monotone after smoothing: allow tiny numeric wiggle
         assert all(b <= a + 0.05 * abs(a) + 1e-9 for a, b in zip(smooth, smooth[1:]))
 
     def test_separates_p_from_not_p(self):
-        graphs = [compile_ddnnf([[1]]), compile_ddnnf([[-1]])]
+        clauses = [(1,), (-1,)]
         cfg = KnowEncoderConfig(
             steps=120, seed=2, margin=1.0, var_capacity=2, hidden=8, embed=8
         )
-        result = pretrain_encoder(graphs, cfg)
+        result = pretrain_encoder(clauses, cfg)
         spec = result.config
-        fg_p = ddnnf_to_graph(graphs[0], spec.var_capacity)
+        fg_p = ddnnf_to_graph(compile_ddnnf(clauses[0]), spec.var_capacity)
         fg_sat = ddnnf_to_graph(assignment_graph({1: True}), spec.var_capacity)
         fg_unsat = ddnnf_to_graph(assignment_graph({1: False}), spec.var_capacity)
         e_p, e_s, e_u = embed_formulae([fg_p, fg_sat, fg_unsat], spec, result.params)
         assert ((e_p - e_s) ** 2).sum() < ((e_p - e_u) ** 2).sum()
 
     def test_heldout_accuracy_on_toy_corpus(self):
-        graphs = toy_corpus()
+        clauses = toy_corpus()
         cfg = KnowEncoderConfig(steps=250, seed=0, var_capacity=4, hidden=12, embed=12)
-        result = pretrain_encoder(graphs, cfg)
+        result = pretrain_encoder(clauses, cfg)
         assert result.best_val_accuracy >= 0.9

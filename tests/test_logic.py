@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from kdalign.ddnnf import check_decomposability, eval_ddnnf, model_count
+from kdalign.ddnnf import compile_ddnnf
 from kdalign.experiment import compile_rules
 from kdalign.logic import PropositionTable, assignments, rule_to_clause
 from kdalign.rules import PREDICATES, Condition, Rule, _format_threshold, parse_rule
-from oracles import check_determinism, eval_clauses
+from oracles import check_decomposability, check_determinism, eval_clauses, eval_ddnnf, model_count
 
 
 def triples(table):
@@ -100,7 +100,8 @@ def test_compiled_rule_is_a_d_dnnf_of_its_implication(seed):
     rule's propositions, the case pretraining relies on."""
     rng = np.random.default_rng(seed + 100)
     rules = random_rules(rng, 3)
-    table, graphs = compile_rules(rules)
+    table, clauses = compile_rules(rules)
+    graphs = [compile_ddnnf(c) for c in clauses]
     n_props = len(table)
     for rule, g in zip(rules, graphs):
         check_decomposability(g)
@@ -127,7 +128,7 @@ def test_three_rule_graphs_are_pinned():
         parse_rule("IF f2 <= 1 AND f3 != 2 AND f1 > 0.5 THEN anomaly IS true"),
         parse_rule("IF f4 = 0 AND f4 = 0 THEN anomaly IS false"),
     ]
-    _, graphs = compile_rules(rules)
+    graphs = [compile_ddnnf(c) for c in compile_rules(rules)[1]]
     T, F, L, A, O = "true", "false", "leaf", "and", "or"
     assert [(g.kinds, g.literals, g.children, g.root) for g in graphs] == [
         (
