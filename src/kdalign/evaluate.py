@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,7 +52,12 @@ class Dataset:
 
 def load_csv(path) -> Dataset:
     """Read a dataset CSV: header required, numeric features, a 0/1 ``label``
-    column, and an optional ``split`` column of train/val/test tags."""
+    column, and an optional ``split`` column of train/val/test tags.
+
+    One pass over the rows appends each row's feature values to one
+    ``array('d')`` and its label to one ``array('b')``; ``X`` is a
+    ``(rows, features)`` view of that buffer, so no per-row lists are kept
+    and the values are not copied again."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -66,14 +72,14 @@ def load_csv(path) -> Dataset:
             i for i in range(len(header)) if i != label_col and i != split_col
         ]
         names = [header[i] for i in feature_cols]
-        rows, labels, splits = [], [], []
+        values, labels, splits = array("d"), array("b"), []
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DataError(
                     f"{path}: row {lineno}: expected {len(header)} cells, got {len(record)}"
                 )
             try:
-                rows.append([float(record[i]) for i in feature_cols])
+                values.fromlist([float(record[i]) for i in feature_cols])
             except ValueError:
                 for i in feature_cols:
                     try:
@@ -97,9 +103,9 @@ def load_csv(path) -> Dataset:
                         f"{path}: row {lineno}, column 'split': unknown tag {tag!r}"
                     )
                 splits.append(tag)
-    if not rows:
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    X = np.array(rows)
+    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(feature_cols))
     finite = np.isfinite(X)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

@@ -281,12 +281,13 @@ def _typed(value, kinds: tuple[type, ...], what: str):
 
 def rules_from_json(text: str) -> list[Rule]:
     """Rules from the JSON form of ``rules_to_json``: a list of objects with
-    an ``id``, ``conditions`` (objects with a string ``attr`` and ``op`` and
-    a numeric ``threshold``) and a boolean ``consequent``."""
+    an ``id`` (a string, or an integer kept as its decimal text),
+    ``conditions`` (objects with a string ``attr`` and ``op`` and a numeric
+    ``threshold``) and a boolean ``consequent``."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid rule JSON: {exc}") from exc
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise DataError(f"invalid rule JSON: {exc}") from None
     if not isinstance(payload, list):
         raise DataError(f"rule JSON must be a list of rules, got {_JSON_TYPES[type(payload)]}")
     rules = []
@@ -304,9 +305,12 @@ def rules_from_json(text: str) -> list[Rule]:
                     float(_typed(c["threshold"], (int, float), f"{at} 'threshold'")),
                 ))
             consequent = _typed(entry["consequent"], (bool,), f"{where}: 'consequent'")
-            rules.append(Rule(str(entry["id"]), conds, consequent))
+            rule_id = _typed(entry["id"], (str, int), f"{where}: 'id'")
+            rules.append(Rule(str(rule_id), conds, consequent))
         except KeyError as exc:
             raise DataError(f"{where}: missing key {exc}") from None
+        except DataError:  # already names its entry
+            raise
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{where}: {exc}") from None
     return rules

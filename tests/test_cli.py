@@ -79,6 +79,31 @@ def test_bad_training_step_config_exits_1(small_csv, tmp_path, capsys, flag, val
     assert line.startswith("config error:") and key in line
 
 
+SYNTH_DATA_ERRORS = {  # synth-data flags -> the text of their one config error line
+    "--n-normal -5": "n_normal must be >= 0, got -5",
+    "--n-direct -1": "n_direct must be >= 0, got -1",
+    "--n-rule -1": "n_rule must be >= 0, got -1",
+    "--seed -1": "seed must be >= 0, got -1",
+    "--n-normal 0 --n-direct 0 --n-rule 0": "got 0 rows",
+    "--features 3": "n_features must be >= 4, got 3",
+    "--noise nan": "noise must be finite and > 0, got nan",
+    "--noise inf": "noise must be finite and > 0, got inf",
+    "--noise 0": "noise must be finite and > 0, got 0.0",
+    "--noise -0.5": "noise must be finite and > 0, got -0.5",
+    "--noise 1e308": "noise 1e+308 overflows a generated value",
+    "--n-normal 100000000000000": "features do not fit in memory",  # 3.2 PB: past any address space
+}
+
+
+@pytest.mark.parametrize("flags", sorted(SYNTH_DATA_ERRORS))
+def test_bad_synth_data_exits_1(tmp_path, capsys, flags):
+    out = tmp_path / "synth.csv"
+    code, line = run_one_line(["synth-data", "--out", out, *flags.split()], capsys)
+    assert code == 1
+    assert line.startswith("config error:") and SYNTH_DATA_ERRORS[flags] in line, line
+    assert not out.exists()
+
+
 def _rule_file(tmp_path, text, name="rules.json"):
     path = tmp_path / name
     path.write_text(text)
@@ -253,6 +278,28 @@ MALFORMED_FILES = {
             '"consequent":true}]',
         ),
         "rule entry 0: int too large to convert to float",
+    ),
+    "rule-id-null": (
+        lambda t, csv: _rule_file(
+            t,
+            '[{"id":null,"conditions":[{"attr":"a","op":">","threshold":1}],"consequent":true}]',
+        ),
+        "data error: rule entry 0: 'id' must be a string, got null",
+    ),
+    "rule-id-object": (
+        lambda t, csv: _rule_file(
+            t,
+            '[{"id":{"x":1},"conditions":[{"attr":"a","op":">","threshold":1}],"consequent":true}]',
+        ),
+        "data error: rule entry 0: 'id' must be a string, got an object",
+    ),
+    "rule-threshold-past-digit-limit": (  # json.loads refuses ints past 4,300 digits
+        lambda t, csv: _rule_file(
+            t,
+            '[{"id":"r1","conditions":[{"attr":"a","op":">","threshold":1' + "0" * 5000 + '}],'
+            '"consequent":true}]',
+        ),
+        "invalid rule JSON: Exceeds the limit (4300 digits)",
     ),
     "rule-consequent-string": (
         lambda t, csv: _rule_file(

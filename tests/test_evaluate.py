@@ -38,6 +38,13 @@ class TestCsv:
         again = load_csv(path)
         np.testing.assert_array_equal(again.split, data.split)
 
+    def test_no_feature_columns_gives_one_empty_row_per_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label,split\n0,train\n1,test\n0,val\n")
+        data = load_csv(path)
+        assert data.X.shape == (3, 0) and data.feature_names == []
+        np.testing.assert_array_equal(data.y, [0, 1, 0])
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")

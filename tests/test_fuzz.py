@@ -1,6 +1,7 @@
 """Seeded fuzz of the CLI: mutated checkpoints and CSV cells through
-``kdalign infer``, and mutated rule files, in the DSL and in JSON, through
-``kdalign compile-rules``.
+``kdalign infer``, mutated rule files, in the DSL and in JSON, through
+``kdalign compile-rules``, and bounded generator flags through
+``kdalign synth-data``.
 
 Every run must keep the exit-code contract (0 ok, 1 config, 2 data, 3
 numeric) with at most one stderr line and no traceback.  A mutation that
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from kdalign import cli
+from kdalign.evaluate import load_csv
 from kdalign.rules import load_rules, rules_to_json
 
 CELL_TOKENS = ("", " ", "nan", "-inf", "1e999", "-1e308", "1e308", "abc", "0x1p3", "1,2",
@@ -30,6 +32,16 @@ CONDITION = re.compile(r"(?:IF|AND) (\S+) (\S+) (\S+)")
 JSON_VALUES = (5, -1, 0, 1.5, 10**400, float("nan"), float("inf"), True, False, None, "", "false",
                "1", "é", ">", [], [5], [{}], {}, {"attr": 5})
 JSON_CHARS = '{}[]:,"0123456789.eE+-truefalsn é\x00'
+COUNT_TOKENS = ("-5000", "-1", "0", "1", "2", "3", "40", "5000")
+SYNTH_TOKENS = {  # each flag's tokens all parse as its type; counts stay <= 5,000
+    "--seed": ("-1", "0", "7", str(2**70)),
+    "--n-normal": COUNT_TOKENS,
+    "--n-direct": COUNT_TOKENS,
+    "--n-rule": COUNT_TOKENS,
+    "--features": ("-4", "0", "3", "4", "5", "9"),
+    "--noise": ("nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-300", "0.5", "7",
+                "1e150", "1e307", "1e308"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +55,9 @@ def trained(tmp_path_factory):
     return csv, run / "checkpoint.kdal"
 
 
-def contract_breach(argv, capsys, exit_code=None) -> str | None:
+def contract_breach(argv, capsys, exit_codes=(0, 1, 2, 3)) -> str | None:
     """What of the contract one in-process CLI run breaks, if anything;
-    ``exit_code``, when given, is the one exit code the run may end with."""
+    ``exit_codes`` are the exit codes the run may end with."""
     capsys.readouterr()
     try:
         with warnings.catch_warnings():
@@ -54,7 +66,7 @@ def contract_breach(argv, capsys, exit_code=None) -> str | None:
     except Exception as exc:  # the installed CLI would print a traceback
         return f"{type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
-    if code not in (0, 1, 2, 3) or exit_code not in (None, code):
+    if code not in exit_codes:
         return f"exit {code}"
     if len(err.splitlines()) > 1 or "Traceback" in err:
         return f"exit {code} with stderr {err!r}"
@@ -155,7 +167,7 @@ def test_mutated_checkpoints_keep_the_exit_contract(trained, tmp_path, capsys):
         mutated = mutate_bytes(raw, rng)
         path.write_bytes(mutated)
         argv = ["infer", "--checkpoint", path, "--data", csv, "--out", tmp_path / "s.txt"]
-        breach = contract_breach(argv, capsys, None if mutated == raw else 2)
+        breach = contract_breach(argv, capsys, (0, 1, 2, 3) if mutated == raw else (2,))
         if breach:
             breaches.append((case, breach))
     assert breaches == []
@@ -202,3 +214,22 @@ def test_mutated_json_rule_files_keep_the_exit_contract(tmp_path, capsys):
         if breach:
             breaches.append((case, breach))
     assert breaches == []
+
+
+def test_synth_data_flags_keep_the_exit_contract(tmp_path, capsys):
+    rng = np.random.default_rng(20240209)
+    out = tmp_path / "synth.csv"
+    breaches, written = [], 0
+    for case in range(120):
+        argv = ["synth-data", "--out", out]
+        argv += [f"{flag}={tokens[rng.integers(0, len(tokens))]}"
+                 for flag, tokens in SYNTH_TOKENS.items()]
+        breach = contract_breach(argv, capsys, (0, 1))
+        if breach is None and out.exists():
+            load_csv(out)  # raises on a file that later subcommands reject
+            written += 1
+            out.unlink()
+        if breach:
+            breaches.append((case, argv[3:], breach))
+    assert breaches == []
+    assert 0 < written < 120

@@ -145,6 +145,22 @@ class TestFiles:
         again = rules_from_json(rules_to_json(rules))
         assert again == rules
 
+    @staticmethod
+    def _with_id(rule_id: str) -> str:
+        cond = '{"attr":"x","op":">","threshold":1}'
+        return f'[{{"id":{rule_id},"conditions":[{cond}],"consequent":true}}]'
+
+    @pytest.mark.parametrize("rule_id, kept", [('"r7"', "r7"), ("7", "7"), ("-3", "-3")])
+    def test_json_id_is_a_string_or_an_integer(self, rule_id, kept):
+        assert rules_from_json(self._with_id(rule_id))[0].rule_id == kept
+
+    @pytest.mark.parametrize("rule_id, got", [("true", "a boolean"), ("1.5", "a number"),
+                                              ("[]", "a list")])
+    def test_json_id_of_another_type_is_a_data_error(self, rule_id, got):
+        with pytest.raises(DataError) as info:
+            rules_from_json(self._with_id(rule_id))
+        assert str(info.value) == f"rule entry 0: 'id' must be a string, got {got}"
+
     def test_load_dispatches_on_extension(self, tmp_path):
         rules = parse_rules_text("IF x > 5 THEN anomaly IS true\n")
         for name in ("rules.txt", "rules.json"):
