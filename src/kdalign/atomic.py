@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections.abc import Iterable
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Replace ``path`` with ``data`` (str is written as UTF-8).  A reader
-    sees the old file or the new one, never a partial write; a failed write
-    leaves the old file and no temp file."""
+def write_atomic(path, data: str | bytes | Iterable[str]) -> None:
+    """Replace ``path`` with ``data``: bytes, or str or str chunks written as
+    UTF-8, one chunk at a time.  A reader sees the old file or the new one,
+    never a partial write; a failed write leaves the old file and no temp
+    file."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in [data] if isinstance(data, (str, bytes)) else data:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

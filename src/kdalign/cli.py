@@ -8,6 +8,12 @@ on the [rules] path; with neither it trains once at lambda 0.  It writes
 checkpoint.kdal, training_log.jsonl (one JSON line per epoch) and
 effective_config.ini into --out.
 
+The knowledge encoder has no width keys.  Each subcommand that pretrains it
+makes E_F as wide as the [model] encoder's embedding (the last [model] hidden
+width, or main_dim for resnet), and its input encodes every proposition of
+the rules.  So ``train --encoder`` needs an encoder pretrained under a
+[model] of the same embedding width; another width exits 1.
+
 ``infer`` writes one score per line, one line per CSV row.  Scores are
 row-local: with one BLAS thread, a row's score does not depend on the other
 rows in the file.  A score that is not finite (weights whose products
@@ -24,6 +30,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -32,8 +39,10 @@ import numpy as np
 from .acquisition import acquire_rules
 from .atomic import write_atomic
 from .autodiff import ParamSet
-from .config import SCHEMA, RulesConfig, load_config, render_value, write_effective_config
+from .config import SCHEMA, ModelConfig, RulesConfig, load_config, render_value
+from .config import write_effective_config
 from .ddnnf import compile_ddnnf
+from .encoders import embed_width
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import auprc, load_csv, rec_at_k_detail, save_csv
 from .experiment import (
@@ -82,7 +91,8 @@ def _collect_config(args) -> dict:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _read_values(path: str) -> np.ndarray:
+def _read_values(path: str, labels: bool = False) -> np.ndarray:
+    """The finite numbers of a one-per-line file; with ``labels``, each 0 or 1."""
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -90,9 +100,14 @@ def _read_values(path: str) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric value {line!r}") from None
+            if labels and value not in (0.0, 1.0):
+                raise DataError(f"{path}: line {lineno}: label {line!r} is not 0 or 1")
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {lineno}: non-finite value {line!r}")
+            values.append(value)
     if not values:
         raise DataError(f"{path}: no values")
     return np.array(values)
@@ -178,9 +193,10 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _encoder_knowledge(path: str, rules_path: str) -> KnowledgeArtifacts:
-    """The rules at ``rules_path`` with the E_F and knowledge encoder that the
-    checkpoint at ``path`` holds for them."""
+def _encoder_knowledge(path: str, cfg: dict) -> KnowledgeArtifacts:
+    """The rules at the [rules] path with the E_F and knowledge encoder that
+    the checkpoint at ``path`` holds for them, as wide as [model] embeds."""
+    rules_path = cfg["rules"]["path"]
     if not rules_path:  # the split deletes the anomalies the rules cover
         raise ConfigError("train --encoder needs the [rules] path of the encoder's rules")
     pre = load_checkpoint(path)
@@ -189,6 +205,11 @@ def _encoder_knowledge(path: str, rules_path: str) -> KnowledgeArtifacts:
     rules = load_rules(rules_path)
     if len(rules) != pre.e_f.shape[0]:
         raise ConfigError(f"{rules_path} has {len(rules)} rules but {path} embeds {pre.e_f.shape[0]}")
+    width = embed_width(ModelConfig(**cfg["model"]))
+    if pre.e_f.shape[1] != width:
+        raise ConfigError(
+            f"{path} embeds its rules {pre.e_f.shape[1]} wide, but [model] embeds {width} wide"
+        )
     return KnowledgeArtifacts(rules, pre.e_f, PretrainResult(pre.know_encoder, ParamSet(pre.params)))
 
 
@@ -197,7 +218,7 @@ def cmd_train(args) -> int:
     data = load_dataset(cfg)
     knowledge = None
     if args.encoder:
-        knowledge = _encoder_knowledge(args.encoder, cfg["rules"]["path"])
+        knowledge = _encoder_knowledge(args.encoder, cfg)
     elif cfg["rules"]["path"]:
         knowledge = build_knowledge(data, cfg)
     seed = cfg["train"]["seed"]
@@ -217,20 +238,18 @@ def cmd_infer(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     data = load_csv(args.data)
     scores = infer(ck, data.X)
-    write_atomic(args.out, "".join(f"{float(s)!r}\n" for s in scores))
+    write_atomic(args.out, (f"{float(s)!r}\n" for s in scores))
     print(f"wrote {scores.size} scores to {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
     scores = _read_values(args.scores)
-    labels = _read_values(args.labels).astype(np.int64)
+    labels = _read_values(args.labels, labels=True).astype(np.int64)
     if scores.shape != labels.shape:
         raise DataError(
             f"{scores.size} scores vs {labels.size} labels; counts must match"
         )
-    if set(np.unique(labels).tolist()) - {0, 1}:
-        raise DataError("labels must be 0/1")
     if not labels.any():
         raise DataError("labels hold no 1; AUPRC and Rec@K need at least one positive label")
     value, k, tie = rec_at_k_detail(scores, labels)

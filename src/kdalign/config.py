@@ -9,6 +9,9 @@ from it, and each stage takes its section object.  ``load_config`` reports
 every unknown key and every rejected value of an INI file and its overrides
 in one ``ConfigError`` and returns plain ``{section: {key: value}}`` dicts;
 the effective configuration is echoed into each output directory.
+
+The knowledge encoder has no width keys: it embeds as wide as the [model]
+encoder, and its input encodes every proposition of its rules.
 """
 
 from __future__ import annotations
@@ -96,8 +99,6 @@ class RulesConfig(Section):
 class KnowEncoderConfig(Section):
     layers: int = key(2, "GCN layer count", ge=1)
     hidden: int = key(16, "GCN hidden width", ge=1)
-    embed: int = key(16, "knowledge embedding width h", ge=1)
-    var_capacity: int = key(24, "max proposition id encodable (auto-grown to fit)", ge=1)
     steps: int = key(300, "pretraining gradient steps", ge=0)
     learning_rate: float = key(0.05, "pretraining step size", ge=0)
     margin: float = key(1.0, "triplet margin", ge=0)
@@ -135,7 +136,7 @@ class OtConfig(Section):
 
 @dataclass(frozen=True)
 class TrainConfig(Section):
-    rule_weight: float = key(1.0, "lambda: weight of the OT loss term", ge=0)
+    rule_weight: float = key(1.0, "OT loss weight lambda; used only if lambda_grid is empty", ge=0)
     lambda_grid: tuple[float, ...] = key((), "candidate lambdas tuned on validation AUPRC", ge=0)
     epochs: int = key(30, "training epochs", ge=1)
     batch_size: int = key(128, "batch size (labeled anomalies always included)", ge=1)

@@ -11,7 +11,6 @@ with precision@k and F1@k.
 from __future__ import annotations
 
 import csv
-import io
 from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -116,19 +115,30 @@ def load_csv(path) -> Dataset:
     return Dataset(X, np.array(labels), names, split)
 
 
+class _Line:
+    """A csv.writer target: ``writerow`` returns the row's text."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def save_csv(dataset: Dataset, path) -> None:
-    with io.StringIO() as fh:
-        writer = csv.writer(fh)
-        header = list(dataset.feature_names) + ["label"]
+    """Write ``dataset`` as CSV, streamed to the file a row at a time."""
+    write_atomic(path, _csv_lines(dataset))
+
+
+def _csv_lines(dataset: Dataset):
+    writer = csv.writer(_Line())
+    header = list(dataset.feature_names) + ["label"]
+    if dataset.split is not None:
+        header.append("split")
+    yield writer.writerow(header)
+    for i in range(dataset.n_samples):
+        row = [repr(float(v)) for v in dataset.X[i]] + [str(int(dataset.y[i]))]
         if dataset.split is not None:
-            header.append("split")
-        writer.writerow(header)
-        for i in range(dataset.n_samples):
-            row = [repr(float(v)) for v in dataset.X[i]] + [str(int(dataset.y[i]))]
-            if dataset.split is not None:
-                row.append(str(dataset.split[i]))
-            writer.writerow(row)
-        write_atomic(path, fh.getvalue())
+            row.append(str(dataset.split[i]))
+        yield writer.writerow(row)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .config import (
     write_effective_config,
 )
 from .ddnnf import compile_ddnnf
+from .encoders import embed_width
 from .errors import ConfigError, DataError
 from .evaluate import Dataset, MetricReport, auprc, load_csv, rec_at_k_detail, split_dataset
 from .gcn import PretrainResult, embed_knowledge_set, pretrain_encoder
@@ -45,7 +46,7 @@ from .train import (
 class KnowledgeArtifacts:
     rules: list[Rule]
     e_f: np.ndarray
-    pretrain: PretrainResult  # its config: [know_encoder] grown to fit the propositions
+    pretrain: PretrainResult
 
 
 def load_dataset(cfg: dict) -> Dataset:
@@ -65,8 +66,8 @@ def build_knowledge(
     data: Dataset | None, cfg: dict, rules: list[Rule] | None = None
 ) -> KnowledgeArtifacts:
     """Load the [rules] path or acquire rules from ``data``, pretrain the
-    knowledge encoder per [know_encoder], its var_capacity grown to fit the
-    propositions, and embed the frozen E_F."""
+    knowledge encoder per [know_encoder], as wide out as [model]'s encoder,
+    and embed the frozen E_F."""
     rc = RulesConfig(**cfg["rules"])
     if rules is None:
         if rc.path:
@@ -75,10 +76,10 @@ def build_knowledge(
             rules, _ = acquire_rules(data.X, data.y, data.feature_names, rc)
     if not rules:
         raise DataError(f"{rc.path or 'acquisition'}: no rules to pretrain on")
-    table, clauses = compile_rules(rules)
+    _, clauses = compile_rules(rules)
     ke = KnowEncoderConfig(**cfg["know_encoder"])
-    result = pretrain_encoder(clauses, replace(ke, var_capacity=max(ke.var_capacity, len(table))))
-    e_f = embed_knowledge_set([compile_ddnnf(c) for c in clauses], result.config, result.params)
+    result = pretrain_encoder(clauses, ke, embed_width(ModelConfig(**cfg["model"])))
+    e_f = embed_knowledge_set([compile_ddnnf(c) for c in clauses], ke, result.params)
     return KnowledgeArtifacts(rules, e_f, result)
 
 

@@ -33,6 +33,11 @@ TYPE_INDEX = {t: i for i, t in enumerate(NODE_TYPES)}
 
 MAX_ENUM_VARS = 16
 
+# The GCN input is 4 + max(VAR_CAPACITY, largest proposition id) wide.  Every
+# reference figure was made with 24, and no benchmark workload has more than
+# 17 propositions (w1 4, w2 10, w3 17), so none of them is encoded wider.
+VAR_CAPACITY = 24
+
 
 @dataclass
 class FormulaGraph:
@@ -97,9 +102,7 @@ def ddnnf_to_graph(graph: DdnnfGraph, var_capacity: int) -> FormulaGraph:
             lit = graph.literals[nid]
             var = abs(lit)
             if var > var_capacity:
-                raise ShapeError(
-                    f"literal variable {var} exceeds encoder capacity {var_capacity}"
-                )
+                raise ShapeError(f"literal variable {var} exceeds encoder capacity {var_capacity}")
             features[i, 4 + var - 1] = 1.0 if lit > 0 else -1.0
         kids = tuple(remap[c] for c in graph.children[nid])
         children.append(kids)
@@ -115,9 +118,9 @@ def ddnnf_to_graph(graph: DdnnfGraph, var_capacity: int) -> FormulaGraph:
     return FormulaGraph(type_codes, features, adj, children, global_index)
 
 
-def layer_dims(config: KnowEncoderConfig) -> list[tuple[int, int]]:
-    """(fan-in, fan-out) per GCN layer; the input is 4 + var_capacity wide."""
-    widths = [4 + config.var_capacity, *[config.hidden] * (config.layers - 1), config.embed]
+def layer_dims(config: KnowEncoderConfig, var_capacity: int, embed: int) -> list[tuple[int, int]]:
+    """(fan-in, fan-out) per GCN layer: 4 + var_capacity wide in, ``embed`` out."""
+    widths = [4 + var_capacity, *[config.hidden] * (config.layers - 1), embed]
     return list(zip(widths[:-1], widths[1:]))
 
 
@@ -125,9 +128,11 @@ def param_name(layer: int, node_type: str) -> str:
     return f"know_encoder/layer{layer}/{node_type}"
 
 
-def init_know_encoder(config: KnowEncoderConfig, rng: np.random.Generator) -> ParamSet:
+def init_know_encoder(
+    config: KnowEncoderConfig, var_capacity: int, embed: int, rng: np.random.Generator
+) -> ParamSet:
     values = {}
-    for l, (fan_in, fan_out) in enumerate(layer_dims(config)):
+    for l, (fan_in, fan_out) in enumerate(layer_dims(config, var_capacity, embed)):
         for t in NODE_TYPES:
             values[param_name(l, t)] = glorot(rng, fan_in, fan_out)
     return ParamSet(values)
@@ -136,10 +141,11 @@ def init_know_encoder(config: KnowEncoderConfig, rng: np.random.Generator) -> Pa
 def gcn_forward_tape(
     tape: Tape | Forward, fg: FormulaGraph, config: KnowEncoderConfig, ids: dict[str, int]
 ) -> int:
-    """Node embeddings after all layers, as one N x embed tape node."""
+    """Node embeddings after all layers, each layer as wide as its weights."""
     norm = tape.constant(fg.norm)
     z = tape.constant(fg.features)
-    for l, (_, out_w) in enumerate(layer_dims(config)):
+    for l in range(config.layers):
+        out_w = tape.value(ids[param_name(l, "and")]).shape[1]
         h = None
         for ti, t in enumerate(NODE_TYPES):
             routed = tape.matmul(z, ids[param_name(l, t)])
@@ -170,14 +176,15 @@ def embed_formulae(
     for fg in graphs:
         if id(fg) not in rows:
             rows[id(fg)] = formula_embedding_tape(fwd, gcn_forward_tape(fwd, fg, config, ids), fg)
-    return np.vstack([rows[id(fg)] for fg in graphs]) if graphs else np.zeros((0, config.embed))
+    return np.vstack([rows[id(fg)] for fg in graphs])
 
 
 def embed_knowledge_set(
     graphs: list[DdnnfGraph], config: KnowEncoderConfig, params: ParamSet
 ) -> np.ndarray:
-    """E_F: one frozen embedding row per formula."""
-    return embed_formulae([ddnnf_to_graph(g, config.var_capacity) for g in graphs], config, params)
+    """E_F: one frozen embedding row per formula, as wide in as layer 0 takes."""
+    var_capacity = params.values[param_name(0, "and")].shape[0] - 4
+    return embed_formulae([ddnnf_to_graph(g, var_capacity) for g in graphs], config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +230,11 @@ def _sat_unsat_assignments(clause: tuple[int, ...], index: int):
     return [a for a in assignments(variables) if a != counter], [counter]
 
 
-def pretrain_encoder(clauses: list[tuple[int, ...]], config: KnowEncoderConfig) -> PretrainResult:
-    """Train the knowledge encoder on (formula, sat, unsat) triplets.
+def pretrain_encoder(
+    clauses: list[tuple[int, ...]], config: KnowEncoderConfig, embed: int
+) -> PretrainResult:
+    """Train the knowledge encoder, ``embed`` wide out and wide enough in for
+    every proposition of ``clauses``, on (formula, sat, unsat) triplets.
 
     Each formula is a rule's clause, compiled to its d-DNNF chain for the
     GCN; its satisfying assignments are all but one, and its one falsifying
@@ -237,10 +247,11 @@ def pretrain_encoder(clauses: list[tuple[int, ...]], config: KnowEncoderConfig) 
     """
     if len(clauses) < 2:
         raise DataError(f"pretraining needs at least 2 formulae, got {len(clauses)}")
+    var_capacity = max(VAR_CAPACITY, *(abs(lit) for c in clauses for lit in c))
     rng = np.random.default_rng(config.seed)
-    params = init_know_encoder(config, rng)
+    params = init_know_encoder(config, var_capacity, embed, rng)
     corpus = [
-        (ddnnf_to_graph(compile_ddnnf(c), config.var_capacity), *_sat_unsat_assignments(c, idx))
+        (ddnnf_to_graph(compile_ddnnf(c), var_capacity), *_sat_unsat_assignments(c, idx))
         for idx, c in enumerate(clauses)
     ]
 
@@ -249,7 +260,7 @@ def pretrain_encoder(clauses: list[tuple[int, ...]], config: KnowEncoderConfig) 
     def fg_of(assignment: dict[int, bool]) -> FormulaGraph:
         key = frozenset((v if b else -v) for v, b in assignment.items())
         if key not in graph_cache:
-            graph_cache[key] = ddnnf_to_graph(assignment_graph(assignment), config.var_capacity)
+            graph_cache[key] = ddnnf_to_graph(assignment_graph(assignment), var_capacity)
         return graph_cache[key]
 
     val_graphs = []  # (formula, sat, unsat) triples, flattened; repeats share one object

@@ -14,15 +14,15 @@ name length u16 + name, rows u64, cols u64, row-major float64 data, and last
 a u32 ``zlib.crc32`` of every byte before it, checked before the metadata
 is read.
 
-Version 3 JSON metadata holds ``seed``, the ``tensors`` list and one object
+Version 4 JSON metadata holds ``seed``, the ``tensors`` list and one object
 per section in ``SECTIONS``: ``model`` (the detector's ``[model]``) and
 ``know_encoder`` (the ``[know_encoder]`` of its knowledge encoder), each the
 section's field dict, or null when that network is absent.  The loader reads
 each dict through ``config.load_config``: it needs exactly the section's
 fields, with values that pass the section's checks and re-serialise to the
 stored JSON.  A detector's ``enc/*``, ``head/*`` and ``norm/*`` tensors must
-be the ones ``init_encoder``/``init_head`` give its ``[model]``.  Version 2
-is version 3 without the checksum; it and version 1 are rejected.
+be the ones ``init_encoder``/``init_head`` give its ``[model]``.  Versions 1
+to 3 are rejected (3 had two ``[know_encoder]`` width keys, 2 no checksum).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .encoders import (
     bce_loss_tape,
     deviation_loss_tape,
     deviation_prior,
-    embed_width,
     encode_tape,
     forward_scores,
     init_encoder,
@@ -56,7 +55,7 @@ from .evaluate import SplitDataset, auprc
 from .ot import cost_matrix_tape, ot_loss_tape, sinkhorn
 
 MAGIC = b"KDAL"
-VERSION = 3
+VERSION = 4
 SECTIONS = ("model", "know_encoder")  # ModelCheckpoint fields stored as their section dicts
 
 
@@ -69,15 +68,7 @@ class EpochRecord:
     val_auprc: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "L_P": self.l_p,
-                "L_OT": self.l_ot,
-                "total": self.total,
-                "val_auprc": self.val_auprc,
-            }
-        )
+        return json.dumps(dict(zip(("epoch", "L_P", "L_OT", "total", "val_auprc"), astuple(self))))
 
 
 class Adam:
@@ -282,10 +273,6 @@ def train(
     if config.loss == "deviation" and model.transform != "raw":
         raise ConfigError("deviation loss needs the raw head transform")
     use_ot = config.rule_weight > 0.0 and e_f is not None
-    if use_ot and e_f.shape[1] != embed_width(model):
-        raise ConfigError(
-            f"knowledge embedding width {e_f.shape[1]} != encoder width {embed_width(model)}"
-        )
 
     rng = np.random.default_rng(config.seed)
     X_train = split.train_features()

@@ -27,7 +27,7 @@ from kdalign.autodiff import ParamSet, Tape, bind_params
 from kdalign.ddnnf import K_AND, K_FALSE, K_LEAF, K_OR, K_TRUE, DdnnfGraph
 from kdalign.errors import DataError, ShapeError
 from kdalign.evaluate import rec_at_k_detail
-from kdalign.gcn import NODE_TYPES, layer_dims, param_name
+from kdalign.gcn import NODE_TYPES, param_name
 from kdalign.kernels import best_split_scan
 
 
@@ -176,8 +176,8 @@ def gcn_forward(fg, config, params):
     norm = fg.adj * inv_sqrt[:, None] * inv_sqrt[None, :]
     masks = [(fg.node_types == i).astype(np.float64).reshape(-1, 1) for i in range(4)]
     z = fg.features
-    for l, (_, out_w) in enumerate(layer_dims(config)):
-        h = np.zeros((z.shape[0], out_w))
+    for l in range(config.layers):
+        h = np.zeros((z.shape[0], params.values[param_name(l, "and")].shape[1]))
         for ti, t in enumerate(NODE_TYPES):
             h = h + masks[ti] * (z @ params.values[param_name(l, t)])
         z = norm @ h

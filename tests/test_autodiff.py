@@ -499,8 +499,8 @@ class TestBindParamsNoCopy:
             return ids
 
         monkeypatch.setattr(gcn, "bind_params", recording_bind)
-        config = KnowEncoderConfig(steps=6, seed=3, var_capacity=4, hidden=8, embed=8, eval_every=2)
-        gcn.pretrain_encoder(clauses, config)
+        config = KnowEncoderConfig(steps=6, seed=3, hidden=8, eval_every=2)
+        gcn.pretrain_encoder(clauses, config, 8)
         assert len(bound) > config.steps
         for tape, ids, snapshot in bound:
             for k, nid in ids.items():

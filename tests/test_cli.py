@@ -179,10 +179,10 @@ def _split_without_anomaly(tmp_path, small_csv, empty):
             "--know_encoder.steps=2", "--train.epochs=1"]
 
 
-def _eval_all_zero_labels(tmp_path):
+def _eval(tmp_path, scores_text, labels_text):
     scores, labels = tmp_path / "scores.txt", tmp_path / "labels.txt"
-    scores.write_text("0.1\n0.5\n0.3\n")
-    labels.write_text("0\n0\n0\n")
+    scores.write_text(scores_text)
+    labels.write_text(labels_text)
     return ["eval", "--scores", scores, "--labels", labels]
 
 
@@ -352,6 +352,10 @@ MALFORMED_FILES = {
         lambda t, csv: _infer_meta(t, csv, b'{"seed": 0, "tensors": []}', version=2),
         "unsupported checkpoint version 2",
     ),
+    "checkpoint-version-3": (  # [know_encoder] with its embed and var_capacity keys
+        lambda t, csv: _infer_meta(t, csv, b'{"seed": 0, "tensors": []}', version=3),
+        "unsupported checkpoint version 3",
+    ),
     "checkpoint-flipped-byte": (  # a tensor value changed, still finite
         lambda t, csv: _infer_corrupt_byte(t, csv, -6, 0xF1, crc=False),
         "checkpoint checksum mismatch",
@@ -406,8 +410,28 @@ MALFORMED_FILES = {
         "data error: feature allowlist (9,) out of range for d=4",
     ),
     "eval-all-zero-labels": (
-        lambda t, csv: _eval_all_zero_labels(t),
+        lambda t, csv: _eval(t, "0.1\n0.5\n0.3\n", "0\n0\n0\n"),
         "labels hold no 1; AUPRC and Rec@K need at least one positive label",
+    ),
+    "eval-nan-score": (
+        lambda t, csv: _eval(t, "0.9\nnan\n0.1\n", "1\n0\n1\n"),
+        "scores.txt: line 2: non-finite value 'nan'",
+    ),
+    "eval-inf-score": (
+        lambda t, csv: _eval(t, "0.9\n0.2\n# c\n-inf\n", "1\n0\n1\n"),
+        "scores.txt: line 4: non-finite value '-inf'",
+    ),
+    "eval-half-label": (
+        lambda t, csv: _eval(t, "0.9\n0.2\n0.1\n", "1\n0.5\n0\n"),
+        "labels.txt: line 2: label '0.5' is not 0 or 1",
+    ),
+    "eval-label-past-1": (
+        lambda t, csv: _eval(t, "0.9\n0.2\n0.1\n", "1.7\n0\n1\n"),
+        "labels.txt: line 1: label '1.7' is not 0 or 1",
+    ),
+    "eval-nan-label": (
+        lambda t, csv: _eval(t, "0.9\n0.2\n0.1\n", "1\n0\nnan\n"),
+        "labels.txt: line 3: label 'nan' is not 0 or 1",
     ),
     "experiment-val-without-anomaly": (
         lambda t, csv: _split_without_anomaly(t, csv, "val"),
@@ -456,15 +480,25 @@ def test_acquire_rules_reads_the_rules_section(small_csv, tmp_path):
 
 
 def test_pretrain_checkpoint_carries_the_know_encoder_seed(small_csv, tmp_path):
+    # E_F is as wide as the [model] encoder's embedding: the last hidden width
     rules = tmp_path / "rules.rules"
     assert cli.main(["acquire-rules", "--data.path", str(small_csv), "--out", str(rules)]) == 0
     out = tmp_path / "enc.kdal"
     argv = ["pretrain", "--rules.path", str(rules), "--out", str(out),
-            "--know_encoder.steps=2", "--know_encoder.seed=7", "--know_encoder.embed=5"]
+            "--know_encoder.steps=2", "--know_encoder.seed=7", "--model.hidden=32,5"]
     assert cli.main(argv) == 0
     ck = load_checkpoint(out)
-    assert ck.seed == 7 and ck.know_encoder.embed == 5
+    assert ck.seed == 7 and ck.know_encoder.seed == 7
     assert ck.e_f.shape[1] == 5 and np.isfinite(ck.e_f).all()
+
+
+def test_experiment_resnet_with_the_default_main_dim_exits_0(small_csv, tmp_path):
+    # the knowledge encoder takes the resnet's main_dim, 32, as its width
+    argv = ["experiment", "--data.path", small_csv, "--out", tmp_path / "out",
+            "--model.kind=resnet", "--rules.max_depth=2", "--rules.min_leaf=5",
+            "--rules.feature_indices=2", "--know_encoder.steps=2", "--train.epochs=1",
+            "--eval.seeds=0", "--eval.include_baseline=false"]
+    assert cli.main([str(a) for a in argv]) == 0
 
 
 def test_pretrain_without_a_rules_path_exits_1(tmp_path, capsys):
@@ -494,6 +528,19 @@ def test_train_encoder_with_another_rule_count_exits_1(small_csv, tmp_path, caps
     code, line = run_one_line(argv, capsys)
     assert code == 1
     assert line == f"config error: {rules} has 2 rules but {enc} embeds 3"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_encoder_pretrained_under_another_model_exits_1(small_csv, tmp_path, capsys):
+    enc, rules = tmp_path / "enc.kdal", tmp_path / "two.rules"
+    know = ModelCheckpoint({}, 0, know_encoder=KnowEncoderConfig(), e_f=np.ones((2, 16)))
+    save_checkpoint(know, enc)
+    save_rules([Rule(f"r{i}", [Condition("x0", ">", float(i))], True) for i in range(2)], rules)
+    argv = ["train", "--data.path", small_csv, "--rules.path", rules, "--encoder", enc,
+            "--out", tmp_path / "run", "--model.hidden=32,8"]
+    code, line = run_one_line(argv, capsys)
+    assert code == 1
+    assert line == f"config error: {enc} embeds its rules 16 wide, but [model] embeds 8 wide"
     assert not (tmp_path / "run").exists()
 
 
@@ -550,8 +597,7 @@ def test_pipeline_smoke(small_csv, tmp_path, capsys):
         assert cli.main([str(a) for a in argv]) == 0, argv
     data = load_csv(str(small_csv))
     ck = load_checkpoint(run / "checkpoint.kdal")
-    written = np.array([float(line) for line in scores.read_text().splitlines()])
-    np.testing.assert_array_equal(written, infer(ck, data.X))
+    assert scores.read_text() == "".join(f"{float(s)!r}\n" for s in infer(ck, data.X))
     assert ck.know_encoder is not None and ck.e_f.shape == (len(load_rules(rules)), 16)
 
     labels.write_text("".join(f"{int(v)}\n" for v in data.y))

@@ -14,6 +14,13 @@ def test_defaults_are_the_dataclass_defaults():
     assert load_config() == expected
 
 
+def test_settable_value_count_is_pinned():
+    # A new key needs two existing callers that need different values of it;
+    # a value the code can work out from its inputs is worked out instead.
+    # Raise this count only with such a key, and lower it as keys go.
+    assert sum(len(dataclasses.fields(cls)) for cls in SCHEMA.values()) == 44
+
+
 def test_every_key_has_help_text():
     for section, cls in SCHEMA.items():
         for f in dataclasses.fields(cls):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kdalign.evaluate import load_csv, save_csv
+from kdalign.evaluate import Dataset, load_csv, save_csv
 from kdalign.synthetic import make_synthetic
 
 W2_SHAPE = {"seed": 1, "n_normal": 20_000, "n_direct": 600, "n_rule": 1_000, "n_features": 16}
@@ -49,6 +49,9 @@ DIGESTS = {
     ),
 }
 W2_CSV_DIGEST = "27c28d37d3405ce9db66b69e106673d6488a8003e57a00774639b57cc13307e9"
+# The 5,000-row CSV of test_save_csv_streams_its_rows, split column included,
+# as the writer that built the whole text before writing it wrote it.
+SPLIT_CSV_DIGEST = "f47ea3e1a551188f4cd9d9dcd4c1eddbd4b56ea83fb4e3a2ed6d95de0771ea04"
 
 
 def sha256(array: np.ndarray) -> str:
@@ -104,3 +107,15 @@ def test_builders_hold_little_more_than_their_output(tmp_path):
     loaded, peak = traced_peak(lambda: load_csv(path))
     assert loaded.X.shape == (5_000, 16)
     assert peak <= 3 * (loaded.X.nbytes + loaded.y.nbytes)
+
+
+def test_save_csv_streams_its_rows(tmp_path):
+    # each row goes to the file as it is formatted, so the writer holds a
+    # small part of the 1.6 MB text, not the text itself
+    data, _ = make_synthetic(seed=2, n_normal=4_700, n_direct=120, n_rule=180, n_features=16)
+    split = np.array(["train", "val", "test"])[np.arange(data.n_samples) % 3]
+    data = Dataset(data.X, data.y, data.feature_names, split=split)
+    path = tmp_path / "5k.csv"
+    _, peak = traced_peak(lambda: save_csv(data, path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SPLIT_CSV_DIGEST
+    assert peak <= 0.5 * (data.X.nbytes + data.y.nbytes)

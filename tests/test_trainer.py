@@ -93,7 +93,7 @@ class TestCheckpointIO:
             assert (again.params[name] == ck.params[name]).all()
         assert (again.e_f == ck.e_f).all()
 
-    def test_version_3_metadata_is_pinned(self, tmp_path):
+    def test_version_4_metadata_is_pinned(self, tmp_path):
         # each section is stored as its whole field dict, under its section name
         params = {"enc/w0": np.zeros((1, 2)), "enc/b0": np.zeros((1, 2)),
                   "head/w0": np.zeros((2, 1)), "head/b0": np.zeros((1, 1)),
@@ -103,13 +103,13 @@ class TestCheckpointIO:
             params=params,
             seed=3,
             model=ModelConfig(hidden=(2,), dropout_first=0.25),
-            know_encoder=KnowEncoderConfig(layers=1, embed=2, var_capacity=1, steps=7),
+            know_encoder=KnowEncoderConfig(layers=1, steps=7),
             e_f=np.zeros((1, 2)),
         )
         path = tmp_path / "model.kdal"
         save_checkpoint(ck, path)
         raw = path.read_bytes()
-        assert raw[:8] == MAGIC + struct.pack("<I", 3)
+        assert raw[:8] == MAGIC + struct.pack("<I", 4)
         assert raw == with_crc(raw[:-4])
         (length,) = struct.unpack("<Q", raw[8:16])
         tensors = ", ".join(
@@ -122,9 +122,9 @@ class TestCheckpointIO:
             ]
         )
         assert raw[16 : 16 + length].decode() == (
-            '{"know_encoder": {"and_reg": 0.1, "embed": 2, "eval_every": 20, "hidden": 16, '
+            '{"know_encoder": {"and_reg": 0.1, "eval_every": 20, "hidden": 16, '
             '"layers": 1, "learning_rate": 0.05, "margin": 1.0, "or_reg": 0.1, "seed": 0, '
-            '"steps": 7, "val_pairs": 4, "var_capacity": 1}, '
+            '"steps": 7, "val_pairs": 4}, '
             '"model": {"blocks": 2, "dropout_first": 0.25, "dropout_second": 0.0, '
             '"head_hidden": [], "hidden": [2], "kind": "mlp", "main_dim": 32, '
             '"transform": "sigmoid"}, "seed": 3, "tensors": [' + tensors + "]}"
@@ -336,12 +336,6 @@ class TestTrainLoop:
         assert len(log) == 2
         scores = infer(ck, split.data.X[split.test_idx])
         assert np.isfinite(scores).all()
-
-    def test_embedding_width_mismatch(self):
-        split = toy_split()
-        model = small_model()
-        with pytest.raises(ConfigError, match="width"):
-            train(split, model, np.ones((3, embed_width(model) + 1)), fast_config())
 
 
 class TestInfer:
