@@ -210,7 +210,7 @@ def _encoder_knowledge(path: str, cfg: dict) -> KnowledgeArtifacts:
         raise ConfigError(
             f"{path} embeds its rules {pre.e_f.shape[1]} wide, but [model] embeds {width} wide"
         )
-    return KnowledgeArtifacts(rules, pre.e_f, PretrainResult(pre.know_encoder, ParamSet(pre.params)))
+    return KnowledgeArtifacts(rules, PretrainResult(pre.know_encoder, ParamSet(pre.params), pre.e_f))
 
 
 def cmd_train(args) -> int:

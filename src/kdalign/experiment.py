@@ -1,7 +1,7 @@
 """End-to-end experiment orchestration.
 
-One experiment: acquire (or load) rules, compile each rule's clause to
-d-DNNF, pretrain the knowledge encoder, freeze E_F, then per seed split /
+One experiment: acquire (or load) rules, pretrain the knowledge encoder on
+their clauses, which hands back the frozen E_F, then per seed split /
 train / infer / score.  The lambda grid, when given, is tuned per seed on
 validation AUPRC; the lambda=0 baseline can run alongside for paired
 ablation rows.  The noise study repeats the whole pipeline per noisy-rule
@@ -25,11 +25,10 @@ from .config import (
     TrainConfig,
     write_effective_config,
 )
-from .ddnnf import compile_ddnnf
 from .encoders import embed_width
 from .errors import ConfigError, DataError
 from .evaluate import Dataset, MetricReport, auprc, load_csv, rec_at_k_detail, split_dataset
-from .gcn import PretrainResult, embed_knowledge_set, pretrain_encoder
+from .gcn import PretrainResult, pretrain_encoder
 from .logic import PropositionTable, rule_to_clause
 from .rules import Rule, load_rules
 from .train import (
@@ -45,8 +44,11 @@ from .train import (
 @dataclass
 class KnowledgeArtifacts:
     rules: list[Rule]
-    e_f: np.ndarray
     pretrain: PretrainResult
+
+    @property
+    def e_f(self) -> np.ndarray:
+        return self.pretrain.e_f
 
 
 def load_dataset(cfg: dict) -> Dataset:
@@ -66,8 +68,8 @@ def build_knowledge(
     data: Dataset | None, cfg: dict, rules: list[Rule] | None = None
 ) -> KnowledgeArtifacts:
     """Load the [rules] path or acquire rules from ``data``, pretrain the
-    knowledge encoder per [know_encoder], as wide out as [model]'s encoder,
-    and embed the frozen E_F."""
+    knowledge encoder per [know_encoder], as wide out as [model]'s encoder;
+    the pretraining result holds the frozen E_F."""
     rc = RulesConfig(**cfg["rules"])
     if rules is None:
         if rc.path:
@@ -78,9 +80,9 @@ def build_knowledge(
         raise DataError(f"{rc.path or 'acquisition'}: no rules to pretrain on")
     _, clauses = compile_rules(rules)
     ke = KnowEncoderConfig(**cfg["know_encoder"])
-    result = pretrain_encoder(clauses, ke, embed_width(ModelConfig(**cfg["model"])))
-    e_f = embed_knowledge_set([compile_ddnnf(c) for c in clauses], ke, result.params)
-    return KnowledgeArtifacts(rules, e_f, result)
+    return KnowledgeArtifacts(
+        rules, pretrain_encoder(clauses, ke, embed_width(ModelConfig(**cfg["model"])))
+    )
 
 
 @dataclass

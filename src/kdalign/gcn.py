@@ -6,17 +6,18 @@ with a multi-layer GCN using the symmetric-normalized propagation rule.
 Node heterogeneity is realized by routing each node's row through the weight
 matrix of its node type before aggregation.  The formula embedding is the
 global node's output row.  One GCN forward serves both passes: pretraining
-records it on a Tape and differentiates through it, and E_F and the
-validation triples run it on a non-recording Forward (``embed_formulae``).
+records it on a Tape and differentiates through it, and the validation
+triples run it on a non-recording Forward (``embed_formulae``).
 
 Pretraining separates formula embeddings from the embeddings of their
 unsatisfying assignments with a triplet objective plus structural
-regularizers, and is run once before detector training; the resulting
-embedding set E_F is frozen.
+regularizers, and is run once before detector training.  It hands back the
+frozen embedding set E_F: the formula rows of the best validation pass.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +27,13 @@ from .config import KnowEncoderConfig
 from .ddnnf import DdnnfGraph, K_AND, K_LEAF, K_OR, compile_ddnnf
 from .encoders import glorot
 from .errors import DataError, ShapeError
-from .logic import assignments
 
 NODE_TYPES = ("and", "or", "leaf", "global")
 TYPE_INDEX = {t: i for i, t in enumerate(NODE_TYPES)}
 
+# The most variables a pretraining clause may have.  Its models are drawn by
+# index from one int64, which would allow 63; at 16, every rule file keeps its
+# outcome, pretrained or refused with exit 2.
 MAX_ENUM_VARS = 16
 
 # The GCN input is 4 + max(VAR_CAPACITY, largest proposition id) wide.  Every
@@ -179,55 +182,42 @@ def embed_formulae(
     return np.vstack([rows[id(fg)] for fg in graphs])
 
 
-def embed_knowledge_set(
-    graphs: list[DdnnfGraph], config: KnowEncoderConfig, params: ParamSet
-) -> np.ndarray:
-    """E_F: one frozen embedding row per formula, as wide in as layer 0 takes."""
-    var_capacity = params.values[param_name(0, "and")].shape[0] - 4
-    return embed_formulae([ddnnf_to_graph(g, var_capacity) for g in graphs], config, params)
-
-
 # ---------------------------------------------------------------------------
 # Pretraining
 # ---------------------------------------------------------------------------
 
 
-def assignment_graph(assignment: dict[int, bool]) -> DdnnfGraph:
-    """Conjunction-of-literals d-DNNF for a full assignment."""
-    lits = [v if val else -v for v, val in sorted(assignment.items())]
-    if not lits:
-        raise ValueError("assignment over zero variables")
-    kinds = [K_LEAF] * len(lits)
-    literals = list(lits)
-    children: list[tuple[int, ...]] = [() for _ in lits]
-    if len(lits) == 1:
-        return DdnnfGraph(kinds, literals, children, root=0)
-    kinds.append(K_AND)
-    literals.append(0)
-    children.append(tuple(range(len(lits))))
-    return DdnnfGraph(kinds, literals, children, root=len(lits))
+def assignment_graph(model: tuple[int, ...]) -> DdnnfGraph:
+    """Conjunction-of-literals d-DNNF for a full assignment, given as one
+    signed literal per variable."""
+    n, lits = len(model), sorted(model, key=abs)
+    if n == 1:
+        return DdnnfGraph([K_LEAF], lits, [()], root=0)
+    return DdnnfGraph([K_LEAF] * n + [K_AND], lits + [0], [()] * n + [tuple(range(n))], root=n)
 
 
 @dataclass
 class PretrainResult:
+    """The snapshot with the best held-out triplet accuracy, and E_F: the
+    formula rows of the validation pass that set it, one per formula."""
+
     config: KnowEncoderConfig
     params: ParamSet
+    e_f: np.ndarray
     loss_history: list[float] = field(default_factory=list)
     val_history: list[tuple[int, float]] = field(default_factory=list)
     best_val_accuracy: float = 0.0
 
 
-def _sat_unsat_assignments(clause: tuple[int, ...], index: int):
-    """Every assignment over the clause's variables, split into its models,
-    in ``logic.assignments`` order, and its one counter-model: every literal
-    false."""
-    variables = sorted(abs(lit) for lit in clause)
-    if len(variables) > MAX_ENUM_VARS:
-        raise DataError(
-            f"formula {index} has {len(variables)} variables; enumeration bound is {MAX_ENUM_VARS}"
-        )
-    counter = {abs(lit): lit < 0 for lit in clause}
-    return [a for a in assignments(variables) if a != counter], [counter]
+def clause_model(clause: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Model ``j`` of a clause sorted by variable, as a literal per variable:
+    the ``itertools.product`` assignments over (False, True) with the first
+    variable most significant, skipping the counter-model (every literal
+    false); with ``c`` its index, model ``j`` is index ``j + (j >= c)``."""
+    k = len(clause)
+    c = sum(1 << (k - 1 - i) for i, lit in enumerate(clause) if lit < 0)
+    p = j + (j >= c)
+    return tuple(abs(lit) if p >> (k - 1 - i) & 1 else -abs(lit) for i, lit in enumerate(clause))
 
 
 def pretrain_encoder(
@@ -237,48 +227,51 @@ def pretrain_encoder(
     every proposition of ``clauses``, on (formula, sat, unsat) triplets.
 
     Each formula is a rule's clause, compiled to its d-DNNF chain for the
-    GCN; its satisfying assignments are all but one, and its one falsifying
-    assignment sets every literal false.  The triplet loss
+    GCN; its satisfying assignments are all but one, drawn by index with
+    ``clause_model``, and its one falsifying assignment sets every literal
+    false.  The triplet loss
     max(0, d(e_f, e_sat) - d(e_f, e_unsat) + margin) is averaged over one
     sampled triple per formula per step; AND nodes are pulled toward the
     mean of their children, OR children toward unit mean squared spread.
     Plain gradient descent with a fixed step; the returned parameters are
-    the snapshot with the best held-out triplet accuracy.
+    the snapshot with the best held-out triplet accuracy, and the returned
+    E_F is that validation pass's formula rows.
     """
     if len(clauses) < 2:
         raise DataError(f"pretraining needs at least 2 formulae, got {len(clauses)}")
     var_capacity = max(VAR_CAPACITY, *(abs(lit) for c in clauses for lit in c))
     rng = np.random.default_rng(config.seed)
     params = init_know_encoder(config, var_capacity, embed, rng)
-    corpus = [
-        (ddnnf_to_graph(compile_ddnnf(c), var_capacity), *_sat_unsat_assignments(c, idx))
-        for idx, c in enumerate(clauses)
-    ]
+    corpus = []  # (formula graph, clause with its literals sorted by variable)
+    for idx, clause in enumerate(clauses):
+        if len(clause) > MAX_ENUM_VARS:
+            raise DataError(
+                f"formula {idx} has {len(clause)} variables; enumeration bound is {MAX_ENUM_VARS}"
+            )
+        clause = tuple(sorted(clause, key=abs))
+        corpus.append((ddnnf_to_graph(compile_ddnnf(clause), var_capacity), clause))
 
-    graph_cache: dict[frozenset, FormulaGraph] = {}
+    @functools.cache
+    def fg_of(model: tuple[int, ...]) -> FormulaGraph:
+        return ddnnf_to_graph(assignment_graph(model), var_capacity)
 
-    def fg_of(assignment: dict[int, bool]) -> FormulaGraph:
-        key = frozenset((v if b else -v) for v, b in assignment.items())
-        if key not in graph_cache:
-            graph_cache[key] = ddnnf_to_graph(assignment_graph(assignment), var_capacity)
-        return graph_cache[key]
+    def draw_sat_unsat(clause: tuple[int, ...]) -> tuple[FormulaGraph, FormulaGraph]:
+        sat = clause_model(clause, int(rng.integers(2 ** len(clause) - 1)))
+        return fg_of(sat), fg_of(tuple(-lit for lit in clause))
 
     val_graphs = []  # (formula, sat, unsat) triples, flattened; repeats share one object
-    for fg, sat, unsat in corpus:
+    for fg, clause in corpus:
         for _ in range(config.val_pairs):
-            fg_sat = fg_of(sat[rng.integers(len(sat))])
-            val_graphs += [fg, fg_sat, fg_of(unsat[rng.integers(len(unsat))])]
+            val_graphs += [fg, *draw_sat_unsat(clause)]
 
-    def val_accuracy(p: ParamSet) -> float:
+    def validate(p: ParamSet) -> tuple[float, np.ndarray]:
         e = embed_formulae(val_graphs, config, p)
         e_f, e_s, e_u = e[0::3], e[1::3], e[2::3]
         hits = ((e_f - e_s) ** 2).sum(axis=1) < ((e_f - e_u) ** 2).sum(axis=1)
-        return int(hits.sum()) / len(hits)
+        return int(hits.sum()) / len(hits), e_f[:: config.val_pairs].copy()
 
-    result = PretrainResult(config, params.copy())
-    best_acc = val_accuracy(params)
-    result.best_val_accuracy = best_acc
-    result.val_history.append((0, best_acc))
+    acc, rows = validate(params)
+    result = PretrainResult(config, params.copy(), rows, val_history=[(0, acc)], best_val_accuracy=acc)
 
     for step in range(config.steps):
         tape = Tape()
@@ -287,11 +280,10 @@ def pretrain_encoder(
         triplet_total = None
         and_total, or_total = None, None
         n_and, n_or = 0, 0
-        for fg, sat, unsat in corpus:
+        for fg, clause in corpus:
             z_id = gcn_forward_tape(tape, fg, config, ids)
             e_f = formula_embedding_tape(tape, z_id, fg)
-            fg_sat = fg_of(sat[rng.integers(len(sat))])
-            fg_unsat = fg_of(unsat[rng.integers(len(unsat))])
+            fg_sat, fg_unsat = draw_sat_unsat(clause)
             z_sat = gcn_forward_tape(tape, fg_sat, config, ids)
             z_unsat = gcn_forward_tape(tape, fg_unsat, config, ids)
             e_s = formula_embedding_tape(tape, z_sat, fg_sat)
@@ -321,11 +313,11 @@ def pretrain_encoder(
         params.vector = params.vector - config.learning_rate * params.grad_vector
 
         if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
-            acc = val_accuracy(params)
+            acc, rows = validate(params)
             result.val_history.append((step + 1, acc))
-            if acc > best_acc:
-                best_acc = acc
+            if acc > result.best_val_accuracy:
                 result.params = params.copy()
+                result.e_f = rows
                 result.best_val_accuracy = acc
     return result
 

@@ -8,11 +8,9 @@ A rule ``(p_1 AND ... AND p_k) IMPLIES p_c`` is exactly the one clause
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
-from .rules import Rule, _format_threshold
+from .rules import Rule, format_threshold
 
 
 @dataclass(frozen=True)
@@ -55,15 +53,8 @@ def rule_to_clause(rule: Rule, table: PropositionTable) -> tuple[int, ...]:
     a tautology.
     """
     pids = {
-        table.intern(c.attribute, c.predicate, _format_threshold(c.threshold))
+        table.intern(c.attribute, c.predicate, format_threshold(c.threshold))
         for c in rule.conditions
     }
     consequent = table.intern("anomaly", "is", "True" if rule.consequent else "False")
     return tuple(sorted([-p for p in pids] + [consequent], key=abs))
-
-
-def assignments(variables: Iterable[int]) -> Iterator[dict[int, bool]]:
-    """All 2^n assignments over the given variables, in a fixed order."""
-    ordered = sorted(set(variables))
-    for bits in itertools.product((False, True), repeat=len(ordered)):
-        yield dict(zip(ordered, bits))

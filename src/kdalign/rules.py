@@ -215,14 +215,16 @@ def _parse_condition(p: _Parser) -> Condition:
 
 def render_rule(rule: Rule) -> str:
     parts = " AND ".join(
-        f"{c.attribute} {c.predicate} {_format_threshold(c.threshold)}"
+        f"{c.attribute} {c.predicate} {format_threshold(c.threshold)}"
         for c in rule.conditions
     )
     verdict = "true" if rule.consequent else "false"
     return f"IF {parts} THEN anomaly IS {verdict}"
 
 
-def _format_threshold(value: float) -> str:
+def format_threshold(value: float) -> str:
+    """A threshold as the rule language and the proposition names write it:
+    an integral value as an integer, any other as its ``repr``."""
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

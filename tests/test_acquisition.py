@@ -3,13 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
+from kdalign import acquisition
 from kdalign.acquisition import (
+    NOISE_DRAWS,
+    NOISE_WIDENINGS,
     acquire_rules,
     extract_anomaly_paths,
     fit_tree,
     inject_noise,
 )
-from kdalign.rules import any_rule_mask, rule_match_mask
+from kdalign.rules import any_rule_mask, parse_rule, rule_match_mask
 from kdalign.config import RulesConfig
 from oracles import (
     acquire_rules_argsort,
@@ -270,6 +273,26 @@ class TestInjectNoise:
         after = any_rule_mask(out, self.X, {"a": 0, "b": 1})
         fp_after = int((after & (self.y == 0)).sum())
         assert fp_after > fp_before
+
+    def test_rule_that_cannot_misclassify_keeps_the_widest_perturbation(self, monkeypatch):
+        # no normal rows, so every draw is rejected: some as contradictory,
+        # the rest because they match no normal sample
+        X = np.random.default_rng(0).normal(size=(50, 1))
+        y = np.ones(50, dtype=int)
+        rule = parse_rule("IF a > 0 AND a <= 0.05 THEN anomaly IS true", rule_id="r")
+        tried = []
+
+        def recording_mask(candidate, X, names):
+            tried.append(candidate)
+            return rule_match_mask(candidate, X, names)
+
+        monkeypatch.setattr(acquisition, "rule_match_mask", recording_mask)
+        with pytest.warns(UserWarning, match="could not make rule 'r' misclassify a normal sample"):
+            (out,) = inject_noise([rule], 1.0, np.random.default_rng(4), X, y, ["a"])
+        assert 0 < len(tried) < NOISE_DRAWS * (NOISE_WIDENINGS + 1)
+        assert out == tried[-1] != rule
+        assert [(c.attribute, c.predicate) for c in out.conditions] == [("a", ">"), ("a", "<=")]
+        assert sum(a != b for a, b in zip(out.conditions, rule.conditions)) == 1
 
     def test_bad_ratio(self):
         with pytest.raises(ValueError, match="outside"):

@@ -66,6 +66,8 @@ def run_one_line(argv, capsys) -> tuple[int, str]:
         ("--ot.anomaly_mass_boost", "-1", "[ot] anomaly_mass_boost"),
         ("--train.learning_rate", "nan", "[train] learning_rate"),
         ("--ot.anomaly_mass_boost", "1e308", "[ot] anomaly_mass_boost"),
+        ("--eval.include_baseline", "maybe", "[eval] include_baseline: not a boolean: 'maybe'"),
+        ("--config", "no-such-dir/missing.ini", "config file not found: no-such-dir/missing.ini"),
     ],
 )
 def test_bad_training_step_config_exits_1(small_csv, tmp_path, capsys, flag, value, key):
@@ -93,6 +95,18 @@ SYNTH_DATA_ERRORS = {  # synth-data flags -> the text of their one config error 
     "--noise 1e308": "noise 1e+308 overflows a generated value",
     "--n-normal 100000000000000": "features do not fit in memory",  # 3.2 PB: past any address space
 }
+
+
+def test_synth_data_writes_one_cluster_tag_per_row(tmp_path):
+    data, tags = tmp_path / "synth.csv", tmp_path / "clusters.txt"
+    argv = ["synth-data", "--out", data, "--seed", "1", "--n-normal", "30", "--n-direct", "5",
+            "--n-rule", "4", "--clusters-out", tags]
+    assert cli.main([str(a) for a in argv]) == 0
+    lines = tags.read_text().splitlines()
+    assert tags.read_text().endswith("\n")
+    assert len(lines) == len(data.read_text().splitlines()) - 1 == 39
+    assert {"normal_a", "normal_b", "direct", "rule"} == set(lines)
+    assert lines.count("direct") == 5 and lines.count("rule") == 4
 
 
 @pytest.mark.parametrize("flags", sorted(SYNTH_DATA_ERRORS))
@@ -210,6 +224,24 @@ def _wide_rule(tmp_path, n_conditions, command):
     if command == "compile-rules":
         return argv
     return ["pretrain", "--rules.path", argv[2], "--out", tmp_path / "enc.kdal"]
+
+
+def _infer_header_only(tmp_path, small_csv):
+    data = tmp_path / "header.csv"
+    data.write_text(small_csv.read_text().splitlines()[0] + "\n")
+    ck = tmp_path / "model.kdal"
+    save_checkpoint(ModelCheckpoint(params={}, seed=0), ck)
+    return ["infer", "--checkpoint", ck, "--data", data, "--out", tmp_path / "s.txt"]
+
+
+def _train_encoder_from_lambda0_run(tmp_path, small_csv):
+    """train --encoder given the checkpoint of a train run without rules."""
+    run, rules = tmp_path / "run", tmp_path / "one.rules"
+    assert cli.main(["train", "--data.path", str(small_csv), "--out", str(run),
+                     "--train.epochs=1"]) == 0
+    save_rules([Rule("r0", [Condition("f1", ">", 0.0)], True)], rules)
+    return ["train", "--data.path", small_csv, "--rules.path", rules,
+            "--encoder", run / "checkpoint.kdal", "--out", tmp_path / "run2"]
 
 
 def _infer_corrupt_byte(tmp_path, small_csv, pos, value, crc):
@@ -432,6 +464,26 @@ MALFORMED_FILES = {
     "eval-nan-label": (
         lambda t, csv: _eval(t, "0.9\n0.2\n0.1\n", "1\n0\nnan\n"),
         "labels.txt: line 3: label 'nan' is not 0 or 1",
+    ),
+    "eval-count-mismatch": (
+        lambda t, csv: _eval(t, "0.1\n0.2\n0.3\n", "1\n0\n"),
+        "3 scores vs 2 labels; counts must match",
+    ),
+    "eval-non-numeric-score": (
+        lambda t, csv: _eval(t, "0.1\nabc\n", "1\n0\n"),
+        "scores.txt: line 2: non-numeric value 'abc'",
+    ),
+    "eval-comment-only-scores": (
+        lambda t, csv: _eval(t, "# only\n# comments\n", "1\n0\n"),
+        "scores.txt: no values",
+    ),
+    "infer-header-only-csv": (
+        _infer_header_only,
+        "header.csv: no data rows",
+    ),
+    "train-encoder-lambda0-checkpoint": (
+        _train_encoder_from_lambda0_run,
+        "checkpoint.kdal: not a knowledge-encoder checkpoint",
     ),
     "experiment-val-without-anomaly": (
         lambda t, csv: _split_without_anomaly(t, csv, "val"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from kdalign.ddnnf import compile_ddnnf
 from kdalign.gcn import (
     NODE_TYPES,
     assignment_graph,
+    clause_model,
     ddnnf_to_graph,
     embed_formulae,
-    embed_knowledge_set,
     formula_embedding_tape,
     gcn_forward_tape,
     init_know_encoder,
@@ -21,7 +23,7 @@ from kdalign.gcn import (
 from kdalign.gcn import FormulaGraph, TYPE_INDEX
 from kdalign.config import KnowEncoderConfig
 from kdalign.errors import DataError
-from oracles import compile_cnf, gcn_forward
+from oracles import all_assignments, compile_cnf, gcn_forward
 
 
 def forward(fg, spec, params):
@@ -50,7 +52,7 @@ class TestGraphConversion:
         assert fg.features[0, 4] == 1.0
 
     def test_negative_literal_sign(self):
-        fg = ddnnf_to_graph(assignment_graph({2: False}), var_capacity=4)
+        fg = ddnnf_to_graph(assignment_graph((-2,)), var_capacity=4)
         assert fg.features[0, 4 + 1] == -1.0
 
     def test_global_connected_to_all(self):
@@ -79,7 +81,7 @@ class TestGraphConversion:
 
     def test_capacity_exceeded(self):
         with pytest.raises(Exception, match="capacity"):
-            ddnnf_to_graph(assignment_graph({9: True}), var_capacity=4)
+            ddnnf_to_graph(assignment_graph((9,)), var_capacity=4)
 
 
 class TestForward:
@@ -96,7 +98,7 @@ class TestForward:
         for embed in (3, 7):
             params = init_know_encoder(spec, 5, embed, rng)
             assert forward(fg, spec, params).shape == (fg.adj.shape[0], embed)
-            assert embed_knowledge_set([compile_ddnnf((2,))], spec, params).shape == (1, embed)
+            assert embed_formulae([fg], spec, params).shape == (1, embed)
 
     def test_single_node_identity(self):
         # one leaf plus global: check the 1-layer identity configuration on a
@@ -190,9 +192,9 @@ class TestForward:
         rng = np.random.default_rng(6)
         spec = KnowEncoderConfig(layers=2, hidden=6)
         params = init_know_encoder(spec, 8, 4, rng)
-        g1 = compile_ddnnf((1, 2))
-        g2 = compile_ddnnf((1, 2))
-        e = embed_knowledge_set([g1, g2], spec, params)
+        g1 = ddnnf_to_graph(compile_ddnnf((1, 2)), 8)
+        g2 = ddnnf_to_graph(compile_ddnnf((1, 2)), 8)
+        e = embed_formulae([g1, g2], spec, params)
         np.testing.assert_array_equal(e[0], e[1])
 
     def test_repeated_graphs_embed_like_each_graph_alone(self):
@@ -213,37 +215,13 @@ class TestForward:
         spec = KnowEncoderConfig(layers=3, hidden=6)
         params = init_know_encoder(spec, 8, 4, rng)
         graphs = [ddnnf_to_graph(compile_cnf(c), 8) for c in ([[1, -2, 3]], [[1], [2]], [[-3]])]
-        assignment = ddnnf_to_graph(assignment_graph({1: True, 2: False, 3: True}), 8)
+        assignment = ddnnf_to_graph(assignment_graph((1, -2, 3)), 8)
         listed = [graphs[0], assignment, graphs[1], graphs[0], graphs[2], assignment]
         t = Tape()
         ids = bind_params(t, params)
         rows = [t.value(formula_embedding_tape(t, gcn_forward_tape(t, fg, spec, ids), fg))
                 for fg in listed]
         assert embed_formulae(listed, spec, params).tobytes() == np.vstack(rows).tobytes()
-
-
-class TestEmbedKnowledgeSet:
-    def test_shapes_and_duplicates(self):
-        rng = np.random.default_rng(0)
-        spec = KnowEncoderConfig(layers=2, hidden=6)
-        params = init_know_encoder(spec, 8, 5, rng)
-        g = compile_ddnnf((1,))
-        e1 = embed_knowledge_set([g], spec, params)
-        assert e1.shape == (1, 5)
-        corpus = [compile_ddnnf((v,)) for v in range(1, 8)] * 2
-        e = embed_knowledge_set(corpus, spec, params)
-        assert e.shape == (14, 5)
-        assert np.isfinite(e).all()
-        np.testing.assert_array_equal(e[0], e[7])
-
-    def test_bitwise_stable(self):
-        rng = np.random.default_rng(1)
-        spec = KnowEncoderConfig(layers=2, hidden=6)
-        params = init_know_encoder(spec, 8, 5, rng)
-        corpus = [compile_cnf([[1, -2], [2, 3]])]
-        a = embed_knowledge_set(corpus, spec, params)
-        b = embed_knowledge_set(corpus, spec, params)
-        assert (a == b).all()
 
 
 def toy_corpus():
@@ -276,6 +254,44 @@ class TestPretrain:
         with pytest.raises(DataError, match="formula 1 has 17 variables; enumeration bound is 16"):
             pretrain_encoder([toy_corpus()[0], wide], KnowEncoderConfig(steps=0), 16)
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_indexed_models_are_the_enumeration_without_the_counter_model(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            variables = sorted(int(v) for v in rng.choice(30, size=k, replace=False) + 1)
+            clause = tuple(int(v) if rng.random() < 0.5 else -int(v) for v in variables)
+            counter = {abs(lit): lit < 0 for lit in clause}
+            expected = [
+                tuple(v if a[v] else -v for v in variables)
+                for a in all_assignments(variables)
+                if a != counter
+            ]
+            assert [clause_model(clause, j) for j in range(2**k - 1)] == expected
+
+    @pytest.mark.parametrize("seed, best_step", [(1, 0), (2, 40), (0, 60)])
+    def test_e_f_is_the_corpus_embedded_under_the_returned_parameters(self, seed, best_step):
+        clauses = toy_corpus()
+        cfg = KnowEncoderConfig(steps=60, seed=seed, hidden=12, eval_every=20)
+        result = pretrain_encoder(clauses, cfg, 6)
+        # the first pass to read the best accuracy set it: step 0, a middle
+        # pass that the last one ties, or the last pass
+        assert next(s for s, acc in result.val_history if acc == result.best_val_accuracy) == best_step
+        graphs = [ddnnf_to_graph(compile_ddnnf(c), VAR_CAPACITY) for c in clauses]
+        expected = embed_formulae(graphs, cfg, result.params)
+        assert result.e_f.flags.c_contiguous
+        assert result.e_f.tobytes() == expected.tobytes()
+
+    def test_wide_clauses_are_not_enumerated(self):
+        # a 16-variable clause has 65,535 models; drawing one by index builds no other
+        wide = [tuple(-v for v in range(1, 16)) + (16,), tuple(range(1, 17))]
+        tracemalloc.start()
+        try:
+            pretrain_encoder(wide, KnowEncoderConfig(steps=0), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_loss_decreases_on_toy_corpus(self):
         clauses = toy_corpus()
         cfg = KnowEncoderConfig(steps=50, seed=3, hidden=8)
@@ -290,8 +306,8 @@ class TestPretrain:
         cfg = KnowEncoderConfig(steps=120, seed=2, margin=1.0, hidden=8)
         result = pretrain_encoder(clauses, cfg, 8)
         fg_p = ddnnf_to_graph(compile_ddnnf(clauses[0]), VAR_CAPACITY)
-        fg_sat = ddnnf_to_graph(assignment_graph({1: True}), VAR_CAPACITY)
-        fg_unsat = ddnnf_to_graph(assignment_graph({1: False}), VAR_CAPACITY)
+        fg_sat = ddnnf_to_graph(assignment_graph((1,)), VAR_CAPACITY)
+        fg_unsat = ddnnf_to_graph(assignment_graph((-1,)), VAR_CAPACITY)
         e_p, e_s, e_u = embed_formulae([fg_p, fg_sat, fg_unsat], cfg, result.params)
         assert ((e_p - e_s) ** 2).sum() < ((e_p - e_u) ** 2).sum()
 

@@ -3,9 +3,16 @@ import pytest
 
 from kdalign.ddnnf import compile_ddnnf
 from kdalign.experiment import compile_rules
-from kdalign.logic import PropositionTable, assignments, rule_to_clause
-from kdalign.rules import PREDICATES, Condition, Rule, _format_threshold, parse_rule
-from oracles import check_decomposability, check_determinism, eval_clauses, eval_ddnnf, model_count
+from kdalign.logic import PropositionTable, rule_to_clause
+from kdalign.rules import PREDICATES, Condition, Rule, format_threshold, parse_rule
+from oracles import (
+    all_assignments,
+    check_decomposability,
+    check_determinism,
+    eval_clauses,
+    eval_ddnnf,
+    model_count,
+)
 
 
 def triples(table):
@@ -83,12 +90,12 @@ def test_clause_holds_unless_the_antecedent_holds_without_the_consequent(seed):
         clause = rule_to_clause(rule, table)
         n_props = len(table)
         # looking the triples up again finds ids that are already interned
-        conds = {table.intern(c.attribute, c.predicate, _format_threshold(c.threshold))
+        conds = {table.intern(c.attribute, c.predicate, format_threshold(c.threshold))
                  for c in rule.conditions}
         consequent = table.intern("anomaly", "is", str(rule.consequent))
         assert len(table) == n_props
         assert sorted({abs(lit) for lit in clause}) == sorted(conds | {consequent})
-        for assignment in assignments(conds | {consequent}):
+        for assignment in all_assignments(conds | {consequent}):
             expected = not all(assignment[p] for p in conds) or assignment[consequent]
             assert eval_clauses([clause], assignment) == expected
 
@@ -106,12 +113,12 @@ def test_compiled_rule_is_a_d_dnnf_of_its_implication(seed):
     for rule, g in zip(rules, graphs):
         check_decomposability(g)
         check_determinism(g)
-        conds = {table.intern(c.attribute, c.predicate, _format_threshold(c.threshold))
+        conds = {table.intern(c.attribute, c.predicate, format_threshold(c.threshold))
                  for c in rule.conditions}
         consequent = table.intern("anomaly", "is", str(rule.consequent))
         variables = conds | {consequent}
         counter_models = 0
-        for assignment in assignments(variables):
+        for assignment in all_assignments(variables):
             expected = not all(assignment[p] for p in conds) or assignment[consequent]
             assert eval_ddnnf(g, assignment) == expected
             counter_models += not expected

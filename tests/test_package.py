@@ -45,3 +45,25 @@ def test_every_oracle_is_reached_from_a_test():
             reached.add(name)
             frontier.append(name)
     assert sorted(oracles.keys() - reached) == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a leading underscore marks a name as its own module's; a name that
+    # another module needs is public
+    reached = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # package modules bound by ``from . import m``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "kdalign"):
+                if node.module is None or node.module == "kdalign":
+                    modules |= {a.asname or a.name for a in node.names}
+                reached += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                reached.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert reached == []

@@ -4,8 +4,10 @@ import pytest
 from kdalign.errors import DataError, RuleSyntaxError
 from kdalign.logic import PropositionTable, rule_to_clause
 from kdalign.rules import (
+    PREDICATES,
     Condition,
     Rule,
+    format_threshold,
     load_rules,
     parse_rule,
     parse_rules_text,
@@ -99,6 +101,24 @@ class TestMatch:
     def test_strict_boundary(self):
         assert match_rule(self.RULE, [5.0, 0.0], self.NAMES) is False
 
+    AROUND = {  # the mask on values below, at and above the threshold
+        ">": [False, False, True],
+        ">=": [False, True, True],
+        "<": [True, False, False],
+        "<=": [True, True, False],
+        "=": [False, True, False],
+        "!=": [True, False, True],
+    }
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    def test_mask_around_the_threshold_agrees_with_the_oracle(self, predicate):
+        rule = Rule("r", [Condition("x", predicate, 2.5)], True)
+        X = np.array([[-1.0, 2.0], [-1.0, 2.5], [-1.0, 3.0]])
+        names = {"w": 0, "x": 1}
+        mask = rule_match_mask(rule, X, names)
+        assert mask.dtype == bool
+        assert mask.tolist() == [match_rule(rule, row, names) for row in X] == self.AROUND[predicate]
+
     def test_missing_attribute(self):
         with pytest.raises(DataError, match="unknown attribute"):
             rule_match_mask(self.RULE, np.array([[6.0]]), {"attr_1": 0})
@@ -117,18 +137,12 @@ class TestMatch:
             if rng.random() < 0.2:
                 x[2] = 2.0
             assignment = {
-                table.intern(c.attribute, c.predicate, render_threshold(c)): condition_holds(
+                table.intern(c.attribute, c.predicate, format_threshold(c.threshold)): condition_holds(
                     c, x[names[c.attribute]]
                 )
                 for c in rule.conditions
             }
             assert match_rule(rule, x, names) == all(assignment[p] for p in antecedent)
-
-
-def render_threshold(cond):
-    from kdalign.rules import _format_threshold
-
-    return _format_threshold(cond.threshold)
 
 
 class TestFiles:
