@@ -181,7 +181,7 @@ def extract_anomaly_paths(
     name_to_index = {n: i for i, n in enumerate(feature_names)}
     rules: list[Rule] = []
     provenance: list[PathProvenance] = []
-    seen: set[tuple] = set()
+    seen: set[tuple[Condition, ...]] = set()
     for tree_index, tree in enumerate(trees):
         leaf_counter = 0
 
@@ -198,9 +198,7 @@ def extract_anomaly_paths(
                 support = int(mask.sum())
                 if support == 0 or not (y[mask] == 1).all():
                     return
-                signature = tuple(
-                    (c.attribute, c.predicate, c.threshold) for c in conditions
-                )
+                signature = tuple(conditions)
                 if signature in seen:
                     return
                 seen.add(signature)

@@ -14,6 +14,18 @@ width, or main_dim for resnet), and its input encodes every proposition of
 the rules.  So ``train --encoder`` needs an encoder pretrained under a
 [model] of the same embedding width; another width exits 1.
 
+A rule file ending in ``.json`` takes any attribute name.  Any other is a
+``.rules`` file of DSL lines, whose attributes are identifiers that are not
+keywords (see ``rules``).  So ``acquire-rules --out r.rules`` on a CSV with a
+column such as ``x-1`` exits 2 and writes nothing; ``--out r.json`` works.
+
+``compile-rules`` writes one JSON object.  ``propositions`` lists each
+proposition the rules use, with its ``id``, ``subject``, ``predicate`` and
+``object``.  ``rules`` holds per rule its ``id`` and ``text``, the
+``variables`` of its clause (its distinct conditions and its consequent, k in
+all), ``ddnnf_nodes`` = 4k - 1 (the decision chain plus the two unreachable
+TRUE/FALSE sinks) and ``model_count`` = 2^k - 1.
+
 ``infer`` writes one score per line, one line per CSV row.  Scores are
 row-local: with one BLAS thread, a row's score does not depend on the other
 rows in the file.  A score that is not finite (weights whose products

@@ -5,14 +5,25 @@ anomaly verdict, written as::
 
     IF attr_1 > 5 AND attr_2 = 0 THEN anomaly IS true
 
-Keywords are case-insensitive.  Rule files hold one rule per line with ``#``
-comments; a JSON form with explicit ids round-trips the same content.
+Keywords are case-insensitive; an attribute is an identifier
+(``[A-Za-z_][A-Za-z0-9_]*``) that is not a keyword.  Rule files hold one
+rule per line with ``#`` comments; a JSON form with explicit ids holds the
+same content and takes any attribute name.
+
+A predicate ``>``, ``>=``, ``<``, ``<=``, ``=``, ``!=`` means ``value <op>
+threshold`` under ``operator.gt``, ``ge``, ``lt``, ``le``, ``eq``, ``ne``.
+A rule is accepted when each attribute admits a real value meeting all its
+conditions.  With no ``=``, that holds if the tightest lower bound is below
+the tightest upper bound: finitely many ``!=`` cannot exclude every real
+between them.  Otherwise it holds exactly when all the conditions hold at
+one point, the ``=`` value if there is one, else the lower bound.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -22,7 +33,11 @@ import numpy as np
 from .atomic import write_atomic
 from .errors import DataError, RuleSyntaxError
 
-PREDICATES = (">", ">=", "<", "<=", "=", "!=")
+_COMPARE = {
+    ">": operator.gt, ">=": operator.ge, "<": operator.lt,
+    "<=": operator.le, "=": operator.eq, "!=": operator.ne,
+}
+PREDICATES = tuple(_COMPARE)
 
 
 @dataclass(frozen=True)
@@ -34,7 +49,7 @@ class Condition:
     def __post_init__(self):
         if not self.attribute:
             raise ValueError("condition attribute must be nonempty")
-        if self.predicate not in PREDICATES:
+        if self.predicate not in _COMPARE:
             raise ValueError(f"unknown predicate {self.predicate!r}")
         if not math.isfinite(self.threshold):
             raise ValueError("condition threshold must be finite")
@@ -53,135 +68,46 @@ class Rule:
 
 
 def _check_satisfiable(rule: Rule) -> None:
-    """Reject antecedents whose per-attribute constraints admit no real value."""
-    by_attr: dict[str, list[Condition]] = {}
-    for cond in rule.conditions:
-        by_attr.setdefault(cond.attribute, []).append(cond)
-    for attr, conds in by_attr.items():
-        lo, lo_open = -math.inf, False
-        hi, hi_open = math.inf, False
-        eqs: set[float] = set()
-        neqs: set[float] = set()
-        for c in conds:
-            if c.predicate == ">":
-                if c.threshold > lo or (c.threshold == lo and not lo_open):
-                    lo, lo_open = c.threshold, True
-            elif c.predicate == ">=":
-                if c.threshold > lo:
-                    lo, lo_open = c.threshold, False
-            elif c.predicate == "<":
-                if c.threshold < hi or (c.threshold == hi and not hi_open):
-                    hi, hi_open = c.threshold, True
-            elif c.predicate == "<=":
-                if c.threshold < hi:
-                    hi, hi_open = c.threshold, False
-            elif c.predicate == "=":
-                eqs.add(c.threshold)
-            else:
-                neqs.add(c.threshold)
-        unsat = False
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            unsat = True
-        if len(eqs) > 1:
-            unsat = True
-        if len(eqs) == 1:
-            e = next(iter(eqs))
-            if e < lo or e > hi or (e == lo and lo_open) or (e == hi and hi_open):
-                unsat = True
-            if e in neqs:
-                unsat = True
-        # With no equality the interval contains infinitely many reals, so a
-        # finite set of != exclusions can only empty a single-point interval.
-        if not eqs and lo == hi and not lo_open and not hi_open and lo in neqs:
-            unsat = True
-        if unsat:
-            raise ValueError(
-                f"rule {rule.rule_id!r}: contradictory conditions on attribute {attr!r}"
-            )
+    """Reject antecedents whose per-attribute conditions admit no real value."""
+    for attr in dict.fromkeys(c.attribute for c in rule.conditions):
+        conds = [c for c in rule.conditions if c.attribute == attr]
+        lo = max((c.threshold for c in conds if c.predicate in (">", ">=")), default=-math.inf)
+        hi = min((c.threshold for c in conds if c.predicate in ("<", "<=")), default=math.inf)
+        equal = [c.threshold for c in conds if c.predicate == "="]
+        if equal or not lo < hi:
+            point = equal[0] if equal else lo
+            if not all(_COMPARE[c.predicate](point, c.threshold) for c in conds):
+                raise ValueError(f"rule {rule.rule_id!r}: contradictory conditions on attribute {attr!r}")
 
 
 # ---------------------------------------------------------------------------
 # DSL parsing
 # ---------------------------------------------------------------------------
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_KEYWORDS = {"if", "and", "then", "is", "anomaly", "true", "false"}
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<pred>==|>=|<=|!=|>|<|=)|(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+    rf"|(?P<ident>{_NAME.pattern})|(?P<end>\Z))"
 )
 
-_KEYWORDS = {"if", "and", "then", "is", "anomaly", "true", "false"}
+
+def _is_attribute_name(word: str) -> bool:
+    """Whether the DSL reads ``word`` as one attribute name."""
+    return _NAME.fullmatch(word) is not None and word.lower() not in _KEYWORDS
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
+    """``(kind, text, offset)`` per token, the last an ``end`` at ``len(text)``."""
+    tokens, pos = [], 0
+    while not tokens or tokens[-1][0] != "end":
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            offset = len(text) - len(stripped)
-            raise RuleSyntaxError(f"unexpected character {stripped[0]!r}", offset)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+            offset = len(text) - len(text[pos:].lstrip())
+            raise RuleSyntaxError(f"unexpected character {text[offset]!r}", offset)
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def _offset(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][2]
-        return len(self.text)
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def expect_keyword(self, word: str):
-        tok = self.peek()
-        if tok is None or tok[0] != "ident" or tok[1].lower() != word:
-            raise RuleSyntaxError(f"expected {word.upper()!r}", self._offset())
-        self.i += 1
-
-    def take_ident(self) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != "ident" or tok[1].lower() in _KEYWORDS:
-            raise RuleSyntaxError("expected attribute name", self._offset())
-        self.i += 1
-        return tok[1]
-
-    def take_predicate(self) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != "pred":
-            raise RuleSyntaxError("expected predicate (one of >, >=, <, <=, =, !=)", self._offset())
-        if tok[1] not in PREDICATES:
-            raise RuleSyntaxError(f"unknown predicate {tok[1]!r}", self._offset())
-        self.i += 1
-        return tok[1]
-
-    def take_number(self) -> float:
-        tok = self.peek()
-        if tok is None or tok[0] != "num":
-            raise RuleSyntaxError("expected numeric threshold", self._offset())
-        self.i += 1
-        return float(tok[1])
-
-    def take_bool(self) -> bool:
-        tok = self.peek()
-        if tok is not None and tok[0] == "ident" and tok[1].lower() in ("true", "false"):
-            self.i += 1
-            return tok[1].lower() == "true"
-        raise RuleSyntaxError("expected 'true' or 'false'", self._offset())
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "ident" and tok[1].lower() == word
 
 
 def parse_rule(text: str, rule_id: str = "rule") -> Rule:
@@ -191,26 +117,37 @@ def parse_rule(text: str, rule_id: str = "rule") -> Rule:
     ``cond := IDENT PRED NUMBER``.  Raises RuleSyntaxError with the byte
     offset of the offending token.
     """
-    p = _Parser(text)
-    p.expect_keyword("if")
-    conditions = [_parse_condition(p)]
-    while p.at_keyword("and"):
-        p.i += 1
-        conditions.append(_parse_condition(p))
-    p.expect_keyword("then")
-    p.expect_keyword("anomaly")
-    p.expect_keyword("is")
-    consequent = p.take_bool()
-    if p.peek() is not None:
-        raise RuleSyntaxError("trailing input after rule", p._offset())
-    return Rule(rule_id, conditions, consequent)
+    tokens = _tokenize(text)
+    at = 0
 
+    def take(kind: str, expected: str, accept=lambda word: True) -> str:
+        """The next token's text if it is a ``kind`` that ``accept``s, else ``expected``."""
+        nonlocal at
+        got, word, offset = tokens[at]
+        if got != kind or not accept(word):
+            raise RuleSyntaxError(expected, offset)
+        at += 1
+        return word
 
-def _parse_condition(p: _Parser) -> Condition:
-    attr = p.take_ident()
-    pred = p.take_predicate()
-    value = p.take_number()
-    return Condition(attr, pred, value)
+    def keyword(word: str) -> None:
+        take("ident", f"expected {word.upper()!r}", lambda w: w.lower() == word)
+
+    keyword("if")
+    conditions = []
+    while True:
+        attr = take("ident", "expected attribute name", _is_attribute_name)
+        pred = take("pred", f"expected predicate (one of {', '.join(PREDICATES)})")
+        if pred not in _COMPARE:
+            raise RuleSyntaxError(f"unknown predicate {pred!r}", tokens[at - 1][2])
+        conditions.append(Condition(attr, pred, float(take("num", "expected numeric threshold"))))
+        if (tokens[at][0], tokens[at][1].lower()) != ("ident", "and"):
+            break
+        at += 1
+    for word in ("then", "anomaly", "is"):
+        keyword(word)
+    verdict = take("ident", "expected 'true' or 'false'", lambda w: w.lower() in ("true", "false"))
+    take("end", "trailing input after rule")
+    return Rule(rule_id, conditions, verdict.lower() == "true")
 
 
 def render_rule(rule: Rule) -> str:
@@ -249,6 +186,13 @@ def parse_rules_text(text: str) -> list[Rule]:
 
 
 def rules_to_text(rules: Sequence[Rule]) -> str:
+    """The DSL lines of ``rules``; a DataError if an attribute is not a DSL
+    name, since the line would not parse back."""
+    for rule in rules:
+        for cond in rule.conditions:
+            if not _is_attribute_name(cond.attribute):
+                raise DataError(f"rule {rule.rule_id!r}: attribute {cond.attribute!r} is not a "
+                                "rule-language name; save the rules to .json instead")
     return "".join(render_rule(r) + "\n" for r in rules)
 
 
@@ -342,20 +286,7 @@ def rule_match_mask(rule: Rule, X: np.ndarray, name_to_index: Mapping[str, int])
     for cond in rule.conditions:
         if cond.attribute not in name_to_index:
             raise DataError(f"rule {rule.rule_id!r}: unknown attribute {cond.attribute!r}")
-        col = X[:, name_to_index[cond.attribute]]
-        p, t = cond.predicate, cond.threshold
-        if p == ">":
-            mask &= col > t
-        elif p == ">=":
-            mask &= col >= t
-        elif p == "<":
-            mask &= col < t
-        elif p == "<=":
-            mask &= col <= t
-        elif p == "=":
-            mask &= col == t
-        else:
-            mask &= col != t
+        mask &= _COMPARE[cond.predicate](X[:, name_to_index[cond.attribute]], cond.threshold)
     return mask
 
 

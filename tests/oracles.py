@@ -19,6 +19,7 @@ paths with ``extract_anomaly_paths``.
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -243,6 +244,23 @@ def condition_holds(cond, value):
         "=": value == t,
         "!=": value != t,
     }[cond.predicate]
+
+
+def antecedent_satisfiable(conditions):
+    """True iff each attribute has a real value meeting all its conditions.
+
+    The thresholds cut the line into points and open intervals, and each
+    condition is constant on every piece.  So it tries, exactly in
+    ``Fraction``s, every threshold, the midpoint of each pair of adjacent
+    distinct thresholds, and one point past each end; reference for the
+    check a ``Rule`` runs on its antecedent."""
+    for attr in {c.attribute for c in conditions}:
+        conds = [c for c in conditions if c.attribute == attr]
+        cuts = sorted({Fraction(c.threshold) for c in conds})
+        points = [*cuts, *((a + b) / 2 for a, b in zip(cuts, cuts[1:])), cuts[0] - 1, cuts[-1] + 1]
+        if not any(all(condition_holds(c, x) for c in conds) for x in points):
+            return False
+    return True
 
 
 def match_rule(rule, values, name_to_index):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from kdalign import cli
-from kdalign.config import KnowEncoderConfig, ModelConfig, load_config
+from kdalign.acquisition import acquire_rules
+from kdalign.config import KnowEncoderConfig, ModelConfig, RulesConfig, load_config
 from kdalign.encoders import init_encoder, init_head
 from kdalign.evaluate import load_csv
 from kdalign.experiment import build_knowledge, run_seed
@@ -529,6 +530,27 @@ def test_acquire_rules_reads_the_rules_section(small_csv, tmp_path):
     assert rules and all(len(r.conditions) == 1 for r in rules)
     provenance = json.loads(Path(str(out) + ".provenance.json").read_text())
     assert {p["tree_index"] for p in provenance} <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("names", [("x-1", "x-2", "x-3", "x-4"), ("and", "false", "if", "is"),
+                                   ("fé", "gé", "hé", "ié"), ("a>b", "a<b", "a=b", "a!b")])
+def test_acquire_rules_refuses_a_rules_file_that_would_not_parse_back(small_csv, tmp_path, capsys,
+                                                                      names):
+    # a .rules attribute is a DSL identifier; .json takes any column name
+    data = tmp_path / "named.csv"
+    data.write_text(",".join([*names, "label"]) + "\n" + small_csv.read_text().split("\n", 1)[1],
+                    encoding="utf-8")
+    code, line = run_one_line(["acquire-rules", "--data.path", data, "--out", tmp_path / "r.rules"],
+                              capsys)
+    assert code == 2
+    assert line.startswith("data error: rule 'rule_000': attribute "), line
+    assert line.endswith("is not a rule-language name; save the rules to .json instead"), line
+    assert sorted(tmp_path.iterdir()) == [data]  # no rule file and no provenance sidecar
+    out = tmp_path / "r.json"
+    assert cli.main(["acquire-rules", "--data.path", str(data), "--out", str(out)]) == 0
+    dataset = load_csv(data)
+    rules, _ = acquire_rules(dataset.X, dataset.y, dataset.feature_names, RulesConfig())
+    assert rules and load_rules(out) == rules
 
 
 def test_pretrain_checkpoint_carries_the_know_encoder_seed(small_csv, tmp_path):

@@ -18,7 +18,8 @@ import pytest
 
 from kdalign import cli
 from kdalign.evaluate import load_csv
-from kdalign.rules import load_rules, rules_to_json
+from kdalign.errors import DataError
+from kdalign.rules import load_rules, rules_to_json, save_rules
 
 CELL_TOKENS = ("", " ", "nan", "-inf", "1e999", "-1e308", "1e308", "abc", "0x1p3", "1,2",
                '"', "1e", "--1", "\t", "\x00", "é", "9" * 400)
@@ -214,6 +215,35 @@ def test_mutated_json_rule_files_keep_the_exit_contract(tmp_path, capsys):
         if breach:
             breaches.append((case, breach))
     assert breaches == []
+
+
+def test_mutated_json_rule_files_that_load_save_to_dsl_or_refuse(tmp_path):
+    """A rule set that loads from JSON either saves to a .rules file that
+    reads back to the same conditions and consequents, or is refused with a
+    DataError before any file is written."""
+    text = rules_to_json(load_rules(RULES))
+    rng = np.random.default_rng(20240208)
+    source, dsl = tmp_path / "mutated.json", tmp_path / "saved.rules"
+    mismatches, loaded, refused = [], 0, 0
+    for case, mutated in enumerate(json_mutations(text, rng, n_edits=200)):
+        source.write_text(mutated, encoding="utf-8")
+        try:
+            rules = load_rules(source)
+        except DataError:
+            continue
+        loaded += 1
+        try:
+            save_rules(rules, dsl)
+        except DataError:
+            refused += 1
+            assert not dsl.exists()
+            continue
+        again = load_rules(dsl)
+        dsl.unlink()
+        if [(r.conditions, r.consequent) for r in again] != [(r.conditions, r.consequent) for r in rules]:
+            mismatches.append(case)
+    assert mismatches == []
+    assert 0 < refused < loaded
 
 
 def test_synth_data_flags_keep_the_exit_contract(tmp_path, capsys):

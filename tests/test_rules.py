@@ -18,7 +18,7 @@ from kdalign.rules import (
     rules_to_text,
     save_rules,
 )
-from oracles import condition_holds, match_rule
+from oracles import antecedent_satisfiable, condition_holds, match_rule
 
 
 class TestParse:
@@ -35,27 +35,43 @@ class TestParse:
         assert len(rule.conditions) == 1
         assert rule.conditions[0] == Condition("x", ">=", 0.0)
 
-    def test_empty_antecedent_offset(self):
+    EXPECTED_PREDICATE = "expected predicate (one of >, >=, <, <=, =, !=)"
+    ERRORS = [  # each line the parser rejects, with its exact message and byte offset
+        ("IF x @ 1 THEN anomaly IS true", "unexpected character '@'", 5),
+        ("IF x > 1 THEN anomaly IS true é", "unexpected character 'é'", 30),
+        ("", "expected 'IF'", 0),
+        ("x > 1 THEN anomaly IS true", "expected 'IF'", 0),
+        ("IF x > 1 anomaly IS true", "expected 'THEN'", 9),
+        ("IF x > 1 THEN y IS true", "expected 'ANOMALY'", 14),
+        ("IF x > 1 THEN anomaly true", "expected 'IS'", 22),
+        ("IF and > 1 THEN anomaly IS true", "expected attribute name", 3),
+        ("IF 5 > 1 THEN anomaly IS true", "expected attribute name", 3),
+        ("IF THEN anomaly IS true", "expected attribute name", 3),
+        ("IF x 1 THEN anomaly IS true", EXPECTED_PREDICATE, 5),
+        ("IF x > 1 AND y THEN anomaly IS true", EXPECTED_PREDICATE, 15),
+        ("IF x == 5 THEN anomaly IS true", "unknown predicate '=='", 5),
+        ("IF x > high THEN anomaly IS true", "expected numeric threshold", 7),
+        ("IF x > 1 THEN anomaly IS maybe", "expected 'true' or 'false'", 25),
+        ("IF x > 1 THEN anomaly IS", "expected 'true' or 'false'", 24),
+        ("IF x > 1 THEN anomaly IS true extra", "trailing input after rule", 30),
+        ("IF", "expected attribute name", 2),
+        ("IF x > 1 AND", "expected attribute name", 12),
+        ("IF x", EXPECTED_PREDICATE, 4),
+        ("IF x   ", EXPECTED_PREDICATE, 7),
+        ("IF x >", "expected numeric threshold", 6),
+    ]
+
+    @pytest.mark.parametrize("text, message, offset", ERRORS)
+    def test_error_message_and_offset(self, text, message, offset):
         with pytest.raises(RuleSyntaxError) as exc:
-            parse_rule("IF THEN anomaly IS true")
-        assert exc.value.offset == 3
+            parse_rule(text)
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.offset == offset
 
     def test_keywords_case_insensitive(self):
         rule = parse_rule("if x > 1 and y < 2 then ANOMALY is FALSE")
         assert rule.consequent is False
         assert [c.attribute for c in rule.conditions] == ["x", "y"]
-
-    def test_unknown_predicate(self):
-        with pytest.raises(RuleSyntaxError, match="unknown predicate"):
-            parse_rule("IF x == 5 THEN anomaly IS true")
-
-    def test_non_numeric_threshold(self):
-        with pytest.raises(RuleSyntaxError, match="numeric threshold"):
-            parse_rule("IF x > high THEN anomaly IS true")
-
-    def test_trailing_garbage(self):
-        with pytest.raises(RuleSyntaxError, match="trailing"):
-            parse_rule("IF x > 1 THEN anomaly IS true extra")
 
     def test_negative_and_scientific_thresholds(self):
         rule = parse_rule("IF a > -3.5 AND b <= 1e-2 THEN anomaly IS true")
@@ -72,6 +88,27 @@ class TestParse:
         # satisfiable combinations must pass
         parse_rule("IF x >= 5 AND x <= 5 THEN anomaly IS true")
         parse_rule("IF x > 1 AND x > 2 AND x < 9 THEN anomaly IS true")
+
+    SATISFIABILITY_GRID = (-1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-323, 0.5, 1.0, 1e308)
+
+    def test_satisfiability_agrees_with_the_exact_oracle(self):
+        rng = np.random.default_rng(20240210)
+        accepted = 0
+        for _ in range(10_000):
+            conds = [
+                Condition("ab"[int(rng.random() < 0.3)], str(rng.choice(PREDICATES)),
+                          float(rng.choice(self.SATISFIABILITY_GRID)))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            try:
+                Rule("r", conds, True)
+            except ValueError as exc:
+                assert not antecedent_satisfiable(conds), conds
+                assert str(exc).startswith("rule 'r': contradictory conditions on attribute "), exc
+            else:
+                assert antecedent_satisfiable(conds), conds
+                accepted += 1
+        assert 3_000 < accepted < 7_000
 
     def test_parse_render_roundtrip(self):
         rng = np.random.default_rng(7)
