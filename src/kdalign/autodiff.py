@@ -12,10 +12,12 @@ saturating primitive is the eps-shifted log.
 A ``Forward`` runs the same network code without recording it, for passes
 that never call ``backward``: scoring, E_F and the pretraining validation.
 It has the Tape's forward primitives, but a node id is the value itself, so
-each temporary is freed once the next op has read it.  Its broadcast_row and
-broadcast_col return their input, and the add or hadamard that follows
-broadcasts it; an elementwise op gives the same bits either way.  Use a Tape
-whenever a gradient is needed, a Forward otherwise.
+each temporary is freed once the next op has read it.  Its broadcast_col
+returns its input for the hadamard after it to broadcast.  Its ``linear``
+adds the bias in place, from a bias's second use on out of a block of
+repeated rows built once per Forward: numpy's broadcast loop for a 1xK row
+is about twice as slow as a same-shape add.  Elementwise ops give the same
+bits either way.  Use a Tape for a gradient, a Forward otherwise.
 
 A network's parameters live in a ``ParamSet``: one contiguous float64 vector
 with a named 2-D view per tensor, and a gradient vector beside it, so that an
@@ -174,6 +176,9 @@ class Tape:
     def scalar(self, value: float) -> int:
         return self.constant(np.array([[float(value)]]))
 
+    def linear(self, x: int, w: int, b: int) -> int:
+        return self.add(self.matmul(x, w), self.broadcast_row(b, self._values[x].shape[0]))
+
     # -- reverse sweep ------------------------------------------------------
 
     def backward(self, loss: int) -> list[np.ndarray | None]:
@@ -212,7 +217,10 @@ class Tape:
 
 class Forward:
     """The Tape's forward primitives for a pass that records nothing: a node
-    id is its value, and a broadcast is left to the elementwise op after it."""
+    id is its value.  It keeps ``linear``'s bias blocks: one pass per Forward."""
+
+    def __init__(self):
+        self._blocks: list[list[np.ndarray]] = []  # [bias row, the row or its repeated rows]
 
     @staticmethod
     def value(nid: np.ndarray) -> np.ndarray:
@@ -231,6 +239,16 @@ class Forward:
             raise ShapeError(f"matmul {a.shape} @ {b.shape}")
         return a @ b
 
+    def linear(self, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = self.matmul(x, w)  # a fresh array: the bias is added in place
+        held = next((h for h in self._blocks if h[0] is b), None)
+        if held is None:  # a first use adds the row: a block used once would not pay off
+            self._blocks.append([b, b])
+            return np.add(out, b, out=out)
+        if len(held[1]) < len(out):
+            held[1] = b.repeat(len(out), axis=0)
+        return np.add(out, held[1][: len(out)], out=out)
+
     add = staticmethod(np.add)
     hadamard = staticmethod(np.multiply)
     sigmoid = staticmethod(stable_sigmoid)
@@ -240,10 +258,8 @@ class Forward:
         return np.maximum(a, 0.0)
 
     @staticmethod
-    def broadcast_row(a: np.ndarray, count: int) -> np.ndarray:
+    def broadcast_col(a: np.ndarray, count: int) -> np.ndarray:
         return a
-
-    broadcast_col = broadcast_row
 
 
 # ---------------------------------------------------------------------------

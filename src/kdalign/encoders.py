@@ -69,8 +69,8 @@ def init_head(model: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
     return values
 
 
-def _linear_named(tape: Tape | Forward, x: int, ids, w_name: str, b_name: str, rows: int) -> int:
-    return tape.add(tape.matmul(x, ids[w_name]), tape.broadcast_row(ids[b_name], rows))
+def _linear_named(tape: Tape | Forward, x: int, ids, w_name: str, b_name: str) -> int:
+    return tape.linear(x, ids[w_name], ids[b_name])
 
 
 def _dropout(tape: Tape, x: int, rate: float, seed_parts: tuple[int, ...]) -> int:
@@ -91,7 +91,7 @@ def encode_tape(
     dropout_seed: int | tuple[int, ...] = 0,
 ) -> int:
     """E_X for a batch node: hidden ReLU layers, identity on the output layer."""
-    rows, cols = tape.value(x_id).shape
+    cols = tape.value(x_id).shape[1]
     first = tape.value(ids["enc/w0" if model.kind == "mlp" else "enc/stem_w"])
     if cols != first.shape[0]:
         raise ShapeError(f"input width {cols} != encoder width {first.shape[0]}")
@@ -99,18 +99,18 @@ def encode_tape(
         z = x_id
         n_layers = len(model.hidden)
         for i in range(n_layers):
-            z = _linear_named(tape, z, ids, f"enc/w{i}", f"enc/b{i}", rows)
+            z = _linear_named(tape, z, ids, f"enc/w{i}", f"enc/b{i}")
             if i < n_layers - 1:
                 z = tape.relu(z)
         return z
     seed = dropout_seed if isinstance(dropout_seed, tuple) else (dropout_seed,)
-    z = _linear_named(tape, x_id, ids, "enc/stem_w", "enc/stem_b", rows)
+    z = _linear_named(tape, x_id, ids, "enc/stem_w", "enc/stem_b")
     for i in range(model.blocks):
-        h = _linear_named(tape, z, ids, f"enc/block{i}/w1", f"enc/block{i}/b1", rows)
+        h = _linear_named(tape, z, ids, f"enc/block{i}/w1", f"enc/block{i}/b1")
         h = tape.relu(h)
         if train:
             h = _dropout(tape, h, model.dropout_first, (*seed, i, 0))
-        h = _linear_named(tape, h, ids, f"enc/block{i}/w2", f"enc/block{i}/b2", rows)
+        h = _linear_named(tape, h, ids, f"enc/block{i}/w2", f"enc/block{i}/b2")
         if train:
             h = _dropout(tape, h, model.dropout_second, (*seed, i, 1))
         z = tape.add(z, h)
@@ -119,13 +119,13 @@ def encode_tape(
 
 def score_tape(tape: Tape | Forward, e_id: int, model: ModelConfig, ids: dict[str, int]) -> int:
     """One score per row of E_X."""
-    rows, cols = tape.value(e_id).shape
+    cols = tape.value(e_id).shape[1]
     if cols != embed_width(model):
         raise ShapeError(f"embedding width {cols} != head width {embed_width(model)}")
     z = e_id
     n_layers = len(model.head_hidden) + 1
     for i in range(n_layers):
-        z = _linear_named(tape, z, ids, f"head/w{i}", f"head/b{i}", rows)
+        z = _linear_named(tape, z, ids, f"head/w{i}", f"head/b{i}")
         if i < n_layers - 1:
             z = tape.relu(z)
     if model.transform == "sigmoid":
@@ -184,20 +184,25 @@ def forward_scores(
     The rows stream through in independent blocks of SCORE_CHUNK rows, so
     memory stays bounded however many rows come.  Each block is standardized
     on its own, padded with zero rows to a multiple of ROW_ALIGN and run
-    through the encoder and head on a non-recording ``Forward``; the padded
+    through the encoder and head on one non-recording ``Forward``; the padded
     scores are dropped.  The padding makes every row go through the same BLAS
     gemm kernel: numpy sends a 1-row matmul to gemv, and gemm rounds the rows
     of a partial tile differently from a full one.  So, with one BLAS thread,
     a row's score does not depend on which other rows are scored with it.
+    With more than one block, ``mean``, ``std`` and each bias are added from
+    blocks of repeated rows (see ``Forward``): broadcasting cost a quarter.
     """
     scores = np.empty(len(X))
     fwd = Forward()
     ids = bind_params(fwd, params)
-    buf = np.empty((-(-min(len(X), SCORE_CHUNK) // ROW_ALIGN) * ROW_ALIGN, X.shape[1]))
+    shape = (-(-min(len(X), SCORE_CHUNK) // ROW_ALIGN) * ROW_ALIGN, X.shape[1])
+    buf = np.empty(shape)
+    tall = shape[0] if len(X) > SCORE_CHUNK else 1  # one 1xd row slices to itself
+    mean, std = (np.reshape(v, (1, -1)).repeat(tall, axis=0) for v in (mean, std))
     for start in range(0, len(X), SCORE_CHUNK):
         rows = min(SCORE_CHUNK, len(X) - start)
         x = buf[: -(-rows // ROW_ALIGN) * ROW_ALIGN]
-        np.divide(np.subtract(X[start : start + rows], mean, out=x[:rows]), std, out=x[:rows])
+        np.divide(np.subtract(X[start : start + rows], mean[:rows], out=x[:rows]), std[:rows], out=x[:rows])
         x[rows:] = 0.0
         e = encode_tape(fwd, fwd.constant(x), model, ids)
         scores[start : start + rows] = score_tape(fwd, e, model, ids)[:rows, 0]

@@ -177,7 +177,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None =
             write_training_log(outcome.log, os.path.join(out_dir, f"train_seed{seed}.jsonl"))
     if out_dir:
         write_effective_config(cfg, out_dir)
-        _write_report(report, out_dir, "report")
+        _write_report(report, out_dir, "report", cfg)
     return report
 
 
@@ -201,11 +201,15 @@ def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = No
             _add_seed_rows(report, data, knowledge, cfg, seed, noise_ratio=ratio)
     if out_dir:
         write_effective_config(cfg, out_dir)
-        _write_report(report, out_dir, "noise_report")
+        _write_report(report, out_dir, "noise_report", cfg, per=" per noise ratio")
     return report
 
 
-def _write_report(report: MetricReport, out_dir: str, stem: str) -> None:
+def _write_report(report: MetricReport, out_dir: str, stem: str, cfg: dict, per: str = "") -> None:
+    """The report as text and CSV; the text ends with what each ± spans."""
+    n, seed = len(cfg["eval"]["seeds"]), cfg["know_encoder"]["seed"]
+    spans = f"mean±std over {n} split seed{'s' * (n != 1)} (eval.seeds){per}; "
+    spans += f"one knowledge encoder{per} (know_encoder.seed {seed})\n"
     os.makedirs(out_dir, exist_ok=True)
-    for suffix, text in ((".txt", report.to_table()), (".csv", report.to_delimited())):
+    for suffix, text in ((".txt", report.to_table() + spans), (".csv", report.to_delimited())):
         write_atomic(os.path.join(out_dir, stem + suffix), text)

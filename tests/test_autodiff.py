@@ -3,9 +3,12 @@ import pytest
 
 from kdalign import gcn
 from kdalign.autodiff import Forward, ParamSet, Tape, bind_params
-from kdalign.config import KnowEncoderConfig
+from kdalign.config import KnowEncoderConfig, ModelConfig, OtConfig, TrainConfig
+from kdalign.encoders import embed_width
 from kdalign.errors import NumericError, ShapeError
-from kdalign.train import Adam
+from kdalign.evaluate import split_dataset
+from kdalign.synthetic import make_synthetic
+from kdalign.train import Adam, train
 from oracles import grad_check
 
 
@@ -79,14 +82,13 @@ class TestForwardExecutor:
         mask = (rng.random((rows, 1)) < 0.5).astype(np.float64)
         cases = [
             (lambda e, x, w: e.matmul(x, w), x, w),
-            (lambda e, z, b: e.add(z, e.broadcast_row(b, rows)), z, bias),
+            (lambda e, x, w, b: e.linear(x, w, b), x, w, bias),
             (lambda e, m, z: e.hadamard(e.broadcast_col(m, fan_out), z), mask, z),
             (lambda e, z, y: e.add(z, y), z, 2.0 * z[::-1]),
             (lambda e, z, y: e.hadamard(z, y), z, z[::-1]),
             (lambda e, z: e.relu(z), z),
             (lambda e, z: e.sigmoid(e.add(z, z)), 400.0 * z),
-            (lambda e, x, w, b: e.relu(e.add(e.matmul(x, w), e.broadcast_row(b, rows))),
-             x, w, bias),
+            (lambda e, x, w, b: e.relu(e.linear(x, w, b)), x, w, bias),
         ]
         for i, (fn, *arrays) in enumerate(cases):
             tape_out, fwd_out = self.both(fn, *arrays)
@@ -106,6 +108,41 @@ class TestForwardExecutor:
         f = Forward()
         with pytest.raises(ShapeError, match=r"matmul \(2, 3\) @ \(2, 2\)"):
             f.matmul(np.ones((2, 3)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("rows, fan_in, fan_out", SHAPES)
+    def test_one_forward_reuses_its_bias_blocks(self, rows, fan_in, fan_out):
+        """A first use adds the bias row; later uses add a block of repeated
+        rows, a row slice of it for a shorter input and a new block for a
+        taller one; a second bias of the same shape gets its own block."""
+        rng = np.random.default_rng(rows + fan_out)
+        x, w = rng.normal(size=(rows, fan_in)), rng.normal(size=(fan_in, fan_out))
+        first, second = rng.normal(size=(1, fan_out)), rng.normal(size=(1, fan_out))
+        shorter = x[: -(-rows // 2)]
+        f = Forward()
+        uses = [(shorter, first), (x, first), (shorter, first)]
+        uses += [(x, second), (shorter, second), (x, second)]
+        for x_in, bias in uses:
+            t = Tape()
+            want = t.value(t.linear(t.leaf(x_in), t.leaf(w), t.leaf(bias)))
+            assert f.linear(x_in, w, bias).tobytes() == want.tobytes()
+
+    def test_tape_linear_records_matmul_broadcast_row_add(self):
+        rng = np.random.default_rng(4)
+        arrays = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+
+        def run(fn):
+            t = Tape()
+            ids = [t.leaf(a) for a in arrays]
+            loss = t.reduce_mean(t.square(fn(t, *ids)))
+            adj = t.backward(loss)
+            return t, [adj[i] for i in ids]
+
+        fused, fused_grads = run(lambda t, x, w, b: t.linear(x, w, b))
+        spelled, spelled_grads = run(lambda t, x, w, b: t.add(t.matmul(x, w), t.broadcast_row(b, 5)))
+        assert [op for op, _, _ in fused._records[3:6]] == ["matmul", "broadcast_row", "add"]
+        assert fused._records == spelled._records
+        for got, want in zip(fused_grads, spelled_grads):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBackward:
@@ -507,3 +544,35 @@ class TestBindParamsNoCopy:
                 np.testing.assert_array_equal(tape.value(nid), snapshot[k])
         first, last = bound[1][2], bound[-1][2]  # bound[0]: the initial validation pass
         assert any(not np.array_equal(first[k], last[k]) for k in first)
+
+
+class TestTapeSizes:
+    """The tape sizes per backward that the benchmark's traced W1 run pins
+    (29 nodes per λ=0 training step, 47 per λ>0 step, 524 per pretraining
+    step), checked here on small inputs with the default sections."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        seen = []
+        backward = Tape.backward
+
+        def counting(tape, loss):
+            seen.append(len(tape))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting)
+        return seen
+
+    @pytest.mark.parametrize("rule_weight, nodes", [(0.0, 29), (0.5, 47)])
+    def test_training_step(self, sizes, rule_weight, nodes):
+        data, _ = make_synthetic(seed=0, n_normal=300, n_direct=20, n_rule=30)
+        split = split_dataset(data, [], k_labeled=10, seed=0)
+        model = ModelConfig()
+        e_f = np.random.default_rng(0).normal(size=(3, embed_width(model)))
+        train(split, model, e_f, TrainConfig(epochs=1, rule_weight=rule_weight), OtConfig())
+        assert sizes and set(sizes) == {nodes}
+
+    def test_pretraining_step(self, sizes):
+        clauses = [(1, -2), (3, -4), (-1, 5)]
+        gcn.pretrain_encoder(clauses, KnowEncoderConfig(steps=3), embed_width(ModelConfig()))
+        assert sizes and set(sizes) == {524}

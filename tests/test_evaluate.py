@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kdalign.config import load_config
 from kdalign.errors import DataError
 from kdalign.evaluate import (
     Dataset,
@@ -11,6 +12,7 @@ from kdalign.evaluate import (
     save_csv,
     split_dataset,
 )
+from kdalign.experiment import noise_study, run_experiment
 from kdalign.rules import parse_rule
 from kdalign.synthetic import make_synthetic
 from oracles import auprc_group_loop, average_precision, rec_at_k, recall_at_k
@@ -280,3 +282,28 @@ class TestMetricReport:
         assert table.splitlines()[-1].split() == ["0.6000±0.1000", "0.5000±0.1000"]
         csv_text = report.to_delimited()
         assert csv_text.splitlines()[0] == "seed,auprc,rec_at_k"
+
+
+class TestReportFiles:
+    """``report.txt`` is the returned report's table and one last line that
+    says what each ± spans; ``report.csv`` is its rows alone."""
+
+    @pytest.mark.parametrize(
+        "study, stem, seeds, spans",
+        [
+            (run_experiment, "report", "0,1", "mean±std over 2 split seeds (eval.seeds); "
+             "one knowledge encoder (know_encoder.seed 3)"),
+            (noise_study, "noise_report", "0", "mean±std over 1 split seed (eval.seeds) per "
+             "noise ratio; one knowledge encoder per noise ratio (know_encoder.seed 3)"),
+        ],
+        ids=["experiment", "noise-study"],
+    )
+    def test_text_ends_with_what_the_spread_spans(self, tmp_path, study, stem, seeds, spans):
+        data, _ = make_synthetic(seed=1, n_normal=200, n_direct=20, n_rule=20)
+        overrides = {"rules.max_depth": "2", "rules.min_leaf": "5", "rules.feature_indices": "2",
+                     "eval.k_labeled": "5", "know_encoder.steps": "5", "know_encoder.seed": "3",
+                     "train.epochs": "1", "eval.seeds": seeds, "eval.noise_ratios": "0,0.2"}
+        report = study(load_config(None, list(overrides.items())), out_dir=str(tmp_path), data=data)
+        text = (tmp_path / f"{stem}.txt").read_text()
+        assert text == report.to_table() + spans + "\n"
+        assert (tmp_path / f"{stem}.csv").read_text() == report.to_delimited()
