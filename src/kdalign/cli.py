@@ -53,7 +53,6 @@ from .atomic import write_atomic
 from .autodiff import ParamSet
 from .config import SCHEMA, ModelConfig, RulesConfig, load_config, render_value
 from .config import write_effective_config
-from .ddnnf import compile_ddnnf
 from .encoders import embed_width
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import auprc, load_csv, rec_at_k_detail, save_csv
@@ -176,7 +175,7 @@ def cmd_compile_rules(args) -> int:
             {
                 "id": rule.rule_id,
                 "text": render_rule(rule),
-                "ddnnf_nodes": compile_ddnnf(clause).n_nodes(),
+                "ddnnf_nodes": 4 * len(clause) - 1,
                 "variables": sorted(abs(lit) for lit in clause),
                 "model_count": 2 ** len(clause) - 1,
             }

@@ -1,8 +1,12 @@
-"""Knowledge encoder: d-DNNF graphs -> GCN embeddings.
+"""Knowledge encoder: formula graphs -> GCN embeddings.
 
-A compiled formula becomes an undirected graph (one node per d-DNNF node
-plus a global node linked to everything, self-loops added) and is encoded
-with a multi-layer GCN using the symmetric-normalized propagation rule.
+The GCN sees formulae of two shapes, each built straight into an undirected
+graph: a rule's clause as its d-DNNF decision chain
+c_i = l_i OR (NOT l_i AND c_{i+1}) (``clause_graph``), and an assignment as
+the AND of its literals (``assignment_graph``).  Each graph holds one node
+per AND, OR and literal leaf plus a global node linked to everything, with
+self-loops, and is encoded with a multi-layer GCN using the
+symmetric-normalized propagation rule.
 Node heterogeneity is realized by routing each node's row through the weight
 matrix of its node type before aggregation.  The formula embedding is the
 global node's output row.  One GCN forward serves both passes: pretraining
@@ -24,9 +28,8 @@ import numpy as np
 
 from .autodiff import Forward, ParamSet, Tape, accumulate_grads, bind_params
 from .config import KnowEncoderConfig
-from .ddnnf import DdnnfGraph, K_AND, K_LEAF, K_OR, compile_ddnnf
 from .encoders import glorot
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 NODE_TYPES = ("and", "or", "leaf", "global")
 TYPE_INDEX = {t: i for i, t in enumerate(NODE_TYPES)}
@@ -47,7 +50,7 @@ class FormulaGraph:
     node_types: np.ndarray  # int codes into NODE_TYPES
     features: np.ndarray  # N x (4 + var_capacity)
     adj: np.ndarray  # symmetric, self-loops on the diagonal
-    children: list[tuple[int, ...]]  # d-DNNF child lists (empty for global)
+    children: list[tuple[int, ...]]  # child ids of AND and OR nodes (empty elsewhere)
     global_index: int
     norm: np.ndarray = field(init=False)  # D^-1/2 adj D^-1/2
     masks: list[np.ndarray] = field(init=False)  # one N x 1 mask per node type
@@ -65,60 +68,60 @@ class FormulaGraph:
         ]
 
 
-def ddnnf_to_graph(graph: DdnnfGraph, var_capacity: int) -> FormulaGraph:
-    """Augmented undirected graph for one compiled formula.
+def clause_graph(clause: tuple[int, ...], width: int) -> FormulaGraph:
+    """The graph of a clause's decision chain over its literals sorted by
+    variable: c_i = l_i OR (NOT l_i AND c_{i+1}), c_k the leaf l_k.
 
-    Only nodes reachable from the root are kept.  TRUE/FALSE sinks map to
-    leaf-typed nodes with an all-zero literal encoding.  Initial features are
-    the node-type one-hot concatenated with a signed variable one-hot for
-    literal leaves, padded to 4 + var_capacity.
+    Nodes come in the order a Shannon-expansion compiler creates them: the
+    leaf of each positive l_i on the way down, the leaf l_k, then per step
+    back up the leaf NOT l_i, the AND, the leaf l_i when it is negative, and
+    the OR, which lists the branch on +v_i first: 4k - 3 nodes for k
+    literals, plus the global node.
     """
-    reachable = set()
-    stack = [graph.root]
-    while stack:
-        nid = stack.pop()
-        if nid in reachable:
-            continue
-        reachable.add(nid)
-        stack.extend(graph.children[nid])
-    order = sorted(reachable)
-    remap = {nid: i for i, nid in enumerate(order)}
-    n = len(order) + 1  # plus the global node
-    global_index = n - 1
+    nodes: list[tuple[str, int, tuple[int, ...]]] = []
 
-    type_codes = np.empty(n, dtype=np.int64)
-    features = np.zeros((n, 4 + var_capacity))
-    children: list[tuple[int, ...]] = []
-    adj = np.zeros((n, n))
-    for nid in order:
-        i = remap[nid]
-        kind = graph.kinds[nid]
-        if kind == K_AND:
-            code = TYPE_INDEX["and"]
-        elif kind == K_OR:
-            code = TYPE_INDEX["or"]
-        else:  # leaf, true, false
-            code = TYPE_INDEX["leaf"]
-        type_codes[i] = code
-        features[i, code] = 1.0
-        if kind == K_LEAF:
-            lit = graph.literals[nid]
-            var = abs(lit)
-            if var > var_capacity:
-                raise ShapeError(f"literal variable {var} exceeds encoder capacity {var_capacity}")
-            features[i, 4 + var - 1] = 1.0 if lit > 0 else -1.0
-        kids = tuple(remap[c] for c in graph.children[nid])
-        children.append(kids)
+    def node(kind: str, literal: int = 0, kids: tuple[int, ...] = ()) -> int:
+        nodes.append((kind, literal, kids))
+        return len(nodes) - 1
+
+    lits = sorted(clause, key=abs)
+    own = [node("leaf", lit) if lit > 0 else None for lit in lits[:-1]]
+    root = node("leaf", lits[-1])
+    for i in range(len(lits) - 2, -1, -1):
+        lit = lits[i]
+        rest = node("and", 0, (node("leaf", -lit), root))
+        root = node("or", 0, (own[i], rest) if lit > 0 else (rest, node("leaf", lit)))
+    return _formula_graph(nodes, width)
+
+
+def assignment_graph(model: tuple[int, ...], width: int) -> FormulaGraph:
+    """The graph of a full assignment, one signed literal per variable: the
+    AND of its leaves sorted by variable, or the one leaf of a single
+    variable."""
+    lits = sorted(model, key=abs)
+    nodes = [("leaf", lit, ()) for lit in lits]
+    if len(lits) > 1:
+        nodes.append(("and", 0, tuple(range(len(lits)))))
+    return _formula_graph(nodes, width)
+
+
+def _formula_graph(nodes: list[tuple[str, int, tuple[int, ...]]], width: int) -> FormulaGraph:
+    """A formula's (type, literal, children) nodes, children before parents,
+    plus a global node linked to every node, with self-loops.  A node's
+    features are its type one-hot, then for a leaf its literal as a signed
+    one-hot over variables, 4 + ``width`` wide."""
+    n = len(nodes) + 1
+    node_types = np.array([TYPE_INDEX[kind] for kind, _, _ in nodes] + [TYPE_INDEX["global"]])
+    features = np.zeros((n, 4 + width))
+    features[np.arange(n), node_types] = 1.0
+    adj = np.eye(n)
+    adj[n - 1, :] = adj[:, n - 1] = 1.0
+    for i, (_, lit, kids) in enumerate(nodes):
+        if lit:
+            features[i, 4 + abs(lit) - 1] = 1.0 if lit > 0 else -1.0
         for c in kids:
-            adj[i, c] = 1.0
-            adj[c, i] = 1.0
-    type_codes[global_index] = TYPE_INDEX["global"]
-    features[global_index, TYPE_INDEX["global"]] = 1.0
-    children.append(())
-    adj[global_index, :] = 1.0
-    adj[:, global_index] = 1.0
-    np.fill_diagonal(adj, 1.0)
-    return FormulaGraph(type_codes, features, adj, children, global_index)
+            adj[i, c] = adj[c, i] = 1.0
+    return FormulaGraph(node_types, features, adj, [kids for _, _, kids in nodes] + [()], n - 1)
 
 
 def layer_dims(config: KnowEncoderConfig, var_capacity: int, embed: int) -> list[tuple[int, int]]:
@@ -187,15 +190,6 @@ def embed_formulae(
 # ---------------------------------------------------------------------------
 
 
-def assignment_graph(model: tuple[int, ...]) -> DdnnfGraph:
-    """Conjunction-of-literals d-DNNF for a full assignment, given as one
-    signed literal per variable."""
-    n, lits = len(model), sorted(model, key=abs)
-    if n == 1:
-        return DdnnfGraph([K_LEAF], lits, [()], root=0)
-    return DdnnfGraph([K_LEAF] * n + [K_AND], lits + [0], [()] * n + [tuple(range(n))], root=n)
-
-
 @dataclass
 class PretrainResult:
     """The snapshot with the best held-out triplet accuracy, and E_F: the
@@ -226,10 +220,11 @@ def pretrain_encoder(
     """Train the knowledge encoder, ``embed`` wide out and wide enough in for
     every proposition of ``clauses``, on (formula, sat, unsat) triplets.
 
-    Each formula is a rule's clause, compiled to its d-DNNF chain for the
-    GCN; its satisfying assignments are all but one, drawn by index with
-    ``clause_model``, and its one falsifying assignment sets every literal
-    false.  The triplet loss
+    Each formula is a rule's clause, as the graph of its decision chain
+    (``clause_graph``); its satisfying assignments are all but one, drawn by
+    index with ``clause_model``, and its one falsifying assignment sets
+    every literal false; each distinct assignment gets one graph, the AND of
+    its literals (``assignment_graph``).  The triplet loss
     max(0, d(e_f, e_sat) - d(e_f, e_unsat) + margin) is averaged over one
     sampled triple per formula per step; AND nodes are pulled toward the
     mean of their children, OR children toward unit mean squared spread.
@@ -249,11 +244,11 @@ def pretrain_encoder(
                 f"formula {idx} has {len(clause)} variables; enumeration bound is {MAX_ENUM_VARS}"
             )
         clause = tuple(sorted(clause, key=abs))
-        corpus.append((ddnnf_to_graph(compile_ddnnf(clause), var_capacity), clause))
+        corpus.append((clause_graph(clause, var_capacity), clause))
 
     @functools.cache
     def fg_of(model: tuple[int, ...]) -> FormulaGraph:
-        return ddnnf_to_graph(assignment_graph(model), var_capacity)
+        return assignment_graph(model, var_capacity)
 
     def draw_sat_unsat(clause: tuple[int, ...]) -> tuple[FormulaGraph, FormulaGraph]:
         sat = clause_model(clause, int(rng.integers(2 ** len(clause) - 1)))

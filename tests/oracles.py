@@ -5,11 +5,17 @@ loops, a Sinkhorn loop that re-measures its plan every iteration.  The
 general d-DNNF compiler the package once used for any CNF lives here too
 (``compile_cnf``: Shannon expansion with hash-consing and a memo over
 residual clause sets), with its evaluator, model counter and decomposability
-and determinism checks: it is the reference that a rule's directly built
-decision chain (``ddnnf.compile_ddnnf``) is checked against.  None of it
-shares code with the implementations under test, except that the unrolled
-Sinkhorn and the finite-difference gradient check are built from the tape's
-primitives, ``compile_cnf`` returns the package's ``DdnnfGraph``,
+and determinism checks.  So does the path by which the package once built a
+GCN graph: a rule's clause compiled to its decision chain
+(``compile_ddnnf``) or an assignment to its AND of literals
+(``assignment_ddnnf``), each a ``DdnnfGraph`` with the chain's TRUE/FALSE
+sinks, then converted by ``ddnnf_to_graph`` with a reachability walk and an
+id remap.  ``compile_cnf`` is the chain's reference, and the chain and
+``ddnnf_to_graph`` are the reference of ``gcn.clause_graph`` and
+``gcn.assignment_graph``.  None of it shares code with the implementations
+under test, except that the unrolled Sinkhorn and the finite-difference
+gradient check are built from the tape's primitives, ``ddnnf_to_graph``
+returns the package's ``FormulaGraph`` with its ``TYPE_INDEX`` codes,
 ``rec_at_k`` reads ``rec_at_k_detail``, ``gcn_forward`` reads the GCN's
 parameter names and layer widths, ``fit_tree_argsort`` runs the Gini split
 kernel ``best_split_scan``, and ``acquire_rules_argsort`` reads its trees'
@@ -25,10 +31,9 @@ import numpy as np
 
 from kdalign.acquisition import DecisionTree, TreeNode, extract_anomaly_paths
 from kdalign.autodiff import ParamSet, Tape, bind_params
-from kdalign.ddnnf import K_AND, K_FALSE, K_LEAF, K_OR, K_TRUE, DdnnfGraph
 from kdalign.errors import DataError, ShapeError
 from kdalign.evaluate import rec_at_k_detail
-from kdalign.gcn import NODE_TYPES, param_name
+from kdalign.gcn import NODE_TYPES, TYPE_INDEX, FormulaGraph, param_name
 from kdalign.kernels import best_split_scan
 
 
@@ -404,6 +409,120 @@ def rec_at_k(scores, labels):
     """Rec@K alone, without the k and tie flag of ``rec_at_k_detail``."""
     value, _, _ = rec_at_k_detail(scores, labels)
     return value
+
+
+K_AND, K_OR, K_LEAF, K_TRUE, K_FALSE = "and", "or", "leaf", "true", "false"
+
+
+@dataclass
+class DdnnfGraph:
+    """Rooted DAG with node kinds and, or, leaf, true, false.
+
+    ``literals[i]`` is the signed variable id for leaf nodes (0 otherwise);
+    ``children[i]`` lists child node ids, each lower than i.
+    """
+
+    kinds: list[str]
+    literals: list[int]
+    children: list[tuple[int, ...]]
+    root: int
+
+    def n_nodes(self) -> int:
+        return len(self.kinds)
+
+
+def compile_ddnnf(clause: tuple[int, ...]) -> DdnnfGraph:
+    """The decision chain of a non-empty clause of signed variable ids over
+    distinct variables: 4k - 1 nodes for k literals, sinks included.
+
+    With the literals sorted by variable, node c_i is
+    ``l_i OR (NOT l_i AND c_{i+1})`` and c_k is the leaf l_k; an OR lists
+    the branch on +v_i first.  Nodes are numbered in the order a
+    Shannon-expansion compiler creates them: the TRUE and FALSE sinks first
+    (unreachable from the root), then each positive l_i's leaf on the way
+    down the chain, then, on the way back up, the branch leaves, ANDs and
+    ORs."""
+    kinds, literals, children = [K_TRUE, K_FALSE], [0, 0], [(), ()]
+
+    def node(kind: str, literal: int = 0, kids: tuple[int, ...] = ()) -> int:
+        kinds.append(kind)
+        literals.append(literal)
+        children.append(kids)
+        return len(kinds) - 1
+
+    lits = sorted(clause, key=abs)
+    own = [node(K_LEAF, lit) if lit > 0 else None for lit in lits[:-1]]
+    root = node(K_LEAF, lits[-1])
+    for i in range(len(lits) - 2, -1, -1):
+        lit = lits[i]
+        rest = node(K_AND, 0, (node(K_LEAF, -lit), root))
+        root = node(K_OR, 0, (own[i], rest) if lit > 0 else (rest, node(K_LEAF, lit)))
+    return DdnnfGraph(kinds, literals, children, root)
+
+
+def assignment_ddnnf(model: tuple[int, ...]) -> DdnnfGraph:
+    """Conjunction-of-literals d-DNNF for a full assignment, given as one
+    signed literal per variable."""
+    n, lits = len(model), sorted(model, key=abs)
+    if n == 1:
+        return DdnnfGraph([K_LEAF], lits, [()], root=0)
+    return DdnnfGraph([K_LEAF] * n + [K_AND], lits + [0], [()] * n + [tuple(range(n))], root=n)
+
+
+def ddnnf_to_graph(graph: DdnnfGraph, var_capacity: int) -> FormulaGraph:
+    """Augmented undirected graph for one compiled formula.
+
+    Only nodes reachable from the root are kept.  TRUE/FALSE sinks map to
+    leaf-typed nodes with an all-zero literal encoding.  Initial features are
+    the node-type one-hot concatenated with a signed variable one-hot for
+    literal leaves, padded to 4 + var_capacity.
+    """
+    reachable = set()
+    stack = [graph.root]
+    while stack:
+        nid = stack.pop()
+        if nid in reachable:
+            continue
+        reachable.add(nid)
+        stack.extend(graph.children[nid])
+    order = sorted(reachable)
+    remap = {nid: i for i, nid in enumerate(order)}
+    n = len(order) + 1  # plus the global node
+    global_index = n - 1
+
+    type_codes = np.empty(n, dtype=np.int64)
+    features = np.zeros((n, 4 + var_capacity))
+    children: list[tuple[int, ...]] = []
+    adj = np.zeros((n, n))
+    for nid in order:
+        i = remap[nid]
+        kind = graph.kinds[nid]
+        if kind == K_AND:
+            code = TYPE_INDEX["and"]
+        elif kind == K_OR:
+            code = TYPE_INDEX["or"]
+        else:  # leaf, true, false
+            code = TYPE_INDEX["leaf"]
+        type_codes[i] = code
+        features[i, code] = 1.0
+        if kind == K_LEAF:
+            lit = graph.literals[nid]
+            var = abs(lit)
+            if var > var_capacity:
+                raise ShapeError(f"literal variable {var} exceeds encoder capacity {var_capacity}")
+            features[i, 4 + var - 1] = 1.0 if lit > 0 else -1.0
+        kids = tuple(remap[c] for c in graph.children[nid])
+        children.append(kids)
+        for c in kids:
+            adj[i, c] = 1.0
+            adj[c, i] = 1.0
+    type_codes[global_index] = TYPE_INDEX["global"]
+    features[global_index, TYPE_INDEX["global"]] = 1.0
+    children.append(())
+    adj[global_index, :] = 1.0
+    adj[:, global_index] = 1.0
+    np.fill_diagonal(adj, 1.0)
+    return FormulaGraph(type_codes, features, adj, children, global_index)
 
 
 def check_determinism(graph, exhaustive_max_vars=16):

@@ -18,6 +18,7 @@ from kdalign.evaluate import load_csv
 from kdalign.experiment import build_knowledge, run_seed
 from kdalign.rules import Condition, Rule, load_rules, save_rules
 from kdalign.train import MAGIC, VERSION, ModelCheckpoint, infer, load_checkpoint, save_checkpoint
+from oracles import compile_ddnnf
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -732,13 +733,19 @@ def test_failed_write_keeps_the_old_file(small_csv, tmp_path, monkeypatch, capsy
 
 
 def test_compile_rules_takes_a_rule_of_any_width(tmp_path):
-    """A 21-condition rule compiles: a clause of k = 22 literals has 2^k - 1
-    models and a chain of 4k - 1 d-DNNF nodes, sinks included."""
-    argv = _wide_rule(tmp_path, 21, "compile-rules")
-    assert cli.main([str(a) for a in argv]) == 0
-    wide = json.loads((tmp_path / "out.json").read_text())["rules"][0]
-    assert wide["variables"] == list(range(1, 23))
-    assert wide["model_count"] == 2**22 - 1
+    """A rule of 1 to 21 conditions compiles: a clause of k literals has
+    2^k - 1 models and a chain of 4k - 1 d-DNNF nodes, sinks included, as
+    many as the reference chain has."""
+    for n_conditions in (1, 2, 7, 21):
+        out = tmp_path / str(n_conditions)
+        out.mkdir()
+        argv = _wide_rule(out, n_conditions, "compile-rules")
+        assert cli.main([str(a) for a in argv]) == 0
+        k = n_conditions + 1
+        wide = json.loads((out / "out.json").read_text())["rules"][0]
+        assert wide["variables"] == list(range(1, k + 1))
+        assert wide["model_count"] == 2**k - 1
+        assert wide["ddnnf_nodes"] == compile_ddnnf((*range(-1, -k, -1), k)).n_nodes()
     assert wide["ddnnf_nodes"] == 87
 
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from kdalign.ddnnf import K_FALSE, K_LEAF, K_OR, compile_ddnnf
 from oracles import (
+    K_FALSE,
+    K_LEAF,
+    K_OR,
     all_assignments,
     check_decomposability,
     check_determinism,
     compile_cnf,
+    compile_ddnnf,
     count_models,
     eval_clauses,
     eval_ddnnf,

@@ -5,12 +5,12 @@ import pytest
 
 from kdalign import gcn
 from kdalign.autodiff import ParamSet, Tape, bind_params
-from kdalign.ddnnf import compile_ddnnf
+from kdalign.experiment import compile_rules
 from kdalign.gcn import (
     NODE_TYPES,
     assignment_graph,
+    clause_graph,
     clause_model,
-    ddnnf_to_graph,
     embed_formulae,
     formula_embedding_tape,
     gcn_forward_tape,
@@ -23,7 +23,8 @@ from kdalign.gcn import (
 from kdalign.gcn import FormulaGraph, TYPE_INDEX
 from kdalign.config import KnowEncoderConfig
 from kdalign.errors import DataError
-from oracles import all_assignments, compile_cnf, gcn_forward
+from kdalign.rules import parse_rule
+from oracles import all_assignments, assignment_ddnnf, compile_ddnnf, ddnnf_to_graph, gcn_forward
 
 
 def forward(fg, spec, params):
@@ -43,8 +44,7 @@ def homogeneous_params(spec, var_capacity, embed, rng):
 
 class TestGraphConversion:
     def test_single_leaf(self):
-        g = compile_ddnnf((1,))
-        fg = ddnnf_to_graph(g, var_capacity=4)
+        fg = clause_graph((1,), 4)
         assert fg.node_types.shape[0] == 2
         np.testing.assert_array_equal(fg.adj, [[1.0, 1.0], [1.0, 1.0]])
         assert fg.node_types[fg.global_index] == TYPE_INDEX["global"]
@@ -52,36 +52,67 @@ class TestGraphConversion:
         assert fg.features[0, 4] == 1.0
 
     def test_negative_literal_sign(self):
-        fg = ddnnf_to_graph(assignment_graph((-2,)), var_capacity=4)
+        fg = assignment_graph((-2,), 4)
         assert fg.features[0, 4 + 1] == -1.0
 
     def test_global_connected_to_all(self):
-        g = compile_ddnnf((-1, -2, 3))
-        fg = ddnnf_to_graph(g, var_capacity=4)
-        n = fg.adj.shape[0]
+        fg = clause_graph((-1, -2, 3), 4)
         gi = fg.global_index
         assert (fg.adj[gi] == 1.0).all()
         assert (fg.adj[:, gi] == 1.0).all()
-        # one more node than the reachable d-DNNF nodes
-        reachable = set()
-        stack = [g.root]
-        while stack:
-            nid = stack.pop()
-            if nid not in reachable:
-                reachable.add(nid)
-                stack.extend(g.children[nid])
-        assert n == len(reachable) + 1
+        # the chain's 4k - 1 nodes less its two sinks, plus the global node
+        assert fg.adj.shape[0] == 4 * 3 - 2
 
     def test_adjacency_symmetric_with_self_loops(self):
-        g = compile_cnf([[1, 2], [-2, 3]])
-        fg = ddnnf_to_graph(g, var_capacity=8)
-        np.testing.assert_array_equal(fg.adj, fg.adj.T)
-        np.testing.assert_array_equal(np.diag(fg.adj), np.ones(fg.adj.shape[0]))
-        assert (fg.adj.sum(axis=1) >= 1).all()
+        for fg in (clause_graph((1, -2, 3), 8), assignment_graph((1, -2, 3), 8)):
+            np.testing.assert_array_equal(fg.adj, fg.adj.T)
+            np.testing.assert_array_equal(np.diag(fg.adj), np.ones(fg.adj.shape[0]))
+            assert (fg.adj.sum(axis=1) >= 1).all()
 
-    def test_capacity_exceeded(self):
-        with pytest.raises(Exception, match="capacity"):
-            ddnnf_to_graph(assignment_graph((9,)), var_capacity=4)
+
+def assert_same_graph(got, want):
+    """Every field of two FormulaGraphs, derived ones included, equal."""
+    for name in ("node_types", "features", "adj", "norm"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.children == want.children
+    assert got.global_index == want.global_index
+    assert len(got.masks) == len(want.masks)
+    assert all(np.array_equal(a, b) for a, b in zip(got.masks, want.masks))
+    assert [m is None for m in got.child_means] == [m is None for m in want.child_means]
+    assert all(np.array_equal(a, b) for a, b in zip(got.child_means, want.child_means) if a is not None)
+
+
+class TestBuildersMatchTheDdnnfPath:
+    """``clause_graph`` and ``assignment_graph`` against the reference path:
+    the d-DNNF chain or conjunction, converted by ``ddnnf_to_graph``."""
+
+    def check_clause(self, clause, width, rng):
+        assert_same_graph(clause_graph(clause, width), ddnnf_to_graph(compile_ddnnf(clause), width))
+        ordered = tuple(sorted(clause, key=abs))
+        n_models = 2 ** len(ordered) - 1
+        picks = range(n_models) if n_models <= 8 else rng.integers(n_models, size=4)
+        models = [clause_model(ordered, int(j)) for j in picks]
+        for model in [*models, tuple(-lit for lit in ordered)]:
+            assert_same_graph(assignment_graph(model, width), ddnnf_to_graph(assignment_ddnnf(model), width))
+
+    def test_random_clauses_and_their_models(self):
+        rng = np.random.default_rng(22)
+        widths = rng.integers(1, 17, size=1200)
+        assert (widths == 1).sum() > 50 and (widths == 16).sum() > 50
+        for k in widths:
+            variables = rng.choice(np.arange(1, 31), size=k, replace=False)
+            clause = tuple(int(v) if rng.random() < 0.5 else -int(v) for v in variables)
+            self.check_clause(clause, 30 + int(rng.integers(3)), rng)
+
+    def test_the_three_pinned_rules(self):
+        # the rules of test_logic's test_three_rule_graphs_are_pinned
+        rules = [
+            parse_rule("IF f1 > 0.5 AND f2 <= 1 THEN anomaly IS true"),
+            parse_rule("IF f2 <= 1 AND f3 != 2 AND f1 > 0.5 THEN anomaly IS true"),
+            parse_rule("IF f4 = 0 AND f4 = 0 THEN anomaly IS false"),
+        ]
+        for clause in compile_rules(rules)[1]:
+            self.check_clause(clause, VAR_CAPACITY, np.random.default_rng(0))
 
 
 class TestForward:
@@ -93,7 +124,7 @@ class TestForward:
     def test_layer_widths_come_from_the_weights(self):
         # each layer is as wide out as its weights; the config gives no width
         rng = np.random.default_rng(4)
-        fg = ddnnf_to_graph(compile_ddnnf((-1, -2, 3)), 5)
+        fg = clause_graph((-1, -2, 3), 5)
         spec = KnowEncoderConfig(layers=2)
         for embed in (3, 7):
             params = init_know_encoder(spec, 5, embed, rng)
@@ -158,9 +189,8 @@ class TestForward:
 
     def test_tape_matches_numpy_forward(self):
         rng = np.random.default_rng(3)
-        g = compile_ddnnf((-1, -2, 3))
         spec = KnowEncoderConfig(layers=2, hidden=6)
-        fg = ddnnf_to_graph(g, 8)
+        fg = clause_graph((-1, -2, 3), 8)
         params = init_know_encoder(spec, 8, 4, rng)
         t = Tape()
         ids = bind_params(t, params)
@@ -169,9 +199,8 @@ class TestForward:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        g = compile_cnf([[1, 2], [-1, 3]])
         spec = KnowEncoderConfig(layers=2, hidden=6)
-        fg = ddnnf_to_graph(g, 8)
+        fg = clause_graph((1, -2, 3), 8)
         params = init_know_encoder(spec, 8, 4, rng)
         base = embed_formulae([fg], spec, params)
 
@@ -192,8 +221,8 @@ class TestForward:
         rng = np.random.default_rng(6)
         spec = KnowEncoderConfig(layers=2, hidden=6)
         params = init_know_encoder(spec, 8, 4, rng)
-        g1 = ddnnf_to_graph(compile_ddnnf((1, 2)), 8)
-        g2 = ddnnf_to_graph(compile_ddnnf((1, 2)), 8)
+        g1 = clause_graph((1, 2), 8)
+        g2 = clause_graph((1, 2), 8)
         e = embed_formulae([g1, g2], spec, params)
         np.testing.assert_array_equal(e[0], e[1])
 
@@ -201,7 +230,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         spec = KnowEncoderConfig(layers=2, hidden=6)
         params = init_know_encoder(spec, 8, 4, rng)
-        graphs = [ddnnf_to_graph(compile_cnf(c), 8) for c in ([[1, 2]], [[1], [-2, 3]], [[-3]])]
+        graphs = [clause_graph((1, 2), 8), assignment_graph((1, -2, 3), 8), clause_graph((-3,), 8)]
         listed = [graphs[i] for i in (0, 1, 0, 2, 2, 1, 0)]
         got = embed_formulae(listed, spec, params)
         for row, fg in zip(got, listed):
@@ -214,8 +243,8 @@ class TestForward:
         rng = np.random.default_rng(9)
         spec = KnowEncoderConfig(layers=3, hidden=6)
         params = init_know_encoder(spec, 8, 4, rng)
-        graphs = [ddnnf_to_graph(compile_cnf(c), 8) for c in ([[1, -2, 3]], [[1], [2]], [[-3]])]
-        assignment = ddnnf_to_graph(assignment_graph((1, -2, 3)), 8)
+        graphs = [clause_graph((1, -2, 3), 8), assignment_graph((1, 2), 8), clause_graph((-3,), 8)]
+        assignment = assignment_graph((1, -2, 3), 8)
         listed = [graphs[0], assignment, graphs[1], graphs[0], graphs[2], assignment]
         t = Tape()
         ids = bind_params(t, params)
@@ -276,7 +305,7 @@ class TestPretrain:
         # the first pass to read the best accuracy set it: step 0, a middle
         # pass that the last one ties, or the last pass
         assert next(s for s, acc in result.val_history if acc == result.best_val_accuracy) == best_step
-        graphs = [ddnnf_to_graph(compile_ddnnf(c), VAR_CAPACITY) for c in clauses]
+        graphs = [clause_graph(c, VAR_CAPACITY) for c in clauses]
         expected = embed_formulae(graphs, cfg, result.params)
         assert result.e_f.flags.c_contiguous
         assert result.e_f.tobytes() == expected.tobytes()
@@ -305,9 +334,9 @@ class TestPretrain:
         clauses = [(1,), (-1,)]
         cfg = KnowEncoderConfig(steps=120, seed=2, margin=1.0, hidden=8)
         result = pretrain_encoder(clauses, cfg, 8)
-        fg_p = ddnnf_to_graph(compile_ddnnf(clauses[0]), VAR_CAPACITY)
-        fg_sat = ddnnf_to_graph(assignment_graph((1,)), VAR_CAPACITY)
-        fg_unsat = ddnnf_to_graph(assignment_graph((-1,)), VAR_CAPACITY)
+        fg_p = clause_graph(clauses[0], VAR_CAPACITY)
+        fg_sat = assignment_graph((1,), VAR_CAPACITY)
+        fg_unsat = assignment_graph((-1,), VAR_CAPACITY)
         e_p, e_s, e_u = embed_formulae([fg_p, fg_sat, fg_unsat], cfg, result.params)
         assert ((e_p - e_s) ** 2).sum() < ((e_p - e_u) ** 2).sum()
 

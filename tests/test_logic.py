@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from kdalign.ddnnf import compile_ddnnf
 from kdalign.experiment import compile_rules
 from kdalign.logic import PropositionTable, rule_to_clause
 from kdalign.rules import PREDICATES, Condition, Rule, format_threshold, parse_rule
@@ -9,6 +8,7 @@ from oracles import (
     all_assignments,
     check_decomposability,
     check_determinism,
+    compile_ddnnf,
     eval_clauses,
     eval_ddnnf,
     model_count,
