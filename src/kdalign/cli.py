@@ -6,7 +6,24 @@ empty), keep the one with the best validation AUPRC and score the test
 split.  Its knowledge comes from the --encoder checkpoint or is pretrained
 on the [rules] path; with neither it trains once at lambda 0.  It writes
 checkpoint.kdal, training_log.jsonl (one JSON line per epoch) and
-effective_config.ini into --out.
+effective_config.ini into --out.  ``experiment --out`` writes one
+train_seed<N>.jsonl per seed, pretrain.jsonl, effective_config.ini and the
+report.  A training log line holds the epoch's ``epoch``, mean ``L_P``,
+``L_OT`` and ``total``, its ``val_auprc``, and its Sinkhorn solves: the
+mean and the largest iteration count (``sinkhorn_iters_mean``,
+``sinkhorn_iters_max``) and how many did not converge
+(``sinkhorn_nonconverged``), all 0 at lambda 0.  pretrain.jsonl holds one
+line per knowledge-encoder pretraining step, its ``step`` and ``loss``, plus
+its held-out triplet ``val_accuracy`` on the steps that ran a validation
+pass; the first line, step 0, holds only the untrained encoder's accuracy.
+
+A data CSV is UTF-8 with a header row.  Its ``label`` column holds 0 or 1,
+an optional ``split`` column holds train, val or test, and every other
+column is a feature whose cells are finite numbers as Python's ``float``
+reads them.  Cells may be quoted; each row has as many cells as the header.
+``infer`` scores the features and ignores labels: the ``label`` column may
+be missing or hold any text.  The other subcommands that read a CSV need
+the labels.
 
 The knowledge encoder has no width keys.  Each subcommand that pretrains it
 makes E_F as wide as the [model] encoder's embedding (the last [model] hidden
@@ -247,7 +264,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     ck = load_checkpoint(args.checkpoint)
-    data = load_csv(args.data)
+    data = load_csv(args.data, labeled=False)
     scores = infer(ck, data.X)
     write_atomic(args.out, (f"{float(s)!r}\n" for s in scores))
     print(f"wrote {scores.size} scores to {args.out}")

@@ -11,6 +11,9 @@ with precision@k and F1@k.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,30 +52,78 @@ class Dataset:
         return self.X.shape[0]
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, labeled: bool = True) -> Dataset:
     """Read a dataset CSV: header required, numeric features, a 0/1 ``label``
-    column, and an optional ``split`` column of train/val/test tags.
+    column, and an optional ``split`` column of train/val/test tags.  With
+    ``labeled`` false the ``label`` column may be absent and its cells are
+    not read: ``y`` is 0 on every row.
 
-    One pass over the rows appends each row's feature values to one
-    ``array('d')`` and its label to one ``array('b')``; ``X`` is a
-    ``(rows, features)`` view of that buffer, so no per-row lists are kept
-    and the values are not copied again."""
+    The body is read in blocks of whole lines, about ``_BLOCK_CHARS`` of text
+    each, and numpy's C reader parses a block in two passes: the feature
+    columns as float64, and the label and split columns as text.  A block is
+    taken only if its text holds no ``"`` and no NUL, its comma count is
+    (columns - 1) times its line count, both passes give one row per line
+    (loadtxt skips blank lines), every label is exactly ``0`` or ``1`` and
+    every tag is in ``SPLIT_TAGS``.  The
+    first block that fails a test, and every line after it, go through the
+    row loop: ``csv.reader`` with ``float()`` on each cell, which takes
+    ``float()``'s wider grammar (``1_000``) and raises the ``DataError`` that
+    names the bad row and column.  Both paths give the same values, and the
+    first that fails, so the file loads to the same bytes either way.
+
+    Rows append to one ``array('d')`` and one ``array('b')``; ``X`` is a
+    ``(rows, features)`` view of that buffer, so the memory held beyond the
+    output is about one block."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
-        if "label" not in header:
+        if labeled and "label" not in header:
             raise DataError(f"{path}: missing required 'label' column")
-        label_col = header.index("label")
+        label_col = header.index("label") if "label" in header else None
         split_col = header.index("split") if "split" in header else None
         feature_cols = [
             i for i in range(len(header)) if i != label_col and i != split_col
         ]
         names = [header[i] for i in feature_cols]
         values, labels, splits = array("d"), array("b"), []
-        for lineno, record in enumerate(reader, start=2):
+        # the two passes' columns cover every column, so loadtxt refuses a short row
+        text_cols = [i for i in (label_col, split_col) if i is not None]
+        read = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
+
+        def read_block(lines: list[str]) -> bool:
+            """Append a block parsed by ``np.loadtxt`` and return True, or
+            append nothing and return False when it fails a test above."""
+            text = "".join(lines)
+            if '"' in text or "\0" in text or text.count(",") != (len(header) - 1) * len(lines):
+                return False
+            try:
+                with warnings.catch_warnings():  # loadtxt warns as it skips a blank line
+                    warnings.simplefilter("ignore")
+                    X = read(lines, dtype=np.float64, usecols=feature_cols)
+                    tokens = read(lines, dtype=str, usecols=text_cols) if text_cols else X
+            except ValueError:
+                return False
+            if X.shape[0] != len(lines) or tokens.shape[0] != len(lines):
+                return False
+            y = (tokens[:, 0] == "1").view(np.int8) if labeled else np.zeros(len(lines), np.int8)
+            if labeled and np.count_nonzero(y) + np.count_nonzero(tokens[:, 0] == "0") != len(lines):
+                return False
+            if split_col is not None:
+                if not np.isin(tokens[:, -1], SPLIT_TAGS).all():
+                    return False
+                splits.extend(tokens[:, -1].tolist())
+            values.frombytes(X.tobytes())
+            labels.frombytes(y.tobytes())
+            return True
+
+        lines = fh.readlines(_BLOCK_CHARS)
+        while lines and read_block(lines):
+            lines = fh.readlines(_BLOCK_CHARS)
+        rows = csv.reader(itertools.chain(lines, fh))
+        for lineno, record in enumerate(rows, start=len(labels) + 2):
             if len(record) != len(header):
                 raise DataError(
                     f"{path}: row {lineno}: expected {len(header)} cells, got {len(record)}"
@@ -89,12 +140,12 @@ def load_csv(path) -> Dataset:
                             f"non-numeric cell {record[i]!r}"
                         ) from None
                 raise
-            if record[label_col] not in ("0", "1"):
+            if labeled and record[label_col] not in ("0", "1"):
                 raise DataError(
                     f"{path}: row {lineno}, column 'label': expected 0 or 1, "
                     f"got {record[label_col]!r}"
                 )
-            labels.append(int(record[label_col]))
+            labels.append(labeled and record[label_col] == "1")
             if split_col is not None:
                 tag = record[split_col]
                 if tag not in SPLIT_TAGS:
@@ -113,6 +164,9 @@ def load_csv(path) -> Dataset:
         )
     split = np.array(splits) if split_col is not None else None
     return Dataset(X, np.array(labels), names, split)
+
+
+_BLOCK_CHARS = 1 << 18  # the text of one block of lines, about 256 KB
 
 
 class _Line:

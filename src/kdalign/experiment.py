@@ -10,6 +10,7 @@ ratio.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, replace
 
@@ -176,6 +177,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None, data: Dataset | None =
             os.makedirs(out_dir, exist_ok=True)
             write_training_log(outcome.log, os.path.join(out_dir, f"train_seed{seed}.jsonl"))
     if out_dir:
+        _write_pretrain_log(knowledge.pretrain, os.path.join(out_dir, "pretrain.jsonl"))
         write_effective_config(cfg, out_dir)
         _write_report(report, out_dir, "report", cfg)
     return report
@@ -203,6 +205,19 @@ def noise_study(cfg: dict, out_dir: str | None = None, data: Dataset | None = No
         write_effective_config(cfg, out_dir)
         _write_report(report, out_dir, "noise_report", cfg, per=" per noise ratio")
     return report
+
+
+def _write_pretrain_log(result: PretrainResult, path: str) -> None:
+    """One JSON line per pretraining step: its ``step`` (from 1) and
+    ``loss``, plus ``val_accuracy`` on the steps that ran a validation pass;
+    a first line, step 0, holds the untrained encoder's ``val_accuracy``."""
+    accuracy = dict(result.val_history)
+    lines = [{"step": 0, "val_accuracy": accuracy[0]}]
+    for step, loss in enumerate(result.loss_history, start=1):
+        lines.append({"step": step, "loss": loss})
+        if step in accuracy:
+            lines[-1]["val_accuracy"] = accuracy[step]
+    write_atomic(path, "".join(json.dumps(line) + "\n" for line in lines))
 
 
 def _write_report(report: MetricReport, out_dir: str, stem: str, cfg: dict, per: str = "") -> None:

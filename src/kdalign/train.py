@@ -57,18 +57,27 @@ from .ot import cost_matrix_tape, ot_loss_tape, sinkhorn
 MAGIC = b"KDAL"
 VERSION = 4
 SECTIONS = ("model", "know_encoder")  # ModelCheckpoint fields stored as their section dicts
+_LOG_KEYS = ("epoch", "L_P", "L_OT", "total", "val_auprc", "sinkhorn_iters_mean",
+             "sinkhorn_iters_max", "sinkhorn_nonconverged")  # EpochRecord's fields in a log line
 
 
 @dataclass
 class EpochRecord:
+    """One epoch's mean losses and validation AUPRC, and its Sinkhorn solves:
+    the mean and largest iteration count and the solves that did not
+    converge (all 0 when the epoch ran no OT term)."""
+
     epoch: int
     l_p: float
     l_ot: float
     total: float
     val_auprc: float
+    sinkhorn_iters_mean: float = 0.0
+    sinkhorn_iters_max: int = 0
+    sinkhorn_nonconverged: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(dict(zip(("epoch", "L_P", "L_OT", "total", "val_auprc"), astuple(self))))
+        return json.dumps(dict(zip(_LOG_KEYS, astuple(self))))
 
 
 class Adam:
@@ -313,7 +322,7 @@ def train(
 
     for epoch in range(1, config.epochs + 1):
         lp_sum = lot_sum = 0.0
-        failures = 0
+        failures = iters_sum = iters_max = 0
         for _ in range(steps_per_epoch):
             fill = pool if pool.size <= need else rng.choice(pool, size=need, replace=False)
             xb = X_train[np.concatenate([anom_pos, fill])]
@@ -341,6 +350,8 @@ def train(
                 plan = sinkhorn(c_value, mu, nu, epsilon, max_iter=ot.max_iter, tol=ot.tol)
                 if not plan.converged:
                     failures += 1
+                iters_sum += plan.iterations
+                iters_max = max(iters_max, plan.iterations)
                 l_ot = ot_loss_tape(tape, c_id, plan.plan)
                 l_ot_value = float(tape.value(l_ot)[0, 0])
                 total = tape.add(l_p, tape.smul(l_ot, config.rule_weight))
@@ -370,6 +381,9 @@ def train(
             lot_sum / steps_per_epoch,
             (lp_sum + config.rule_weight * lot_sum) / steps_per_epoch,
             val_auprc,
+            iters_sum / steps_per_epoch,
+            iters_max,
+            failures,
         )
         log.append(record)
         if val_auprc > best_val:

@@ -619,6 +619,47 @@ def test_train_encoder_pretrained_under_another_model_exits_1(small_csv, tmp_pat
     assert not (tmp_path / "run").exists()
 
 
+def test_infer_ignores_labels(small_csv, tmp_path, capsys):
+    # a CSV cut without its label column, or with a label of '?', scores as
+    # the labeled file does; train still refuses the '?'
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data.path", str(small_csv), "--out", str(run),
+                     "--train.epochs=1"]) == 0
+    assert small_csv.read_text().startswith("f1,f2,f3,f4,label\n")
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in small_csv.read_text().splitlines()))
+    unknown = _with_cell(tmp_path, small_csv, 7, 4, "?")
+    scores = []
+    for data in (small_csv, unlabeled, unknown):
+        out = tmp_path / f"{data.stem}.txt"
+        argv = ["infer", "--checkpoint", run / "checkpoint.kdal", "--data", data, "--out", out]
+        assert cli.main([str(a) for a in argv]) == 0
+        scores.append(out.read_bytes())
+    assert scores[0] == scores[1] == scores[2]
+    code, line = run_one_line(["train", "--data.path", unknown, "--out", tmp_path / "run2",
+                               "--train.epochs=1"], capsys)
+    assert code == 2
+    assert line == f"data error: {unknown}: row 7, column 'label': expected 0 or 1, got '?'"
+
+
+def test_experiment_writes_the_pretraining_curve(small_csv, tmp_path):
+    out = tmp_path / "out"
+    argv = ["experiment", "--data.path", small_csv, "--out", out, "--rules.max_depth=2",
+            "--rules.min_leaf=5", "--rules.feature_indices=2", "--know_encoder.steps=7",
+            "--know_encoder.eval_every=3", "--train.epochs=1", "--eval.seeds=0",
+            "--eval.include_baseline=false"]
+    assert cli.main([str(a) for a in argv]) == 0
+    pre = build_knowledge(load_csv(str(small_csv)), load_config(str(out / "effective_config.ini"))).pretrain
+    lines = [json.loads(line) for line in (out / "pretrain.jsonl").read_text().splitlines()]
+    assert [line["step"] for line in lines] == list(range(8))
+    assert [line["loss"] for line in lines[1:]] == pre.loss_history
+    assert [(line["step"], line["val_accuracy"]) for line in lines if "val_accuracy" in line] == [
+        (step, acc) for step, acc in pre.val_history
+    ]
+    assert [step for step, _ in pre.val_history] == [0, 3, 6, 7] and "loss" not in lines[0]
+
+
 def test_train_echoes_the_data_path(small_csv, tmp_path):
     out = tmp_path / "run"
     argv = ["train", "--data.path", str(small_csv), "--out", str(out), "--train.epochs=1"]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from kdalign import evaluate
 from kdalign.config import load_config
 from kdalign.errors import DataError
 from kdalign.evaluate import (
+    SPLIT_TAGS,
     Dataset,
     MetricReport,
     auprc,
@@ -76,6 +78,68 @@ class TestCsv:
         path.write_text("a,label,split\n1,0,dev\n")
         with pytest.raises(DataError, match="unknown tag"):
             load_csv(path)
+
+
+# Each row: CSV text, then (feature names, X, y, split) or the DataError
+# text after "<path>: ".  The block reader parses blocks of plain lines with
+# np.loadtxt and sends the first block that fails a test, and the rest of
+# the file, to the csv.reader row loop; both must read a file as the row loop
+# alone does.
+SECOND_BLOCK = "a,label\n" + "0.5,1\n" * 60_000  # 360 KB: line 60,002 is past the first block
+BLOCK_READER_CASES = {
+    "crlf": ("a,b,label\r\n1,2,0\r\n3,4,1\r\n", (["a", "b"], [[1, 2], [3, 4]], [0, 1], None)),
+    "quoted-header-and-cell": (
+        '"a,b",c,label,split\n"1.5",2,1,test\n3,4,0,val\n',
+        (["a,b", "c"], [[1.5, 2], [3, 4]], [1, 0], ["test", "val"]),
+    ),
+    "blank-line": ("a,label\n1,0\n\n2,1\n", "row 3: expected 2 cells, got 0"),
+    "float-grammar": ("a,b,label\n1_000,\u0661,1\n", (["a", "b"], [[1000, 1]], [1], None)),
+    "label-space-1": ("a,label\n1,0\n1, 1\n", "row 3, column 'label': expected 0 or 1, got ' 1'"),
+    "label-1.0": ("a,label\n1,1.0\n", "row 2, column 'label': expected 0 or 1, got '1.0'"),
+    "nan": ("a,b,label\n1,2,0\n3,nan,0\n", "row 3, column 'b': non-finite value nan"),
+    "1e500": ("a,label\n1e500,0\n", "row 2, column 'a': non-finite value inf"),
+    "short-row": ("a,b,label\n1,2,0\n1,2\n", "row 3: expected 3 cells, got 2"),
+    "long-row": ("a,b,label\n1,2,0,4\n", "row 2: expected 3 cells, got 4"),
+    "hash": ("a,label\n#3,0\n", "row 2, column 'a': non-numeric cell '#3'"),
+    "bare-cr-line-ends": ("a,label\r1,0\r2,1\r", (["a"], [[1], [2]], [0, 1], None)),
+    "bare-cr-in-a-row": ("a,b,label\n1,\r2,0\n", "row 2: expected 3 cells, got 2"),
+    "nul-in-a-label": ("a,label\n1,1\x00\n", "row 2, column 'label': expected 0 or 1, got '1\\x00'"),
+    "bad-cell-in-second-block": (
+        SECOND_BLOCK + "x,0\n", "row 60002, column 'a': non-numeric cell 'x'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_READER_CASES))
+def test_block_reader_reads_as_the_row_loop(tmp_path, case):
+    text, want = BLOCK_READER_CASES[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(want, str):
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: {want}"
+        return
+    names, X, y, split = want
+    data = load_csv(path)
+    assert data.feature_names == names
+    np.testing.assert_array_equal(data.X, np.array(X, dtype=np.float64).reshape(len(y), -1))
+    np.testing.assert_array_equal(data.y, y)
+    assert (data.split is None) if split is None else data.split.tolist() == split
+
+
+def test_blocks_read_the_bytes_the_row_loop_reads(tmp_path, monkeypatch):
+    # a save_csv round trip with a split column, in one block and in 2 KB blocks
+    data, _ = make_synthetic(seed=4, n_normal=300, n_direct=20, n_rule=30, n_features=5)
+    split = np.array(SPLIT_TAGS)[np.arange(data.n_samples) % 3]
+    data = Dataset(data.X, data.y, data.feature_names, split=split)
+    path = tmp_path / "data.csv"
+    save_csv(data, path)
+    for chars in (evaluate._BLOCK_CHARS, 2048):
+        monkeypatch.setattr(evaluate, "_BLOCK_CHARS", chars)
+        again = load_csv(path)
+        assert again.X.tobytes() == data.X.tobytes() and again.y.tobytes() == data.y.tobytes()
+        assert again.split.tolist() == split.tolist() and again.split.dtype == split.dtype
 
 
 def toy_dataset(n=1000, anomaly_rate=0.1, seed=0):

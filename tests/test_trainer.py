@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import struct
 import zlib
 from pathlib import Path
@@ -247,6 +248,31 @@ class TestTrainLoop:
         assert checkpoints_equal(ck_zero, dataclasses.replace(ck_off, e_f=e_f))
         assert [r.l_p for r in log_zero] == [r.l_p for r in log_off]
         assert all(r.l_ot == 0.0 for r in log_zero)
+
+    def test_log_records_each_epochs_sinkhorn_solves(self, monkeypatch):
+        split = toy_split()
+        model = small_model()
+        e_f = np.random.default_rng(5).normal(size=(3, embed_width(model)))
+        plans = []
+        solve = train_module.sinkhorn
+        monkeypatch.setattr(train_module, "sinkhorn", lambda *a, **k: plans.append(solve(*a, **k)) or plans[-1])
+        # at 50 iterations the last two epochs each leave one of 5 solves unconverged
+        _, log = train(split, model, e_f, fast_config(rule_weight=1.0), OtConfig(max_iter=50))
+        steps = len(plans) // len(log)
+        for record, start in zip(log, range(0, len(plans), steps)):
+            epoch = plans[start : start + steps]
+            assert record.sinkhorn_iters_mean == sum(p.iterations for p in epoch) / steps
+            assert record.sinkhorn_iters_max == max(p.iterations for p in epoch)
+            assert record.sinkhorn_nonconverged == sum(not p.converged for p in epoch)
+        assert [r.sinkhorn_nonconverged for r in log] == [0, 1, 1]
+        assert list(json.loads(log[0].to_json())) == [
+            "epoch", "L_P", "L_OT", "total", "val_auprc",
+            "sinkhorn_iters_mean", "sinkhorn_iters_max", "sinkhorn_nonconverged",
+        ]
+        _, log_zero = train(split, model, e_f, fast_config(rule_weight=0.0))
+        assert [json.loads(r.to_json())["sinkhorn_iters_max"] for r in log_zero] == [0, 0, 0]
+        assert {(r.sinkhorn_iters_mean, r.sinkhorn_iters_max, r.sinkhorn_nonconverged)
+                for r in log_zero} == {(0, 0, 0)}
 
     def test_ot_changes_trajectory(self):
         split = toy_split()
