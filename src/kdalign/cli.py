@@ -17,13 +17,13 @@ line per knowledge-encoder pretraining step, its ``step`` and ``loss``, plus
 its held-out triplet ``val_accuracy`` on the steps that ran a validation
 pass; the first line, step 0, holds only the untrained encoder's accuracy.
 
-A data CSV is UTF-8 with a header row.  Its ``label`` column holds 0 or 1,
-an optional ``split`` column holds train, val or test, and every other
-column is a feature whose cells are finite numbers as Python's ``float``
-reads them.  Cells may be quoted; each row has as many cells as the header.
-``infer`` scores the features and ignores labels: the ``label`` column may
-be missing or hold any text.  The other subcommands that read a CSV need
-the labels.
+A data CSV is UTF-8 with a header row of distinct column names.  Its
+``label`` column holds 0 or 1, an optional ``split`` column holds train, val
+or test, and every other column is a feature whose cells are finite numbers
+as Python's ``float`` reads them.  Cells may be quoted; each row has as many
+cells as the header.  ``infer`` scores the features and ignores labels: the
+``label`` column may be missing or hold any text.  The other subcommands
+that read a CSV need the labels.
 
 The knowledge encoder has no width keys.  Each subcommand that pretrains it
 makes E_F as wide as the [model] encoder's embedding (the last [model] hidden
@@ -38,7 +38,8 @@ column such as ``x-1`` exits 2 and writes nothing; ``--out r.json`` works.
 
 ``compile-rules`` writes one JSON object.  ``propositions`` lists each
 proposition the rules use, with its ``id``, ``subject``, ``predicate`` and
-``object``.  ``rules`` holds per rule its ``id`` and ``text``, the
+``object``, numbered in first-use order: each rule's conditions in turn,
+then its consequent.  ``rules`` holds per rule its ``id`` and ``text``, the
 ``variables`` of its clause (its distinct conditions and its consequent, k in
 all), ``ddnnf_nodes`` = 4k - 1 (the decision chain plus the two unreachable
 TRUE/FALSE sinks) and ``model_count`` = 2^k - 1.
@@ -185,8 +186,8 @@ def cmd_compile_rules(args) -> int:
     table, clauses = compile_rules(rules)
     payload = {
         "propositions": [
-            {"id": p.pid, "subject": p.subject, "predicate": p.predicate, "object": p.obj}
-            for p in table.propositions()
+            {"id": pid, "subject": subject, "predicate": predicate, "object": obj}
+            for (subject, predicate, obj), pid in table.items()
         ],
         "rules": [
             {

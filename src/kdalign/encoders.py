@@ -69,10 +69,6 @@ def init_head(model: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
     return values
 
 
-def _linear_named(tape: Tape | Forward, x: int, ids, w_name: str, b_name: str) -> int:
-    return tape.linear(x, ids[w_name], ids[b_name])
-
-
 def _dropout(tape: Tape, x: int, rate: float, seed_parts: tuple[int, ...]) -> int:
     if rate <= 0.0:
         return x
@@ -99,18 +95,18 @@ def encode_tape(
         z = x_id
         n_layers = len(model.hidden)
         for i in range(n_layers):
-            z = _linear_named(tape, z, ids, f"enc/w{i}", f"enc/b{i}")
+            z = tape.linear(z, ids[f"enc/w{i}"], ids[f"enc/b{i}"])
             if i < n_layers - 1:
                 z = tape.relu(z)
         return z
     seed = dropout_seed if isinstance(dropout_seed, tuple) else (dropout_seed,)
-    z = _linear_named(tape, x_id, ids, "enc/stem_w", "enc/stem_b")
+    z = tape.linear(x_id, ids["enc/stem_w"], ids["enc/stem_b"])
     for i in range(model.blocks):
-        h = _linear_named(tape, z, ids, f"enc/block{i}/w1", f"enc/block{i}/b1")
+        h = tape.linear(z, ids[f"enc/block{i}/w1"], ids[f"enc/block{i}/b1"])
         h = tape.relu(h)
         if train:
             h = _dropout(tape, h, model.dropout_first, (*seed, i, 0))
-        h = _linear_named(tape, h, ids, f"enc/block{i}/w2", f"enc/block{i}/b2")
+        h = tape.linear(h, ids[f"enc/block{i}/w2"], ids[f"enc/block{i}/b2"])
         if train:
             h = _dropout(tape, h, model.dropout_second, (*seed, i, 1))
         z = tape.add(z, h)
@@ -125,7 +121,7 @@ def score_tape(tape: Tape | Forward, e_id: int, model: ModelConfig, ids: dict[st
     z = e_id
     n_layers = len(model.head_hidden) + 1
     for i in range(n_layers):
-        z = _linear_named(tape, z, ids, f"head/w{i}", f"head/b{i}")
+        z = tape.linear(z, ids[f"head/w{i}"], ids[f"head/b{i}"])
         if i < n_layers - 1:
             z = tape.relu(z)
     if model.transform == "sigmoid":

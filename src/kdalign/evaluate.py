@@ -10,6 +10,7 @@ with precision@k and F1@k.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import itertools
@@ -53,10 +54,10 @@ class Dataset:
 
 
 def load_csv(path, labeled: bool = True) -> Dataset:
-    """Read a dataset CSV: header required, numeric features, a 0/1 ``label``
-    column, and an optional ``split`` column of train/val/test tags.  With
-    ``labeled`` false the ``label`` column may be absent and its cells are
-    not read: ``y`` is 0 on every row.
+    """Read a dataset CSV: a header of distinct column names, numeric
+    features, a 0/1 ``label`` column, and an optional ``split`` column of
+    train/val/test tags.  With ``labeled`` false the ``label`` column may be
+    absent and its cells are not read: ``y`` is 0 on every row.
 
     The body is read in blocks of whole lines, about ``_BLOCK_CHARS`` of text
     each, and numpy's C reader parses a block in two passes: the feature
@@ -80,6 +81,11 @@ def load_csv(path, labeled: bool = True) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
+        except csv.Error as e:
+            raise DataError(f"{path}: row 1: {e}") from None
+        repeated = [name for name, n in collections.Counter(header).items() if n > 1]
+        if repeated:
+            raise DataError(f"{path}: the header names column {repeated[0]!r} more than once")
         if labeled and "label" not in header:
             raise DataError(f"{path}: missing required 'label' column")
         label_col = header.index("label") if "label" in header else None
@@ -123,36 +129,39 @@ def load_csv(path, labeled: bool = True) -> Dataset:
         while lines and read_block(lines):
             lines = fh.readlines(_BLOCK_CHARS)
         rows = csv.reader(itertools.chain(lines, fh))
-        for lineno, record in enumerate(rows, start=len(labels) + 2):
-            if len(record) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno}: expected {len(header)} cells, got {len(record)}"
-                )
-            try:
-                values.fromlist([float(record[i]) for i in feature_cols])
-            except ValueError:
-                for i in feature_cols:
-                    try:
-                        float(record[i])
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {lineno}, column {header[i]!r}: "
-                            f"non-numeric cell {record[i]!r}"
-                        ) from None
-                raise
-            if labeled and record[label_col] not in ("0", "1"):
-                raise DataError(
-                    f"{path}: row {lineno}, column 'label': expected 0 or 1, "
-                    f"got {record[label_col]!r}"
-                )
-            labels.append(labeled and record[label_col] == "1")
-            if split_col is not None:
-                tag = record[split_col]
-                if tag not in SPLIT_TAGS:
+        try:
+            for lineno, record in enumerate(rows, start=len(labels) + 2):
+                if len(record) != len(header):
                     raise DataError(
-                        f"{path}: row {lineno}, column 'split': unknown tag {tag!r}"
+                        f"{path}: row {lineno}: expected {len(header)} cells, got {len(record)}"
                     )
-                splits.append(tag)
+                try:
+                    values.fromlist([float(record[i]) for i in feature_cols])
+                except ValueError:
+                    for i in feature_cols:
+                        try:
+                            float(record[i])
+                        except ValueError:
+                            raise DataError(
+                                f"{path}: row {lineno}, column {header[i]!r}: "
+                                f"non-numeric cell {record[i]!r}"
+                            ) from None
+                    raise
+                if labeled and record[label_col] not in ("0", "1"):
+                    raise DataError(
+                        f"{path}: row {lineno}, column 'label': expected 0 or 1, "
+                        f"got {record[label_col]!r}"
+                    )
+                labels.append(labeled and record[label_col] == "1")
+                if split_col is not None:
+                    tag = record[split_col]
+                    if tag not in SPLIT_TAGS:
+                        raise DataError(
+                            f"{path}: row {lineno}, column 'split': unknown tag {tag!r}"
+                        )
+                    splits.append(tag)
+        except csv.Error as e:  # e.g. a cell past csv.field_size_limit()
+            raise DataError(f"{path}: row {len(labels) + 2}: {e}") from None
     if not labels:
         raise DataError(f"{path}: no data rows")
     X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(feature_cols))

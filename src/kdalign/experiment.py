@@ -30,8 +30,7 @@ from .encoders import embed_width
 from .errors import ConfigError, DataError
 from .evaluate import Dataset, MetricReport, auprc, load_csv, rec_at_k_detail, split_dataset
 from .gcn import PretrainResult, pretrain_encoder
-from .logic import PropositionTable, rule_to_clause
-from .rules import Rule, load_rules
+from .rules import Rule, format_threshold, load_rules
 from .train import (
     EpochRecord,
     ModelCheckpoint,
@@ -59,10 +58,26 @@ def load_dataset(cfg: dict) -> Dataset:
     return load_csv(cfg["data"]["path"])
 
 
-def compile_rules(rules: list[Rule]) -> tuple[PropositionTable, list[tuple[int, ...]]]:
-    """One shared proposition table, and each rule's clause."""
-    table = PropositionTable()
-    return table, [rule_to_clause(rule, table) for rule in rules]
+def compile_rules(
+    rules: list[Rule],
+) -> tuple[dict[tuple[str, str, str], int], list[tuple[int, ...]]]:
+    """One shared proposition table ``{(subject, predicate, object): id}``,
+    and each rule's clause as a tuple of signed ids sorted by variable.
+
+    A rule ``(p_1 AND ... AND p_k) IMPLIES p_c`` is exactly the one clause
+    ``(NOT p_1 OR ... OR NOT p_k OR p_c)``.  Ids are 1-based and handed out
+    in first-use order: each rule's conditions in turn as (attribute,
+    operator, threshold string), then its consequent as (anomaly, is,
+    True/False).  A repeated condition gives one literal.  No condition has
+    the predicate ``is``, so a clause is never a tautology."""
+    table: dict[tuple[str, str, str], int] = {}
+    clauses = []
+    for rule in rules:
+        triples = [(c.attribute, c.predicate, format_threshold(c.threshold)) for c in rule.conditions]
+        triples.append(("anomaly", "is", str(rule.consequent)))
+        ids = [table.setdefault(t, len(table) + 1) for t in triples]
+        clauses.append(tuple(sorted({-i for i in ids[:-1]} | {ids[-1]}, key=abs)))
+    return table, clauses
 
 
 def build_knowledge(

@@ -2,6 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration, scalar
 loops, a Sinkhorn loop that re-measures its plan every iteration.  The
+interning ``PropositionTable`` and ``rule_to_clause`` by which the package
+once compiled rules are the reference of ``experiment.compile_rules``.  The
 general d-DNNF compiler the package once used for any CNF lives here too
 (``compile_cnf``: Shannon expansion with hash-consing and a memo over
 residual clause sets), with its evaluator, model counter and decomposability
@@ -16,10 +18,11 @@ id remap.  ``compile_cnf`` is the chain's reference, and the chain and
 under test, except that the unrolled Sinkhorn and the finite-difference
 gradient check are built from the tape's primitives, ``ddnnf_to_graph``
 returns the package's ``FormulaGraph`` with its ``TYPE_INDEX`` codes,
-``rec_at_k`` reads ``rec_at_k_detail``, ``gcn_forward`` reads the GCN's
-parameter names and layer widths, ``fit_tree_argsort`` runs the Gini split
-kernel ``best_split_scan``, and ``acquire_rules_argsort`` reads its trees'
-paths with ``extract_anomaly_paths``.
+``rule_to_clause`` reads ``format_threshold``, ``rec_at_k`` reads
+``rec_at_k_detail``, ``gcn_forward`` reads the GCN's parameter names and
+layer widths, ``fit_tree_argsort`` runs the Gini split kernel
+``best_split_scan``, and ``acquire_rules_argsort`` reads its trees' paths
+with ``extract_anomaly_paths``.
 """
 
 import itertools
@@ -35,6 +38,7 @@ from kdalign.errors import DataError, ShapeError
 from kdalign.evaluate import rec_at_k_detail
 from kdalign.gcn import NODE_TYPES, TYPE_INDEX, FormulaGraph, param_name
 from kdalign.kernels import best_split_scan
+from kdalign.rules import Rule, format_threshold
 
 
 def eval_clauses(clauses, assignment):
@@ -409,6 +413,53 @@ def rec_at_k(scores, labels):
     """Rec@K alone, without the k and tie flag of ``rec_at_k_detail``."""
     value, _, _ = rec_at_k_detail(scores, labels)
     return value
+
+
+@dataclass(frozen=True)
+class Proposition:
+    pid: int
+    subject: str
+    predicate: str
+    obj: str
+
+
+class PropositionTable:
+    """Interning table mapping (subject, predicate, object) triples to ids."""
+
+    def __init__(self):
+        self._by_triple: dict[tuple[str, str, str], Proposition] = {}
+
+    def intern(self, subject: str, predicate: str, obj: str) -> int:
+        key = (subject, predicate, obj)
+        prop = self._by_triple.get(key)
+        if prop is None:
+            prop = Proposition(len(self._by_triple) + 1, subject, predicate, obj)
+            self._by_triple[key] = prop
+        return prop.pid
+
+    def __len__(self) -> int:
+        return len(self._by_triple)
+
+    def propositions(self) -> list[Proposition]:
+        """All propositions in id order (ids are handed out in insertion order)."""
+        return list(self._by_triple.values())
+
+
+def rule_to_clause(rule: Rule, table: PropositionTable) -> tuple[int, ...]:
+    """The clause of ``rule``: its negated conditions and its consequent.
+
+    Conditions are interned in order as (attribute, operator, threshold
+    string), then the consequent as (anomaly, is, True/False); literals are
+    sorted by id, and a repeated condition gives one literal.  The consequent
+    has the predicate ``is``, which no condition has, so the clause is never
+    a tautology.
+    """
+    pids = {
+        table.intern(c.attribute, c.predicate, format_threshold(c.threshold))
+        for c in rule.conditions
+    }
+    consequent = table.intern("anomaly", "is", "True" if rule.consequent else "False")
+    return tuple(sorted([-p for p in pids] + [consequent], key=abs))
 
 
 K_AND, K_OR, K_LEAF, K_TRUE, K_FALSE = "and", "or", "leaf", "true", "false"

@@ -228,6 +228,12 @@ def _wide_rule(tmp_path, n_conditions, command):
     return ["pretrain", "--rules.path", argv[2], "--out", tmp_path / "enc.kdal"]
 
 
+def _data_file(tmp_path, text, command):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return [command, "--data.path", path, "--out", tmp_path / "out.rules"]
+
+
 def _infer_header_only(tmp_path, small_csv):
     data = tmp_path / "header.csv"
     data.write_text(small_csv.read_text().splitlines()[0] + "\n")
@@ -478,6 +484,18 @@ MALFORMED_FILES = {
     "eval-comment-only-scores": (
         lambda t, csv: _eval(t, "# only\n# comments\n", "1\n0\n"),
         "scores.txt: no values",
+    ),
+    "train-cell-past-field-limit": (  # csv.field_size_limit() is 131,072 characters
+        lambda t, csv: _data_file(t, 'f1,label\n"' + "1" * 200_000 + '",0\n', "train"),
+        "data.csv: row 2: field larger than field limit",
+    ),
+    "train-header-label-twice": (
+        lambda t, csv: _data_file(t, "f1,label,label\n1,0,0\n2,1,1\n", "train"),
+        "data.csv: the header names column 'label' more than once",
+    ),
+    "acquire-header-feature-twice": (
+        lambda t, csv: _data_file(t, "f1,f1,label\n1,0,0\n2,1,1\n", "acquire-rules"),
+        "data.csv: the header names column 'f1' more than once",
     ),
     "infer-header-only-csv": (
         _infer_header_only,

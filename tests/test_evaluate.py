@@ -107,6 +107,16 @@ BLOCK_READER_CASES = {
     "bad-cell-in-second-block": (
         SECOND_BLOCK + "x,0\n", "row 60002, column 'a': non-numeric cell 'x'"
     ),
+    "header-cell-past-field-limit": (
+        '"' + "a" * 200_000 + '",label\n1,0\n', "row 1: field larger than field limit (131072)"
+    ),
+    "cell-past-field-limit-in-second-block": (
+        SECOND_BLOCK + '"' + "1" * 200_000 + '",0\n',
+        "row 60002: field larger than field limit (131072)",
+    ),
+    "repeated-feature-column": (
+        "a,a,label\n1,2,0\n", "the header names column 'a' more than once"
+    ),
 }
 
 

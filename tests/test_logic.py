@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from kdalign.experiment import compile_rules
-from kdalign.logic import PropositionTable, rule_to_clause
 from kdalign.rules import PREDICATES, Condition, Rule, format_threshold, parse_rule
 from oracles import (
+    PropositionTable,
     all_assignments,
     check_decomposability,
     check_determinism,
@@ -12,18 +12,19 @@ from oracles import (
     eval_clauses,
     eval_ddnnf,
     model_count,
+    rule_to_clause,
 )
 
 
 def triples(table):
-    return [(p.pid, p.subject, p.predicate, p.obj) for p in table.propositions()]
+    return [(pid, *triple) for triple, pid in table.items()]
 
 
-class TestRuleToClause:
+class TestCompileRules:
     def test_worked_example(self):
-        table = PropositionTable()
         rule = parse_rule("IF attr_1 > 5 AND attr_2 = 0 THEN anomaly IS true")
-        assert rule_to_clause(rule, table) == (-1, -2, 3)
+        table, clauses = compile_rules([rule])
+        assert clauses == [(-1, -2, 3)]
         assert triples(table) == [
             (1, "attr_1", ">", "5"),
             (2, "attr_2", "=", "0"),
@@ -31,31 +32,32 @@ class TestRuleToClause:
         ]
 
     def test_single_condition(self):
-        table = PropositionTable()
-        assert rule_to_clause(parse_rule("IF x >= 0 THEN anomaly IS true"), table) == (-1, 2)
+        table, clauses = compile_rules([parse_rule("IF x >= 0 THEN anomaly IS true")])
+        assert clauses == [(-1, 2)]
         assert len(table) == 2
 
     def test_shared_condition_reuses_proposition_id(self):
-        table = PropositionTable()
-        c1 = rule_to_clause(parse_rule("IF attr_1 > 5 THEN anomaly IS true"), table)
-        c2 = rule_to_clause(parse_rule("IF attr_1 > 5 AND attr_2 < 1 THEN anomaly IS true"), table)
+        table, (c1, c2) = compile_rules([
+            parse_rule("IF attr_1 > 5 THEN anomaly IS true"),
+            parse_rule("IF attr_1 > 5 AND attr_2 < 1 THEN anomaly IS true"),
+        ])
         # the condition and the consequent (anomaly, is, True) keep their ids
         assert c1 == (-1, 2)
         assert c2 == (-1, 2, -3)
         assert len(table) == 3
 
     def test_repeated_condition_gives_one_literal(self):
-        table = PropositionTable()
         rule = parse_rule("IF a > 1 AND b = 0 AND a > 1 THEN anomaly IS true")
-        assert rule_to_clause(rule, table) == (-1, -2, 3)
+        table, clauses = compile_rules([rule])
+        assert clauses == [(-1, -2, 3)]
         assert len(table) == 3
 
     def test_anomaly_is_false(self):
-        table = PropositionTable()
-        rule_to_clause(parse_rule("IF a > 1 THEN anomaly IS true"), table)
-        assert rule_to_clause(parse_rule("IF a > 1 AND b <= 2 THEN anomaly IS false"), table) == (
-            -1, -3, 4,
-        )
+        table, (_, clause) = compile_rules([
+            parse_rule("IF a > 1 THEN anomaly IS true"),
+            parse_rule("IF a > 1 AND b <= 2 THEN anomaly IS false"),
+        ])
+        assert clause == (-1, -3, 4)
         assert triples(table)[1:] == [
             (2, "anomaly", "is", "True"),
             (3, "b", "<=", "2"),
@@ -85,19 +87,30 @@ def random_rules(rng, n):
 @pytest.mark.parametrize("seed", range(10))
 def test_clause_holds_unless_the_antecedent_holds_without_the_consequent(seed):
     rng = np.random.default_rng(seed)
-    table = PropositionTable()
-    for rule in random_rules(rng, 20):
-        clause = rule_to_clause(rule, table)
-        n_props = len(table)
-        # looking the triples up again finds ids that are already interned
-        conds = {table.intern(c.attribute, c.predicate, format_threshold(c.threshold))
+    rules = random_rules(rng, 20)
+    table, clauses = compile_rules(rules)
+    for rule, clause in zip(rules, clauses):
+        conds = {table[(c.attribute, c.predicate, format_threshold(c.threshold))]
                  for c in rule.conditions}
-        consequent = table.intern("anomaly", "is", str(rule.consequent))
-        assert len(table) == n_props
+        consequent = table[("anomaly", "is", str(rule.consequent))]
         assert sorted({abs(lit) for lit in clause}) == sorted(conds | {consequent})
         for assignment in all_assignments(conds | {consequent}):
             expected = not all(assignment[p] for p in conds) or assignment[consequent]
             assert eval_clauses([clause], assignment) == expected
+
+
+def test_compile_rules_matches_the_interning_oracle():
+    """Same clauses and the same (id, triple) list, in id order, as the
+    interning table the package once compiled rules with."""
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        rules = random_rules(rng, int(rng.integers(1, 31)))
+        oracle = PropositionTable()
+        expected = [rule_to_clause(rule, oracle) for rule in rules]
+        table, clauses = compile_rules(rules)
+        assert clauses == expected
+        assert triples(table) == [(p.pid, p.subject, p.predicate, p.obj)
+                                  for p in oracle.propositions()]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -113,9 +126,9 @@ def test_compiled_rule_is_a_d_dnnf_of_its_implication(seed):
     for rule, g in zip(rules, graphs):
         check_decomposability(g)
         check_determinism(g)
-        conds = {table.intern(c.attribute, c.predicate, format_threshold(c.threshold))
+        conds = {table[(c.attribute, c.predicate, format_threshold(c.threshold))]
                  for c in rule.conditions}
-        consequent = table.intern("anomaly", "is", str(rule.consequent))
+        consequent = table[("anomaly", "is", str(rule.consequent))]
         variables = conds | {consequent}
         counter_models = 0
         for assignment in all_assignments(variables):

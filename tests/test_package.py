@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kdalign"
@@ -27,6 +30,15 @@ def test_every_public_definition_has_a_caller_in_the_package():
         and not any(node.name in names for other, names in used if other is not node)
     ]
     assert uncalled == []
+
+
+def test_every_module_is_loaded_by_the_cli():
+    # a module that only tests import is code the program never runs
+    script = "import sys, kdalign.cli; print(*sorted(m for m in sys.modules if m.startswith('kdalign.')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == sorted(f"kdalign.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
 def test_every_oracle_is_reached_from_a_test():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kdalign.errors import DataError, RuleSyntaxError
-from kdalign.logic import PropositionTable, rule_to_clause
+from kdalign.experiment import compile_rules
 from kdalign.rules import (
     PREDICATES,
     Condition,
@@ -166,15 +166,15 @@ class TestMatch:
         rng = np.random.default_rng(3)
         rule = parse_rule("IF a > 1 AND b <= 0.5 AND c != 2 THEN anomaly IS true")
         names = {"a": 0, "b": 1, "c": 2}
-        table = PropositionTable()
-        antecedent = [-lit for lit in rule_to_clause(rule, table) if lit < 0]
+        table, (clause,) = compile_rules([rule])
+        antecedent = [-lit for lit in clause if lit < 0]
         assert len(antecedent) == 3
         for _ in range(200):
             x = rng.normal(size=3) * 2
             if rng.random() < 0.2:
                 x[2] = 2.0
             assignment = {
-                table.intern(c.attribute, c.predicate, format_threshold(c.threshold)): condition_holds(
+                table[(c.attribute, c.predicate, format_threshold(c.threshold))]: condition_holds(
                     c, x[names[c.attribute]]
                 )
                 for c in rule.conditions
